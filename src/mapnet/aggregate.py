@@ -9,6 +9,13 @@ The log-posterior, up to constants, is
 and is maximized by alternating the exact coordinate updates
 ``lam = S / (k + theta)`` and ``theta = P / sum(lam)``.  Both half-steps
 are closed-form argmaxes, so the objective never decreases.
+
+The theta iterate depends on the pairs only through the per-stratum sums
+``T_d`` (total S over pairs with k = d), since
+``sum(lam) = sum_d T_d / (d + theta)``.  ``em_aggregate`` therefore costs
+O(distinct k) per iteration and forms lam over all pairs once, after the
+loop.  ``track_objective`` evaluates the full objective every iteration,
+which costs O(pairs) per iteration.
 """
 
 from __future__ import annotations
@@ -123,21 +130,27 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     if cfg.track_objective:
         trace = [_objective(k, s, lam, theta, pair_count)]
 
+    # sum(lam) = sum_d T_d / (d + theta), so the theta update needs only the T_d
+    stratum_sums = np.bincount(k.astype(np.intp), weights=s)
+    levels = np.flatnonzero(stratum_sums)
+    stratum_sums = stratum_sums[levels]
+
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        lam = s / (k + theta)
-        theta_new = pair_count / float(lam.sum())
+        theta_prev = theta
+        theta = pair_count / float((stratum_sums / (levels + theta_prev)).sum())
         if trace is not None:
-            trace.append(_objective(k, s, lam, theta_new, pair_count))
-        if theta_new > _THETA_DIVERGED:
-            theta = theta_new
+            trace.append(_objective(k, s, s / (k + theta_prev), theta, pair_count))
+        if theta > _THETA_DIVERGED:
             break
-        if abs(theta_new - theta) <= cfg.tol * theta:
-            theta = theta_new
+        if abs(theta - theta_prev) <= cfg.tol * theta_prev:
             converged = True
             break
-        theta = theta_new
+
+    # the last lam half-step over all pairs; theta from it keeps theta * sum(lam) = P
+    lam = s / (k + theta_prev)
+    theta = pair_count / float(lam.sum())
 
     lam_map = {pair: float(value) for pair, value in zip(pairs, lam)}
     return AggregatedNetwork(

@@ -143,6 +143,8 @@ class AggregationInput:
             raise ValueError("k and s must cover the same pairs")
         for pair, count in self.k.items():
             _check_pair(pair, n)
+            if not float(count).is_integer():
+                raise ValueError(f"stored pair {pair} has non-integer k {count!r}")
             if count < 1:
                 raise ValueError(f"stored pair {pair} has k < 1")
             if self.s[pair] < 0:

@@ -2,15 +2,17 @@
 
 Two text formats are supported.  Expression CSV: first row is a header of
 condition labels, first column holds gene labels, empty cells (or NA/NaN
-tokens) are missing values.  Multiplex edge list: whitespace-separated
-``layer_id node_u node_v [weight]`` lines with ``#`` comments; a missing
-weight defaults to 1, an explicit weight of 0 records a measured-but-zero
-observation.
+tokens) are missing values; infinite values are rejected.  Multiplex edge
+list: whitespace-separated ``layer_id node_u node_v [weight]`` lines with
+``#`` comments; a missing weight defaults to 1, an explicit weight of 0
+records a measured-but-zero observation, and a non-finite weight is
+rejected.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -75,17 +77,32 @@ def _parse_cell(token: str, line: int, column: int) -> float:
     if token.lower() in _MISSING_TOKENS:
         return np.nan
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"malformed number {token!r}", line=line, column=column) from None
+    if math.isinf(value):
+        raise ParseError(f"infinite value {token!r}", line=line, column=column)
+    return value
+
+
+def _parse_weight(token: str, line: int, column: int) -> float:
+    try:
+        weight = float(token)
+    except ValueError:
+        raise ParseError(f"malformed weight {token!r}", line=line, column=column) from None
+    if not math.isfinite(weight):
+        raise ParseError(f"non-finite weight {token!r}", line=line, column=column)
+    if weight < 0:
+        raise NegativeWeight(f"negative weight {weight} at line {line}")
+    return weight
 
 
 def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
     """Parse an expression CSV into a dataset.
 
     Raises ParseError with 1-based line/column (column counts CSV fields)
-    on malformed numbers or ragged rows, and DuplicateLabel on repeated
-    gene or condition labels.
+    on malformed or infinite numbers or ragged rows, and DuplicateLabel on
+    repeated gene or condition labels.
     """
     rows = list(csv.reader(text.splitlines()))
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
@@ -143,15 +160,7 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
         layer_id, u, v = fields[0], fields[1], fields[2]
         if u == v:
             raise ParseError(f"self-loop on {u!r}", line=lineno)
-        if len(fields) == 4:
-            try:
-                weight = float(fields[3])
-            except ValueError:
-                raise ParseError(f"malformed weight {fields[3]!r}", line=lineno, column=4) from None
-            if weight < 0:
-                raise NegativeWeight(f"negative weight {weight} at line {lineno}")
-        else:
-            weight = 1.0
+        weight = _parse_weight(fields[3], lineno, column=4) if len(fields) == 4 else 1.0
         layer = edges.setdefault(layer_id, {})
         key = (u, v) if u < v else (v, u)
         if key in layer:
@@ -212,12 +221,7 @@ def parse_layer_csv(text: str) -> LayerGraph:
         u, v = row[0].strip(), row[1].strip()
         if u == v:
             raise ParseError(f"self-loop on {u!r}", line=lineno)
-        try:
-            weight = float(row[2])
-        except ValueError:
-            raise ParseError(f"malformed weight {row[2]!r}", line=lineno, column=3) from None
-        if weight < 0:
-            raise NegativeWeight(f"negative weight {weight} at line {lineno}")
+        weight = _parse_weight(row[2], lineno, column=3)
         key = (u, v) if u < v else (v, u)
         if key in weights_by_label:
             duplicates += 1

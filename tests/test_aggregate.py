@@ -160,6 +160,81 @@ class TestEmAggregate:
         )
 
 
+def per_pair_em_reference(inp, cfg):
+    """Reference EM loop that forms lam over all pairs in every iteration."""
+    pairs = sorted(inp.k)
+    k = np.array([inp.k[p] for p in pairs], dtype=float)
+    s = np.array([inp.s[p] for p in pairs], dtype=float)
+    pair_count = inp.pair_count
+    if cfg.init == "deterministic":
+        lam = s / k
+        theta = pair_count / float(lam.sum())
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        lam = rng.exponential(1.0, size=len(pairs))
+        theta = 10.0 ** rng.uniform(-3.0, 3.0)
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
+        lam = s / (k + theta)
+        theta_new = pair_count / float(lam.sum())
+        if theta_new > 1e100:
+            theta = theta_new
+            break
+        if abs(theta_new - theta) <= cfg.tol * theta:
+            theta = theta_new
+            converged = True
+            break
+        theta = theta_new
+    return iterations, converged, theta, dict(zip(pairs, lam))
+
+
+def near_edge_input(n=40, d=5, seed=11):
+    # presence counts over d layers with total weight ~1.003 * P
+    uni = NodeUniverse(tuple(f"v{i:02d}" for i in range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cells = np.random.default_rng(seed).choice(
+        d * len(pairs), size=round(1.003 * len(pairs)), replace=False
+    )
+    counts = np.bincount(cells // d, minlength=len(pairs))
+    return AggregationInput(
+        uni, {p: d for p in pairs}, {p: float(c) for p, c in zip(pairs, counts)}, len(pairs)
+    )
+
+
+def gapped_levels_input(n=30, seed=12):
+    # k takes only the levels 1, 4 and 7
+    rng = np.random.default_rng(seed)
+    uni = NodeUniverse(tuple(f"v{i:02d}" for i in range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    k = {p: int(rng.choice([1, 4, 7])) for p in pairs}
+    s = {p: float(rng.gamma(2.0, 1.0) * k[p] * (rng.uniform() < 0.7)) for p in pairs}
+    return AggregationInput(uni, k, s, len(pairs))
+
+
+class TestStratifiedEquivalence:
+    @pytest.mark.parametrize("make_input", [near_edge_input, gapped_levels_input])
+    @pytest.mark.parametrize(
+        "cfg",
+        [EmConfig(), EmConfig(init="random", seed=3), EmConfig(max_iter=40)],
+        ids=["deterministic", "random", "truncated"],
+    )
+    def test_matches_per_pair_loop(self, make_input, cfg):
+        inp = make_input()
+        iterations, converged, theta, lam = per_pair_em_reference(inp, cfg)
+        agg = em_aggregate(inp, cfg)
+        assert (agg.iterations, agg.converged) == (iterations, converged)
+        assert agg.theta == pytest.approx(theta, rel=1e-12)
+        assert agg.lam.keys() == lam.keys()
+        for pair, value in lam.items():
+            assert agg.lam[pair] == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert agg.theta * sum(agg.lam.values()) == pytest.approx(inp.pair_count, rel=1e-12)
+
+    def test_near_edge_needs_thousands_of_iterations(self):
+        agg = em_aggregate(near_edge_input())
+        assert agg.converged
+        assert agg.iterations > 1000
+
+
 class TestThetaOracle:
     def test_single_pair_closed_form(self):
         assert theta_fixed_point_oracle(single_pair_input()) == pytest.approx(

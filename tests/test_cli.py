@@ -307,6 +307,16 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ParseError"
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_weight_is_parse_error(self, capsys, tmp_path, token):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"L1 a c 1\nL1 a b {token}\n", encoding="utf-8")
+        code = main(["aggregate", str(bad), "-o", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParseError"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "mapnet", "metrics", str(tmp_path / "nope.csv"), "-o", "x"],

@@ -152,6 +152,18 @@ class TestAggregationInput:
         with pytest.raises(ValueError):
             AggregationInput(uni, {(0, 1): 0}, {(0, 1): 1.0}, 1)
 
+    @pytest.mark.parametrize("k", [1.5, float("nan"), float("inf")])
+    def test_rejects_non_integer_count(self, k):
+        uni = NodeUniverse(("a", "b"))
+        with pytest.raises(ValueError):
+            AggregationInput(uni, {(0, 1): k}, {(0, 1): 1.0}, 1)
+
+    def test_accepts_integer_valued_counts(self):
+        uni = NodeUniverse(("a", "b", "c"))
+        k = {(0, 1): np.int64(2), (1, 2): 3.0}
+        inp = AggregationInput(uni, k, {(0, 1): 1.0, (1, 2): 2.0}, 3)
+        assert inp.k[(0, 1)] == 2
+
     def test_rejects_key_mismatch(self):
         uni = NodeUniverse(("a", "b", "c"))
         with pytest.raises(ValueError):

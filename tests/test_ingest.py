@@ -52,6 +52,12 @@ class TestParseExpressionCsv:
             parse_expression_csv("gene,c1,c2\ng1,1.0")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999"])
+    def test_infinite_value_has_position(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_expression_csv(f"gene,c1,c2\ng1,1.0,2.0\ng2,3.0,{token}")
+        assert (err.value.line, err.value.column) == (3, 3)
+
 
 class TestParseMultiplexEdgelist:
     def test_default_weights_and_layers(self):
@@ -69,6 +75,12 @@ class TestParseMultiplexEdgelist:
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeight):
             parse_multiplex_edgelist("1 u v -2")
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_weight_has_position(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_multiplex_edgelist(f"L1 a c 1\nL1 a b {token}\n")
+        assert (err.value.line, err.value.column) == (2, 4)
 
     def test_zero_weight_is_measured(self):
         net = parse_multiplex_edgelist("1 u v 0\n1 u w 2\n")
@@ -119,6 +131,12 @@ class TestRoundTrip:
         layer = parse_layer_csv(text)
         assert layer.weights == {(0, 1): 1.5}
         assert layer.measurable == frozenset({(0, 1), (0, 2)})
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_layer_csv_non_finite_weight_has_position(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_layer_csv(f"node_u,node_v,weight\na,b,1.5\na,c,{token}\n")
+        assert (err.value.line, err.value.column) == (3, 3)
 
     def test_aggregated_csv(self):
         text = "node_u,node_v,lambda\na,b,0.5\nb,c,0.0\n"
