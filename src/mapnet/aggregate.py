@@ -33,6 +33,7 @@ from .core import (
     MultilayerNetwork,
     Pair,
     observation_summaries,
+    prior_pair_count,
 )
 from .errors import BracketingFailure, DegenerateAllZero, DomainError
 
@@ -211,6 +212,7 @@ def presence_summaries(
     n = net.universe.size
     if n < 2:
         raise DegenerateAllZero("universe has fewer than two nodes")
+    pair_count = prior_pair_count(n, pair_count_mode)
     depth = net.depth
     presence: dict[Pair, int] = {}
     for layer in net.layers:
@@ -221,7 +223,6 @@ def presence_summaries(
     for pair in combinations(range(n), 2):
         k[pair] = depth
         s[pair] = float(presence.get(pair, 0))
-    pair_count = n * (n - 1) // 2 if pair_count_mode == "unordered" else n * n
     return AggregationInput(net.universe, k, s, pair_count)
 
 

@@ -266,6 +266,9 @@ def _cmd_aggregate(args) -> None:
             "final_objective": agg.final_objective,
         },
     )
+    if not agg.converged:
+        warning = {"warning": "NotConverged", "iterations": agg.iterations, "theta": agg.theta}
+        print(json.dumps(warning), file=sys.stderr)
 
 
 def _cmd_baseline(args) -> None:

@@ -91,10 +91,6 @@ class LayerGraph:
         """Observed weight, 0.0 for measurable-but-zero pairs."""
         return self.weights.get(pair, 0.0)
 
-    @property
-    def total_weight(self) -> float:
-        return sum(self.weights.values())
-
 
 @dataclass(frozen=True)
 class MultilayerNetwork:
@@ -150,10 +146,6 @@ class AggregationInput:
             if self.s[pair] < 0:
                 raise ValueError(f"stored pair {pair} has negative weight sum")
 
-    @property
-    def total_weight(self) -> float:
-        return sum(self.s.values())
-
 
 @dataclass(frozen=True)
 class AggregatedNetwork:
@@ -191,6 +183,15 @@ def union_nodes(layer_node_lists: Iterable[Sequence[str]]) -> NodeUniverse:
     return NodeUniverse(tuple(sorted(seen)))
 
 
+def prior_pair_count(n: int, pair_count_mode: str) -> int:
+    """Pair count P for N nodes: N(N-1)/2 ("unordered") or N^2 ("paper_n_squared")."""
+    if pair_count_mode == "unordered":
+        return n * (n - 1) // 2
+    if pair_count_mode == "paper_n_squared":
+        return n * n
+    raise ValueError(f"unknown pair_count_mode {pair_count_mode!r}")
+
+
 def observation_summaries(
     net: MultilayerNetwork,
     count_mode: str = "measurable",
@@ -216,8 +217,7 @@ def observation_summaries(
     """
     if count_mode not in ("measurable", "nonzero_only"):
         raise ValueError(f"unknown count_mode {count_mode!r}")
-    if pair_count_mode not in ("unordered", "paper_n_squared"):
-        raise ValueError(f"unknown pair_count_mode {pair_count_mode!r}")
+    pair_count = prior_pair_count(net.universe.size, pair_count_mode)
 
     k: dict[Pair, int] = {}
     s: dict[Pair, float] = {}
@@ -228,9 +228,6 @@ def observation_summaries(
             s[pair] = s.get(pair, 0.0) + layer.weights.get(pair, 0.0)
     if not k:
         raise EmptyNetwork("no pair is observed in any layer")
-
-    n = net.universe.size
-    pair_count = n * (n - 1) // 2 if pair_count_mode == "unordered" else n * n
     return AggregationInput(net.universe, k, s, pair_count)
 
 

@@ -2,10 +2,23 @@
 
 Edge weights are pairwise-complete Pearson correlations: for each gene
 pair only the conditions where both genes have values enter the formula,
-and pairs with too few shared observations stay unmeasured.  Negative
-coefficients are clamped to zero and weights are optionally quantized to
-integer levels, mirroring how co-expression layers are usually built
-before aggregation.
+and pairs with too few shared observations, or with a constant paired
+sub-vector, stay unmeasured.  Negative coefficients are clamped to zero
+and weights are optionally quantized to integer levels, mirroring how
+co-expression layers are usually built before aggregation.
+
+A layer is computed for all pairs at once from masked Gram products.
+With M the present-value mask and X0 the data centred per gene over its
+present values (missing set to 0), M·Mᵀ gives each pair's shared count,
+X0·Mᵀ and X0²·Mᵀ each gene's sums over the shared conditions, and
+X0·X0ᵀ the cross sums.  Centring first removes most of the cancellation
+in the paired variances.  Pairs where the result could still differ from
+the exact per-pair formula (``_pearson_masked``) are recomputed with it:
+a paired variance that cancellation leaves imprecise or zero, a
+non-finite r, an r within 1e-9 of the clamp at zero, or a quantized
+level within 1e-9 of a .5 rounding boundary.  So quantized layers equal
+the per-pair ones, and raw coefficients agree with them to within a few
+units in the last place.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LayerGraph, MultilayerNetwork, NodeUniverse, Pair
+from .core import LayerGraph, MultilayerNetwork, NodeUniverse
 from .errors import DegenerateConditionWarning, LengthMismatch, NegativeWeight
 from .ingest import ExpressionDataset
 
@@ -41,8 +54,8 @@ class CorrelationConfig:
             raise ValueError("quantize_levels must be at least 1 when set")
 
 
-def _round_half_away(x: float) -> float:
-    return math.copysign(math.floor(abs(x) + 0.5), x)
+def _round_half_away(x):
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
 def _pearson_masked(x: np.ndarray, y: np.ndarray, min_pairs: int) -> float | None:
@@ -51,6 +64,10 @@ def _pearson_masked(x: np.ndarray, y: np.ndarray, min_pairs: int) -> float | Non
         return None
     xs = x[both]
     ys = y[both]
+    # Test constancy exactly: a constant sub-vector whose mean does not
+    # round exactly would leave tiny nonzero deviations below.
+    if xs.min() == xs.max() or ys.min() == ys.max():
+        return None
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     sxx = float(dx @ dx)
@@ -100,6 +117,65 @@ def zscore_normalize(ds: ExpressionDataset) -> ExpressionDataset:
     return ExpressionDataset(ds.genes, ds.conditions, values, name=ds.name)
 
 
+# A paired variance below this fraction of the pair's sum of squares about
+# the gene mean means the shared conditions' mean lies over three standard
+# deviations from the gene mean, so the Gram form loses a digit or more to
+# cancellation (a constant paired sub-vector loses all of them).  Above it
+# the Gram r is within about 10·n·eps of the exact one.
+_MIN_VARIANCE_FRACTION = 0.1
+# Distance of r from the clamp at 0, and of q·w from a .5 rounding
+# boundary, inside which the Gram rounding error could flip the outcome.
+_BOUNDARY_SLACK = 1e-9
+
+
+def _gram_pearson(data: np.ndarray, min_pairs: int, levels: int | None):
+    """Pairwise-complete Pearson r for every gene pair with enough overlap.
+
+    Returns row and column indices (a < b, row-major order) and r, with
+    the pairs the per-pair formula leaves unmeasured removed.
+    """
+    present = ~np.isnan(data)
+    mask = present.astype(float)
+    count = mask.sum(axis=1)
+    mean = np.where(present, data, 0.0).sum(axis=1) / np.maximum(count, 1.0)
+    x0 = np.where(present, data - mean[:, None], 0.0)
+
+    shared = mask @ mask.T
+    a, b = np.triu_indices(data.shape[0], 1)
+    keep = shared[a, b] >= min_pairs
+    a, b = a[keep], b[keep]
+    n = shared[a, b]
+    sx = x0 @ mask.T
+    sxx = (x0 * x0) @ mask.T
+    sx_a, sx_b = sx[a, b], sx[b, a]
+    ss_a, ss_b = sxx[a, b], sxx[b, a]
+    var_a = ss_a - sx_a * sx_a / n
+    var_b = ss_b - sx_b * sx_b / n
+    cov = (x0 @ x0.T)[a, b] - sx_a * sx_b / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = cov / np.sqrt(var_a * var_b)
+
+    recheck = ~(
+        (var_a > _MIN_VARIANCE_FRACTION * ss_a)
+        & (var_b > _MIN_VARIANCE_FRACTION * ss_b)
+        & np.isfinite(r)
+        & (np.abs(r) >= _BOUNDARY_SLACK)
+    )
+    r = np.clip(r, -1.0, 1.0)
+    if levels is not None:
+        qr = np.abs(levels * r)
+        recheck |= np.abs(qr - np.floor(qr) - 0.5) < _BOUNDARY_SLACK
+
+    measured = np.ones(len(r), dtype=bool)
+    for t in np.flatnonzero(recheck):
+        exact = _pearson_masked(data[a[t]], data[b[t]], min_pairs)
+        if exact is None:
+            measured[t] = False
+        else:
+            r[t] = exact
+    return a[measured], b[measured], r[measured]
+
+
 def build_correlation_layer(
     ds: ExpressionDataset,
     cfg: CorrelationConfig,
@@ -115,30 +191,19 @@ def build_correlation_layer(
     if universe is None:
         universe = NodeUniverse(tuple(sorted(ds.genes)))
     data = ds.values if not cfg.zscore else zscore_normalize(ds).values
-    gene_index = [universe.index(g) for g in ds.genes]
+    a, b, w = _gram_pearson(data, cfg.min_pairs, cfg.quantize_levels)
+    if cfg.clamp_negative:
+        w = np.maximum(w, 0.0)
+    if cfg.quantize_levels is not None:
+        w = _round_half_away(cfg.quantize_levels * w)
+    if np.any(w < 0):
+        raise NegativeWeight("negative correlation weight with clamp_negative disabled")
 
-    weights: dict[Pair, float] = {}
-    measurable: set[Pair] = set()
-    n = ds.n_genes
-    for a in range(n):
-        xa = data[a]
-        for b in range(a + 1, n):
-            r = _pearson_masked(xa, data[b], cfg.min_pairs)
-            if r is None:
-                continue
-            w = max(r, 0.0) if cfg.clamp_negative else r
-            if cfg.quantize_levels is not None:
-                w = _round_half_away(cfg.quantize_levels * w)
-            if w < 0:
-                raise NegativeWeight(
-                    "negative correlation weight with clamp_negative disabled"
-                )
-            i, j = gene_index[a], gene_index[b]
-            pair = (i, j) if i < j else (j, i)
-            measurable.add(pair)
-            if w > 0:
-                weights[pair] = w
-    return LayerGraph(universe, weights, frozenset(measurable))
+    gene_index = np.array([universe.index(g) for g in ds.genes], dtype=np.int64)
+    i, j = gene_index[a], gene_index[b]
+    pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+    # LayerGraph keeps the zero weights as measured zeros
+    return LayerGraph(universe, dict(zip(pairs, w.tolist())))
 
 
 def build_correlation_network(

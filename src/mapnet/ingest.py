@@ -58,9 +58,6 @@ class ExpressionDataset:
     def n_conditions(self) -> int:
         return len(self.conditions)
 
-    def row(self, gene: str) -> np.ndarray:
-        return self.values[self.genes.index(gene)]
-
     def __eq__(self, other):
         if not isinstance(other, ExpressionDataset):
             return NotImplemented

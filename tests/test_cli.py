@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mapnet
 from mapnet import (
     AggregatedNetwork,
     CorrelationConfig,
@@ -86,6 +89,27 @@ class TestAggregate:
         agg = parse_aggregated_csv(out.read_text(encoding="utf-8"), sidecar)
         assert agg.theta == sidecar["theta"]
         assert all(v >= 0 for v in agg.lam.values())
+
+    def test_converged_run_prints_nothing(self, multiplex_file, tmp_path, capsys):
+        assert main(["aggregate", multiplex_file, "-o", str(tmp_path / "agg.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_not_converged_warns_on_stderr(self, multiplex_file, tmp_path, capsys):
+        out = tmp_path / "agg.csv"
+        assert main(["aggregate", multiplex_file, "-o", str(out), "--max-iter", "1"]) == 0
+        sidecar = json.loads((tmp_path / "agg.json").read_text(encoding="utf-8"))
+        assert sidecar["converged"] is False
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "warning": "NotConverged",
+            "iterations": sidecar["iterations"],
+            "theta": sidecar["theta"],
+        }
+        # the outputs do not depend on whether the warning was printed
+        first = out.read_bytes()
+        assert main(["aggregate", multiplex_file, "-o", str(out), "--max-iter", "1"]) == 0
+        assert out.read_bytes() == first
 
     def test_flag_variants(self, multiplex_file, tmp_path):
         out = tmp_path / "agg2.csv"
@@ -318,10 +342,14 @@ class TestErrorHandling:
         assert not (tmp_path / "x.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same mapnet as this process
+        src = str(Path(mapnet.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mapnet", "metrics", str(tmp_path / "nope.csv"), "-o", "x"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 1
         assert json.loads(proc.stderr.strip())["error"] == "FileNotFoundError"

@@ -7,6 +7,7 @@ from mapnet import (
     MultilayerNetwork,
     NodeUniverse,
     observation_summaries,
+    presence_summaries,
     relabel,
     union_nodes,
 )
@@ -100,6 +101,14 @@ class TestObservationSummaries:
         net = two_layer_net()
         assert observation_summaries(net, pair_count_mode="unordered").pair_count == 3
         assert observation_summaries(net, pair_count_mode="paper_n_squared").pair_count == 9
+
+    def test_unknown_pair_count_mode_raises(self):
+        net = two_layer_net()
+        with pytest.raises(ValueError, match="pair_count_mode"):
+            observation_summaries(net, pair_count_mode="ordered")
+        with pytest.raises(ValueError, match="pair_count_mode"):
+            presence_summaries(net, pair_count_mode="ordered")
+        assert presence_summaries(net, pair_count_mode="paper_n_squared").pair_count == 9
 
     def test_empty_network_raises(self):
         uni = NodeUniverse(("a", "b"))

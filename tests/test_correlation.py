@@ -7,11 +7,14 @@ import scipy.stats
 from mapnet import (
     CorrelationConfig,
     ExpressionDataset,
+    LayerGraph,
+    NodeUniverse,
     build_correlation_layer,
     conflate,
     pearson_pairwise_complete,
     zscore_normalize,
 )
+from mapnet.correlation import _pearson_masked
 from mapnet.errors import DegenerateConditionWarning, LengthMismatch, NegativeWeight
 
 NAN = float("nan")
@@ -71,6 +74,15 @@ class TestPearsonPairwiseComplete:
     def test_zero_variance_gives_absent(self):
         assert pearson_pairwise_complete([1, 1, 1], [1, 2, 3], min_pairs=2) is None
 
+    @pytest.mark.parametrize("value, n", [(0.1, 6), (0.7, 7)])
+    def test_constant_whose_mean_does_not_round_exactly_is_absent(self, value, n):
+        # the mean of n copies of value is not exactly value, so the
+        # deviations are tiny but nonzero; this is still zero variance
+        assert np.mean([value] * n) != value
+        y = np.random.default_rng(5).normal(size=n)
+        assert pearson_pairwise_complete([value] * n, y, min_pairs=5) is None
+        assert pearson_pairwise_complete(y, [value] * n, min_pairs=5) is None
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pearson_pairwise_complete([1, 2], [1, 2, 3], min_pairs=2)
@@ -121,11 +133,242 @@ class TestBuildCorrelationLayer:
         layer = build_correlation_layer(ds, CorrelationConfig(min_pairs=5))
         assert layer.measurable == frozenset()
 
+    def test_constant_paired_subvector_not_measurable(self):
+        # g0 is constant (0.1, not exactly representable as a mean) on the
+        # six conditions it shares with g1, though not over all of its values
+        ds = self.make_dataset(
+            [
+                [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 5.0, 9.0],
+                [0.3, 1.2, -0.4, 2.2, 0.9, -1.1, NAN, NAN],
+                [1.0, 2.0, 4.0, 3.0, 5.0, 7.0, 6.0, 8.0],
+            ]
+        )
+        layer = build_correlation_layer(ds, CorrelationConfig(min_pairs=5))
+        assert layer.universe.pair("g0", "g1") not in layer.measurable
+        assert layer.universe.pair("g0", "g2") in layer.measurable
+        assert layer.universe.pair("g1", "g2") in layer.measurable
+
     def test_unclamped_negative_raises(self):
         ds = self.make_dataset([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
         cfg = CorrelationConfig(min_pairs=5, clamp_negative=False)
         with pytest.raises(NegativeWeight):
             build_correlation_layer(ds, cfg)
+
+
+def per_pair_layer(ds, cfg, universe=None):
+    """Reference: the per-pair loop over the exact scalar formula."""
+    if universe is None:
+        universe = NodeUniverse(tuple(sorted(ds.genes)))
+    data = ds.values if not cfg.zscore else zscore_normalize(ds).values
+    weights, measurable = {}, set()
+    for a in range(ds.n_genes):
+        for b in range(a + 1, ds.n_genes):
+            r = _pearson_masked(data[a], data[b], cfg.min_pairs)
+            if r is None:
+                continue
+            w = max(r, 0.0) if cfg.clamp_negative else r
+            if cfg.quantize_levels is not None:
+                x = cfg.quantize_levels * w
+                w = math.copysign(math.floor(abs(x) + 0.5), x)
+            if w < 0:
+                raise NegativeWeight("negative weight in the reference")
+            pair = universe.pair(ds.genes[a], ds.genes[b])
+            measurable.add(pair)
+            if w > 0:
+                weights[pair] = w
+    return LayerGraph(universe, weights, frozenset(measurable))
+
+
+def assert_matches_reference(ds, cfg, universe=None):
+    got = build_correlation_layer(ds, cfg, universe=universe)
+    ref = per_pair_layer(ds, cfg, universe=universe)
+    assert got.universe == ref.universe
+    assert got.measurable == ref.measurable
+    assert got.weights.keys() == ref.weights.keys()
+    if cfg.quantize_levels is not None:
+        assert got.weights == ref.weights
+    else:
+        for pair, w in ref.weights.items():
+            assert abs(got.weights[pair] - w) <= 1e-12
+    return got
+
+
+def expression(values, genes=None):
+    values = np.asarray(values, dtype=float)
+    genes = genes or tuple(f"g{i:03d}" for i in range(values.shape[0]))
+    conditions = tuple(f"c{j}" for j in range(values.shape[1]))
+    return ExpressionDataset(tuple(genes), conditions, values)
+
+
+def boundary_rows(x, y, seed, outlier=NAN, copies=12):
+    """Random affine copies of x and y: every x-y pair has the same exact r.
+
+    Two extra conditions per side, missing on the other side, hold
+    ``outlier``; a large one moves each gene's mean far from the mean of
+    the conditions it shares with the other side.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for base in ([*x, outlier, outlier, NAN, NAN], [*y, NAN, NAN, outlier, outlier]):
+        for _ in range(copies):
+            scale = 10 ** rng.uniform(-3, 3)
+            offset = rng.normal() * 10 ** rng.uniform(-2, 3)
+            rows.append(scale * np.asarray(base, dtype=float) + offset)
+    return np.array(rows)
+
+
+class TestGramMatchesPerPairOracle:
+    """build_correlation_layer against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("levels", [10, 3, None])
+    def test_random_missing_patterns(self, seed, levels):
+        rng = np.random.default_rng(seed)
+        n_genes, n_cond = 30, int(rng.integers(6, 25))
+        latent = rng.normal(size=(3, n_cond))
+        values = rng.normal(size=(n_genes, 3)) @ latent + rng.normal(size=(n_genes, n_cond))
+        values += rng.normal(scale=50.0, size=(n_genes, 1))
+        values[rng.random(values.shape) < rng.uniform(0.0, 0.4)] = np.nan
+        cfg = CorrelationConfig(min_pairs=int(rng.integers(2, 6)), quantize_levels=levels)
+        assert_matches_reference(expression(values), cfg)
+
+    def test_ordinary_data_needs_no_exact_recheck(self, monkeypatch):
+        # offset genes with scattered missing values stay on the Gram path
+        import mapnet.correlation as correlation
+
+        calls = []
+        monkeypatch.setattr(correlation, "_pearson_masked", lambda *a: calls.append(a))
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=(40, 16)) + rng.normal(scale=100.0, size=(40, 1))
+        values[rng.random(values.shape) < 0.1] = np.nan
+        layer = build_correlation_layer(expression(values), CorrelationConfig(quantize_levels=None))
+        assert calls == []
+        assert len(layer.measurable) == 40 * 39 // 2
+
+    def test_non_finite_gram_r_is_recomputed(self, monkeypatch):
+        # at this scale var_a * var_b underflows to 0, so the Gram r is
+        # infinite; it must go to the exact path, not be clipped to 1
+        import mapnet.correlation as correlation
+
+        monkeypatch.setattr(correlation, "_pearson_masked", lambda *a: 0.5)
+        values = np.array([[1, 2, 3, 4, 5, 7], [2, 1, 4, 3, 6, 5]]) * 1e-160
+        layer = build_correlation_layer(expression(values), CorrelationConfig(quantize_levels=None))
+        assert layer.weights == {(0, 1): 0.5}
+
+    def test_min_pairs_threshold_is_exact(self):
+        base = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0])
+        values = np.array(
+            [
+                base,
+                base ** 2,  # shares 7 conditions with g000
+                np.where(np.arange(7) < 5, base * 0.5 + 1, np.nan),  # 5 shared
+                np.where(np.arange(7) < 4, -base, np.nan),  # 4 shared
+            ]
+        )
+        cfg = CorrelationConfig(min_pairs=5)
+        layer = assert_matches_reference(expression(values), cfg)
+        u = layer.universe
+        assert u.pair("g000", "g002") in layer.measurable
+        assert u.pair("g001", "g002") in layer.measurable
+        assert u.pair("g000", "g003") not in layer.measurable
+        assert u.pair("g002", "g003") not in layer.measurable
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "x, y, r",
+        [
+            ([3, 3, 0, -3, -3, 0], [1, -1, 2, 1, -3, 0], 0.25),
+            ([0, 0, -1, 2, 2, 3], [2, -1, -3, 3, -3, -2], 0.05),
+        ],
+    )
+    @pytest.mark.parametrize("outlier", [NAN, 1e4])
+    def test_exact_half_level_boundaries(self, x, y, r, seed, outlier):
+        # 10 r lies exactly on a .5 rounding boundary; the computed r falls
+        # on either side of it depending on the affine copy
+        ds = expression(boundary_rows(x, y, seed, outlier))
+        cross = [_pearson_masked(ds.values[a], ds.values[12 + b], 5) for a in range(12) for b in range(12)]
+        assert all(abs(c - r) < 1e-10 for c in cross)
+        levels = {math.floor(10 * c + 0.5) for c in cross}
+        assert levels == {math.floor(10 * r), math.floor(10 * r) + 1}
+        assert_matches_reference(ds, CorrelationConfig(min_pairs=5, quantize_levels=10))
+        assert_matches_reference(ds, CorrelationConfig(min_pairs=5, quantize_levels=None))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_zero_clamp_boundary(self, seed):
+        # r = 0 exactly; the computed r has either sign depending on the copy,
+        # which decides between a tiny positive weight and a measured zero
+        ds = expression(boundary_rows([3, 3, 0, -3, -3, 0], [1, -1, 0, 1, -1, 0], seed))
+        cross = [_pearson_masked(ds.values[a], ds.values[12 + b], 5) for a in range(12) for b in range(12)]
+        assert min(cross) < 0 < max(cross)
+        assert_matches_reference(ds, CorrelationConfig(min_pairs=5, quantize_levels=None))
+
+    def test_constant_and_all_missing_rows(self):
+        rng = np.random.default_rng(2)
+        values = rng.normal(size=(8, 9))
+        values[0] = 0.1
+        values[1] = 0.7
+        values[2] = np.nan
+        values[3, :7] = 0.3  # constant except where g004 is missing
+        values[4, 7:] = np.nan
+        values[5] = 1e8 + values[5] * 1e-6
+        layer = assert_matches_reference(expression(values), CorrelationConfig(min_pairs=5))
+        u = layer.universe
+        assert all(
+            u.pair(f"g00{a}", f"g00{b}") not in layer.measurable
+            for a in range(3)
+            for b in range(8)
+            if a != b
+        )
+        assert u.pair("g003", "g004") not in layer.measurable
+        assert u.pair("g003", "g006") in layer.measurable
+
+    def test_constant_on_shared_conditions_only(self):
+        # every cross pair shares only the seven conditions where both genes
+        # are constant, while each gene varies elsewhere
+        rng = np.random.default_rng(0)
+        values = np.full((40, 15), np.nan)
+        values[:, :7] = np.round(rng.uniform(0, 1, size=40), 2)[:, None]
+        values[:20, 7:11] = rng.normal(size=(20, 4))
+        values[20:, 11:] = rng.normal(size=(20, 4))
+        layer = assert_matches_reference(expression(values), CorrelationConfig(min_pairs=5))
+        assert len(layer.measurable) == 2 * (20 * 19 // 2)
+
+    @pytest.mark.parametrize("levels", [10, None])
+    def test_zscore(self, levels):
+        rng = np.random.default_rng(8)
+        values = rng.normal(3.0, 2.0, size=(25, 12))
+        values[rng.random(values.shape) < 0.15] = np.nan
+        assert_matches_reference(
+            expression(values), CorrelationConfig(min_pairs=4, quantize_levels=levels, zscore=True)
+        )
+
+    @pytest.mark.parametrize("levels", [10, None])
+    def test_unclamped(self, levels):
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=10)
+        positive = np.array([base + 0.3 * rng.normal(size=10) for _ in range(6)])
+        cfg = CorrelationConfig(min_pairs=5, clamp_negative=False, quantize_levels=levels)
+        assert_matches_reference(expression(positive), cfg)
+        with pytest.raises(NegativeWeight):
+            build_correlation_layer(expression(np.vstack([positive, -base])), cfg)
+
+    def test_unsorted_genes_in_larger_universe(self):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(10, 8))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        genes = ("m", "c", "x", "a", "q", "e", "z", "b", "k", "f")
+        universe = NodeUniverse(tuple(sorted(set(genes) | {"d", "h", "y"})))
+        for levels in (10, None):
+            layer = assert_matches_reference(
+                expression(values, genes), CorrelationConfig(min_pairs=4, quantize_levels=levels), universe
+            )
+            assert layer.universe is universe
+            assert all(i < j for i, j in layer.measurable)
+
+    def test_single_gene(self):
+        layer = assert_matches_reference(expression([[1.0, 2.0, 3.0, 4.0, 5.0]]), CorrelationConfig())
+        assert layer.measurable == frozenset()
+        assert layer.weights == {}
 
 
 class TestZscoreNormalize:
