@@ -14,8 +14,8 @@ from .aggregate import (
     presence_summaries,
     theta_fixed_point_oracle,
 )
+from .analysis import ComparisonBundle, SubsetResult, compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
-from .cli import ComparisonBundle, SubsetResult, compare_networks, run_subset_experiment
 from .core import (
     AggregatedNetwork,
     AggregationInput,
@@ -57,48 +57,15 @@ from .synth import RecoveryMetrics, SyntheticTruth, generate_synthetic, recovery
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedNetwork",
-    "AggregationInput",
-    "ComparisonBundle",
-    "CorrelationConfig",
-    "EmConfig",
-    "EntropySpectrum",
-    "ExpressionDataset",
-    "LayerGraph",
-    "MultilayerNetwork",
-    "NetworkReport",
-    "NodeUniverse",
-    "RecoveryMetrics",
-    "SubsetResult",
-    "SyntheticTruth",
-    "aggregate_network",
-    "build_avenet",
-    "build_connet",
-    "build_correlation_layer",
-    "build_correlation_network",
-    "compare_networks",
-    "conflate",
-    "em_aggregate",
-    "exponential_fit_r2",
-    "generate_synthetic",
-    "log_posterior",
-    "measured_weight_values",
-    "network_report",
-    "node_strengths",
-    "observation_summaries",
-    "parse_aggregated_csv",
-    "parse_expression_csv",
-    "parse_layer_csv",
-    "parse_multiplex_edgelist",
-    "pearson_pairwise_complete",
-    "presence_summaries",
-    "recovery_metrics",
-    "relabel",
-    "run_subset_experiment",
-    "serialize_multiplex_edgelist",
-    "theta_fixed_point_oracle",
-    "union_nodes",
-    "von_neumann_entropy",
-    "weight_cdf",
-    "zscore_normalize",
+    "AggregatedNetwork", "AggregationInput", "ComparisonBundle", "CorrelationConfig",
+    "EmConfig", "EntropySpectrum", "ExpressionDataset", "LayerGraph", "MultilayerNetwork",
+    "NetworkReport", "NodeUniverse", "RecoveryMetrics", "SubsetResult", "SyntheticTruth",
+    "aggregate_network", "build_avenet", "build_connet", "build_correlation_layer",
+    "build_correlation_network", "compare_networks", "conflate", "em_aggregate",
+    "exponential_fit_r2", "generate_synthetic", "log_posterior", "measured_weight_values",
+    "network_report", "node_strengths", "observation_summaries", "parse_aggregated_csv",
+    "parse_expression_csv", "parse_layer_csv", "parse_multiplex_edgelist",
+    "pearson_pairwise_complete", "presence_summaries", "recovery_metrics", "relabel",
+    "run_subset_experiment", "serialize_multiplex_edgelist", "theta_fixed_point_oracle",
+    "union_nodes", "von_neumann_entropy", "weight_cdf", "zscore_normalize",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +31,7 @@ from .core import (
     AggregationInput,
     MultilayerNetwork,
     Pair,
+    pair_codes,
     observation_summaries,
     prior_pair_count,
 )
@@ -67,13 +67,6 @@ class EmConfig:
             raise ValueError(f"unknown init {self.init!r}")
 
 
-def _sorted_arrays(inp: AggregationInput) -> tuple[list[Pair], np.ndarray, np.ndarray]:
-    pairs = sorted(inp.k)
-    k = np.array([inp.k[p] for p in pairs], dtype=float)
-    s = np.array([inp.s[p] for p in pairs], dtype=float)
-    return pairs, k, s
-
-
 def _objective(k: np.ndarray, s: np.ndarray, lam: np.ndarray, theta: float, pair_count: int) -> float:
     if np.any((s > 0) & (lam <= 0)):
         raise DomainError("lambda must be positive wherever the weight sum is positive")
@@ -98,9 +91,8 @@ def log_posterior(inp: AggregationInput, lam: Mapping[Pair, float], theta: float
             raise DomainError(f"negative lambda on pair {pair}")
         if value != 0 and pair not in inp.k:
             raise DomainError(f"nonzero lambda on unobserved pair {pair}")
-    pairs, k, s = _sorted_arrays(inp)
-    lam_arr = np.array([lam.get(p, 0.0) for p in pairs], dtype=float)
-    return _objective(k, s, lam_arr, theta, inp.pair_count)
+    lam_arr = np.array([lam.get(p, 0.0) for p in inp.k], dtype=float)
+    return _objective(inp.counts.astype(float), inp.sums, lam_arr, theta, inp.pair_count)
 
 
 def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> AggregatedNetwork:
@@ -114,7 +106,7 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
 
     Raises DegenerateAllZero when every weight sum is zero.
     """
-    pairs, k, s = _sorted_arrays(inp)
+    k, s = inp.counts.astype(float), inp.sums
     if not np.any(s > 0):
         raise DegenerateAllZero("every pair has zero observed weight")
     pair_count = inp.pair_count
@@ -124,7 +116,7 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
         theta = pair_count / float(lam.sum())
     else:
         rng = np.random.default_rng(cfg.seed)
-        lam = rng.exponential(1.0, size=len(pairs))
+        lam = rng.exponential(1.0, size=s.size)
         theta = 10.0 ** rng.uniform(-3.0, 3.0)
 
     trace: list[float] | None = None
@@ -153,15 +145,10 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     lam = s / (k + theta_prev)
     theta = pair_count / float(lam.sum())
 
-    lam_map = {pair: float(value) for pair, value in zip(pairs, lam)}
-    return AggregatedNetwork(
-        universe=inp.universe,
-        lam=lam_map,
-        theta=theta,
-        iterations=iterations,
-        converged=converged,
-        final_objective=_objective(k, s, lam, theta, pair_count),
-        objective_trace=tuple(trace) if trace is not None else None,
+    objective = _objective(k, s, lam, theta, pair_count)
+    trace = tuple(trace) if trace is not None else None
+    return AggregatedNetwork.from_codes(
+        inp.universe, inp.codes, lam, theta, iterations, converged, objective, trace
     )
 
 
@@ -175,7 +162,7 @@ def theta_fixed_point_oracle(inp: AggregationInput) -> float:
     Raises BracketingFailure when no sign change exists (all-zero weights,
     or total weight not exceeding the pair count).
     """
-    _, k, s = _sorted_arrays(inp)
+    k, s = inp.counts.astype(float), inp.sums
     pair_count = inp.pair_count
 
     def g(theta: float) -> float:
@@ -213,17 +200,11 @@ def presence_summaries(
     if n < 2:
         raise DegenerateAllZero("universe has fewer than two nodes")
     pair_count = prior_pair_count(n, pair_count_mode)
-    depth = net.depth
-    presence: dict[Pair, int] = {}
-    for layer in net.layers:
-        for pair in layer.weights:
-            presence[pair] = presence.get(pair, 0) + 1
-    k = {}
-    s = {}
-    for pair in combinations(range(n), 2):
-        k[pair] = depth
-        s[pair] = float(presence.get(pair, 0))
-    return AggregationInput(net.universe, k, s, pair_count)
+    codes = pair_codes(*np.triu_indices(n, 1), n)  # all pairs, sorted
+    present = np.concatenate([layer.codes[layer.values > 0] for layer in net.layers])
+    presence = np.bincount(present, minlength=n * n)[codes]
+    depth = np.full(codes.size, net.depth)
+    return AggregationInput.from_codes(net.universe, codes, depth, presence, pair_count)
 
 
 def aggregate_network(

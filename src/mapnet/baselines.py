@@ -40,9 +40,5 @@ def build_avenet(net: MultilayerNetwork, denominator: str = "measurable_layers")
     if denominator not in ("measurable_layers", "all_layers"):
         raise ValueError(f"unknown denominator {denominator!r}")
     summaries = observation_summaries(net, count_mode="measurable")
-    depth = net.depth
-    weights = {}
-    for pair, total in summaries.s.items():
-        count = summaries.k[pair] if denominator == "measurable_layers" else depth
-        weights[pair] = total / count
-    return LayerGraph(net.universe, weights, frozenset(weights))
+    counts = summaries.counts if denominator == "measurable_layers" else net.depth
+    return LayerGraph.from_codes(net.universe, summaries.codes, summaries.sums / counts)

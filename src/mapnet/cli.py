@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
-import numpy as np
-
 from .aggregate import EmConfig, aggregate_network
+from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
-from .core import AggregatedNetwork, LayerGraph, NodeUniverse
+from .core import NodeUniverse, reindexed
 from .correlation import CorrelationConfig, build_correlation_network
 from .errors import MapnetError, UniverseMismatch
 from .ingest import (
@@ -31,135 +27,15 @@ from .ingest import (
     parse_expression_csv,
     parse_layer_csv,
     parse_multiplex_edgelist,
+    serialize_layer_csv,
     serialize_multiplex_edgelist,
 )
-from .metrics import (
-    NetworkReport,
-    exponential_fit_r2,
-    measured_weight_values,
-    network_report,
-    node_strengths,
-    weight_cdf,
-)
+from .metrics import measured_weight_values, network_report, weight_cdf
 from .synth import generate_synthetic, recovery_metrics, truth_from_csv, truth_meta, truth_to_csv
 
 _LOG_BASES = {"e": "natural", "2": "base2"}
 _COUNT_MODES = {"measurable": "measurable", "nonzero": "nonzero_only"}
 _PAIR_COUNT_MODES = {"unordered": "unordered", "paper": "paper_n_squared"}
-
-
-@dataclass(frozen=True)
-class SubsetResult:
-    """One row of the subset-size experiment table."""
-
-    size: int
-    mean_theta: float
-    mean_r2: float
-
-
-@dataclass(frozen=True)
-class ComparisonBundle:
-    """Plot data for the three-way network comparison.
-
-    Scatter rows are (node_u, node_v, aggregated weight, other weight)
-    with each network's weights normalized by its own maximum; strength
-    CDFs and reports are keyed by network name.
-    """
-
-    scatter_con: list[tuple[str, str, float, float]]
-    scatter_ave: list[tuple[str, str, float, float]]
-    strength_cdfs: dict[str, list[tuple[float, float]]]
-    reports: dict[str, NetworkReport]
-
-
-def compare_networks(
-    map_net: AggregatedNetwork,
-    con_net: LayerGraph,
-    ave_net: LayerGraph,
-    log_base: str = "natural",
-) -> ComparisonBundle:
-    """Scatter data, strength CDFs, and reports for the three networks."""
-    if con_net.universe != map_net.universe or ave_net.universe != map_net.universe:
-        raise UniverseMismatch("networks must share one universe")
-    labels = map_net.universe.labels
-    map_max = max(map_net.lam.values(), default=0.0)
-
-    def scatter(other: LayerGraph) -> list[tuple[str, str, float, float]]:
-        other_max = max(other.weights.values(), default=0.0)
-        rows = []
-        for i, j in sorted(set(map_net.lam) | other.measurable):
-            map_w = map_net.lam.get((i, j), 0.0)
-            other_w = other.weight((i, j))
-            rows.append(
-                (
-                    labels[i],
-                    labels[j],
-                    map_w / map_max if map_max > 0 else 0.0,
-                    other_w / other_max if other_max > 0 else 0.0,
-                )
-            )
-        return rows
-
-    networks = {"map": map_net.to_layer(), "con": con_net, "ave": ave_net}
-    return ComparisonBundle(
-        scatter_con=scatter(con_net),
-        scatter_ave=scatter(ave_net),
-        strength_cdfs={
-            name: weight_cdf(node_strengths(g)) for name, g in networks.items()
-        },
-        reports={name: network_report(g, log_base) for name, g in networks.items()},
-    )
-
-
-def run_subset_experiment(
-    datasets: list[ExpressionDataset],
-    subset_sizes: list[int],
-    reps: int,
-    seed: int,
-    cfg: CorrelationConfig = CorrelationConfig(),
-    em: EmConfig = EmConfig(),
-) -> list[SubsetResult]:
-    """Aggregate random dataset subsets and average theta and fit quality.
-
-    For each size, ``reps`` distinct subsets are sampled without
-    replacement (all of them when fewer exist, so the full-size row is a
-    single deterministic combination).  The fit R-squared uses the
-    positive aggregated weights against an exponential with the
-    estimated rate; degenerate runs yield NaN.
-    """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    n = len(datasets)
-    rng = np.random.default_rng(seed)
-    results = []
-    for size in subset_sizes:
-        if not 1 <= size <= n:
-            raise ValueError(f"subset size {size} out of range 1..{n}")
-        if math.comb(n, size) <= reps:
-            subsets = [tuple(c) for c in combinations(range(n), size)]
-        else:
-            subsets = []
-            seen = set()
-            while len(subsets) < reps:
-                pick = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-                if pick not in seen:
-                    seen.add(pick)
-                    subsets.append(pick)
-        thetas = []
-        r2s = []
-        for subset in subsets:
-            net = build_correlation_network([datasets[i] for i in subset], cfg)
-            agg = aggregate_network(net, em)
-            thetas.append(agg.theta)
-            positive = [v for v in agg.lam.values() if v > 0]
-            if len(set(positive)) >= 2:
-                r2s.append(exponential_fit_r2(positive, agg.theta))
-            else:
-                r2s.append(float("nan"))
-        results.append(
-            SubsetResult(size, float(np.mean(thetas)), float(np.mean(r2s)))
-        )
-    return results
 
 
 # -- file helpers -----------------------------------------------------------
@@ -177,22 +53,6 @@ def _write_json(path: str, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _layer_csv(g: LayerGraph, value_name: str = "weight") -> str:
-    labels = g.universe.labels
-    lines = [f"node_u,node_v,{value_name}"]
-    for i, j in sorted(g.measurable):
-        lines.append(f"{labels[i]},{labels[j]},{g.weight((i, j))!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _aggregated_csv(agg: AggregatedNetwork) -> str:
-    labels = agg.universe.labels
-    lines = ["node_u,node_v,lambda"]
-    for i, j in sorted(agg.lam):
-        lines.append(f"{labels[i]},{labels[j]},{agg.lam[(i, j)]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _cdf_csv(points: list[tuple[float, float]], value_name: str = "value") -> str:
     lines = [f"{value_name},fraction"]
     lines.extend(f"{v!r},{f!r}" for v, f in points)
@@ -207,16 +67,6 @@ def _scatter_csv(rows: list[tuple[str, str, float, float]], other_name: str) -> 
 
 def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
     return [parse_expression_csv(_read(p), name=Path(p).stem) for p in paths]
-
-
-def _reindex_layer(layer: LayerGraph, universe: NodeUniverse) -> LayerGraph:
-    old = layer.universe.labels
-    remap = lambda p: universe.pair(old[p[0]], old[p[1]])
-    return LayerGraph(
-        universe,
-        {remap(p): w for p, w in layer.weights.items()},
-        frozenset(remap(p) for p in layer.measurable),
-    )
 
 
 # -- subcommands ------------------------------------------------------------
@@ -253,19 +103,12 @@ def _cmd_aggregate(args) -> None:
     count_mode = _COUNT_MODES[args.count_mode]
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     agg = aggregate_network(net, _em_config(args), count_mode, pair_count_mode)
-    _write(args.output, _aggregated_csv(agg))
+    _write(args.output, serialize_layer_csv(agg.to_layer(), "lambda"))
     sidecar = args.sidecar or str(Path(args.output).with_suffix(".json"))
-    _write_json(
-        sidecar,
-        {
-            "theta": agg.theta,
-            "iterations": agg.iterations,
-            "converged": agg.converged,
-            "pair_count_mode": pair_count_mode,
-            "count_mode": count_mode,
-            "final_objective": agg.final_objective,
-        },
-    )
+    meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
+            "pair_count_mode": pair_count_mode, "count_mode": count_mode,
+            "final_objective": agg.final_objective}
+    _write_json(sidecar, meta)
     if not agg.converged:
         warning = {"warning": "NotConverged", "iterations": agg.iterations, "theta": agg.theta}
         print(json.dumps(warning), file=sys.stderr)
@@ -281,7 +124,7 @@ def _cmd_baseline(args) -> None:
         net = parse_multiplex_edgelist(_read(args.inputs[0]))
         denominator = "measurable_layers" if args.denominator == "measurable" else "all_layers"
         layer = build_avenet(net, denominator)
-    _write(args.output, _layer_csv(layer))
+    _write(args.output, serialize_layer_csv(layer))
 
 
 def _cmd_metrics(args) -> None:
@@ -293,30 +136,13 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    map_layer = parse_layer_csv(_read(args.map_csv))
-    meta = json.loads(_read(args.map_meta))
+    agg = parse_aggregated_csv(_read(args.map_csv), json.loads(_read(args.map_meta)))
     con = parse_layer_csv(_read(args.con))
     ave = parse_layer_csv(_read(args.ave))
-
-    labels = sorted(
-        set(map_layer.universe.labels) | set(con.universe.labels) | set(ave.universe.labels)
-    )
-    universe = NodeUniverse(tuple(labels))
-    map_layer = _reindex_layer(map_layer, universe)
-    agg = AggregatedNetwork(
-        universe=universe,
-        lam={pair: map_layer.weight(pair) for pair in sorted(map_layer.measurable)},
-        theta=float(meta["theta"]),
-        iterations=int(meta["iterations"]),
-        converged=bool(meta["converged"]),
-        final_objective=float(meta.get("final_objective", math.nan)),
-    )
-    bundle = compare_networks(
-        agg,
-        _reindex_layer(con, universe),
-        _reindex_layer(ave, universe),
-        _LOG_BASES[args.log_base],
-    )
+    labels = {*agg.universe.labels, *con.universe.labels, *ave.universe.labels}
+    universe = NodeUniverse(tuple(sorted(labels)))
+    networks = (reindexed(net, universe) for net in (agg, con, ave))
+    bundle = compare_networks(*networks, _LOG_BASES[args.log_base])
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -324,10 +150,8 @@ def _cmd_compare(args) -> None:
     _write(str(out / "scatter_map_vs_ave.csv"), _scatter_csv(bundle.scatter_ave, "ave"))
     for name, cdf in bundle.strength_cdfs.items():
         _write(str(out / f"strength_cdf_{name}.csv"), _cdf_csv(cdf, "strength"))
-    _write_json(
-        str(out / "reports.json"),
-        {name: report.to_dict() for name, report in bundle.reports.items()},
-    )
+    reports = {name: report.to_dict() for name, report in bundle.reports.items()}
+    _write_json(str(out / "reports.json"), reports)
 
 
 def _cmd_experiment(args) -> None:
@@ -354,22 +178,10 @@ def _cmd_synth_gen(args) -> None:
 def _cmd_synth_score(args) -> None:
     truth = truth_from_csv(_read(args.truth), json.loads(_read(args.truth_meta)))
     est = parse_aggregated_csv(_read(args.est), json.loads(_read(args.est_meta)))
-    est_labels = est.universe.labels
     try:
-        lam = {
-            truth.universe.pair(est_labels[i], est_labels[j]): w
-            for (i, j), w in est.lam.items()
-        }
+        est = reindexed(est, truth.universe)
     except KeyError as exc:
         raise UniverseMismatch(f"estimate node {exc.args[0]!r} missing from truth") from None
-    est = AggregatedNetwork(
-        universe=truth.universe,
-        lam=lam,
-        theta=est.theta,
-        iterations=est.iterations,
-        converged=est.converged,
-        final_objective=est.final_objective,
-    )
     _write_json(args.output, recovery_metrics(est, truth).to_dict())
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LayerGraph, MultilayerNetwork, NodeUniverse
+from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, remap_codes
 from .errors import DegenerateConditionWarning, LengthMismatch, NegativeWeight
 from .ingest import ExpressionDataset
 
@@ -58,6 +58,12 @@ def _round_half_away(x):
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
+def _unit_scale(v: np.ndarray) -> np.ndarray:
+    # An exact power-of-two scaling to max |v| in [0.5, 1): r keeps its bits, and
+    # sums of squares of data near 1e-160 (or 1e160) no longer underflow (overflow).
+    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+
+
 def _pearson_masked(x: np.ndarray, y: np.ndarray, min_pairs: int) -> float | None:
     both = ~(np.isnan(x) | np.isnan(y))
     if int(both.sum()) < min_pairs:
@@ -68,8 +74,8 @@ def _pearson_masked(x: np.ndarray, y: np.ndarray, min_pairs: int) -> float | Non
     # round exactly would leave tiny nonzero deviations below.
     if xs.min() == xs.max() or ys.min() == ys.max():
         return None
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
+    dx = _unit_scale(xs - xs.mean())
+    dy = _unit_scale(ys - ys.mean())
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:
@@ -200,10 +206,9 @@ def build_correlation_layer(
         raise NegativeWeight("negative correlation weight with clamp_negative disabled")
 
     gene_index = np.array([universe.index(g) for g in ds.genes], dtype=np.int64)
-    i, j = gene_index[a], gene_index[b]
-    pairs = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
-    # LayerGraph keeps the zero weights as measured zeros
-    return LayerGraph(universe, dict(zip(pairs, w.tolist())))
+    codes, order = remap_codes(pair_codes(a, b, ds.n_genes), ds.n_genes, gene_index, universe.size)
+    # zero weights stay in the layer as measured zeros
+    return LayerGraph.from_codes(universe, codes, w[order])
 
 
 def build_correlation_network(

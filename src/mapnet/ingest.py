@@ -14,11 +14,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, union_nodes
+from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse
+from .core import equal_fields, pair_codes, pair_indices
 from .errors import (
     DuplicateEdgeWarning,
     DuplicateLabel,
@@ -58,15 +60,7 @@ class ExpressionDataset:
     def n_conditions(self) -> int:
         return len(self.conditions)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExpressionDataset):
-            return NotImplemented
-        return (
-            self.genes == other.genes
-            and self.conditions == other.conditions
-            and self.name == other.name
-            and np.array_equal(self.values, other.values, equal_nan=True)
-        )
+    __eq__ = equal_fields
 
 
 def _parse_cell(token: str, line: int, column: int) -> float:
@@ -134,6 +128,42 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
     return ExpressionDataset(tuple(genes), tuple(conditions), data, name=name)
 
 
+def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """Labels in sorted order, and for each first-seen id its label's sorted position."""
+    labels = sorted(ids)
+    return labels, np.argsort(np.array([ids[label] for label in labels], dtype=np.int64))
+
+
+def _keep_last(keys: np.ndarray) -> np.ndarray:
+    """Indices of the last occurrence of each key, in key order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    return order[np.append(ordered[1:] != ordered[:-1], True)]
+
+
+def _layers_from_rows(
+    nodes: dict[str, int], groups: dict[str, int], ids: array, weights: array
+) -> tuple[NodeUniverse, list[str], list[LayerGraph]]:
+    """One layer per group, groups and universe sorted by label, from interned
+    ``(group, u, v)`` rows; a repeated (group, pair) keeps its last row and
+    raises one DuplicateEdgeWarning carrying the count."""
+    rows = np.frombuffer(ids, dtype=np.int64).reshape(-1, 3)
+    labels, node_rank = _ranked(nodes)
+    names, group_rank = _ranked(groups)
+    universe = NodeUniverse(tuple(labels))
+    n = universe.size
+    codes = pair_codes(node_rank[rows[:, 1]], node_rank[rows[:, 2]], n)
+    group = group_rank[rows[:, 0]]
+    keep = _keep_last(group * (n * n) + codes)
+    if keep.size < codes.size:
+        warnings.warn(DuplicateEdgeWarning(codes.size - keep.size), stacklevel=3)
+    codes, values = codes[keep], np.frombuffer(weights)[keep]
+    bounds = np.searchsorted(group[keep], np.arange(len(names) + 1))
+    layers = [LayerGraph.from_codes(universe, codes[a:b], values[a:b])
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    return universe, names, layers
+
+
 def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
     """Parse a multiplex edge list into a multilayer network.
 
@@ -143,43 +173,27 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
     edge-list input the measurable set of a layer equals its recorded
     pairs (absence of a line means no measurement, not a zero).
     """
-    edges: dict[str, dict[tuple[str, str], float]] = {}
-    duplicates = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    layer_ids: dict[str, int] = {}
+    nodes: dict[str, int] = {}
+    ids = array("q")
+    weights = array("d")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         if len(fields) not in (3, 4):
-            raise ParseError(
-                f"expected 'layer u v [weight]', found {len(fields)} fields", line=lineno
-            )
-        layer_id, u, v = fields[0], fields[1], fields[2]
+            message = f"expected 'layer u v [weight]', found {len(fields)} fields"
+            raise ParseError(message, line=lineno)
+        u, v = fields[1], fields[2]
         if u == v:
             raise ParseError(f"self-loop on {u!r}", line=lineno)
-        weight = _parse_weight(fields[3], lineno, column=4) if len(fields) == 4 else 1.0
-        layer = edges.setdefault(layer_id, {})
-        key = (u, v) if u < v else (v, u)
-        if key in layer:
-            duplicates += 1
-        layer[key] = weight
-    if not edges:
+        weights.append(_parse_weight(fields[3], lineno, column=4) if len(fields) == 4 else 1.0)
+        ids.extend((layer_ids.setdefault(fields[0], len(layer_ids)),
+                    nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
+    if not weights:
         raise ParseError("no edges found")
-    if duplicates:
-        warnings.warn(DuplicateEdgeWarning(duplicates), stacklevel=2)
-
-    universe = union_nodes(
-        [sorted({n for pair in layer for n in pair}) for layer in edges.values()]
-    )
-    layer_ids = sorted(edges)
-    layers = tuple(
-        LayerGraph(
-            universe,
-            {universe.pair(u, v): w for (u, v), w in edges[layer_id].items()},
-        )
-        for layer_id in layer_ids
-    )
-    return MultilayerNetwork(universe, layers, tuple(layer_ids))
+    universe, names, layers = _layers_from_rows(nodes, layer_ids, ids, weights)
+    return MultilayerNetwork(universe, tuple(layers), tuple(names))
 
 
 def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
@@ -188,58 +202,59 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     Zero-weight measurable pairs are written as explicit weight-0 lines so
     that observation counts survive a round trip.
     """
-    labels = net.universe.labels
+    labels = np.array(net.universe.labels, dtype=object)
+    spaced = np.array([any(ch.isspace() for ch in label) for label in labels], dtype=bool)
     lines = ["# layer node_u node_v weight"]
     for layer_id, layer in zip(net.layer_names, net.layers):
         if any(ch.isspace() for ch in layer_id):
             raise ValueError(f"layer name {layer_id!r} contains whitespace")
-        for i, j in sorted(layer.measurable):
-            u, v = labels[i], labels[j]
-            if any(ch.isspace() for ch in u + v):
-                raise ValueError("node labels must not contain whitespace")
-            lines.append(f"{layer_id} {u} {v} {layer.weight((i, j))!r}")
+        i, j = pair_indices(layer.codes, net.universe.size)
+        if spaced[i].any() or spaced[j].any():
+            raise ValueError("node labels must not contain whitespace")
+        rows = zip(labels[i].tolist(), labels[j].tolist(), layer.values.tolist())
+        lines.extend(f"{layer_id} {u} {v} {w!r}" for u, v, w in rows)
+    return "\n".join(lines) + "\n"
+
+
+def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
+    """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros included."""
+    labels = np.array(layer.universe.labels, dtype=object)
+    i, j = pair_indices(layer.codes, layer.universe.size)
+    rows = zip(labels[i].tolist(), labels[j].tolist(), layer.values.tolist())
+    lines = [f"node_u,node_v,{value_name}"]
+    lines.extend(f"{u},{v},{w!r}" for u, v, w in rows)
     return "\n".join(lines) + "\n"
 
 
 def parse_layer_csv(text: str) -> LayerGraph:
     """Parse a ``node_u,node_v,weight`` CSV into a single layer.
 
-    Rows with weight 0 are recorded as measured-but-zero pairs.
+    Rows with weight 0 are recorded as measured-but-zero pairs.  Line
+    numbers in errors count non-blank rows, the header being line 1.
     """
-    rows = list(csv.reader(text.splitlines()))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise ParseError("expected a header and at least one edge row")
-    weights_by_label: dict[tuple[str, str], float] = {}
-    duplicates = 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    rows = csv.reader(text.splitlines())
+    rows = (row for row in rows if row and any(cell.strip() for cell in row))
+    next(rows, None)  # header
+    nodes: dict[str, int] = {}
+    ids = array("q")
+    weights = array("d")
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, found {len(row)}", line=lineno)
         u, v = row[0].strip(), row[1].strip()
         if u == v:
             raise ParseError(f"self-loop on {u!r}", line=lineno)
-        weight = _parse_weight(row[2], lineno, column=3)
-        key = (u, v) if u < v else (v, u)
-        if key in weights_by_label:
-            duplicates += 1
-        weights_by_label[key] = weight
-    if duplicates:
-        warnings.warn(DuplicateEdgeWarning(duplicates), stacklevel=2)
-    universe = union_nodes([sorted({n for pair in weights_by_label for n in pair})])
-    return LayerGraph(
-        universe, {universe.pair(u, v): w for (u, v), w in weights_by_label.items()}
-    )
+        weights.append(_parse_weight(row[2], lineno, column=3))
+        ids.extend((0, nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
+    if not weights:
+        raise ParseError("expected a header and at least one edge row")
+    _, _, (layer,) = _layers_from_rows(nodes, {"": 0}, ids, weights)
+    return layer
 
 
 def parse_aggregated_csv(text: str, sidecar: dict) -> AggregatedNetwork:
     """Rebuild an aggregated network from its CSV and sidecar metadata."""
     layer = parse_layer_csv(text)
-    lam = {pair: layer.weight(pair) for pair in sorted(layer.measurable)}
-    return AggregatedNetwork(
-        universe=layer.universe,
-        lam=lam,
-        theta=float(sidecar["theta"]),
-        iterations=int(sidecar["iterations"]),
-        converged=bool(sidecar["converged"]),
-        final_objective=float(sidecar.get("final_objective", np.nan)),
-    )
+    solver = (float(sidecar["theta"]), int(sidecar["iterations"]), bool(sidecar["converged"]),
+              float(sidecar.get("final_objective", np.nan)))
+    return AggregatedNetwork.from_codes(layer.universe, layer.codes, layer.values, *solver)

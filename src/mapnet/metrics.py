@@ -10,11 +10,11 @@ higher.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import LayerGraph
+from .core import LayerGraph, pair_indices
 from .errors import DegenerateValues, DomainError, EmptyGraph
 
 _EIG_CLIP = 1e-12
@@ -51,25 +51,15 @@ class NetworkReport:
     log_base: str
 
     def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "strength_avg": self.strength_avg,
-            "strength_min": self.strength_min,
-            "strength_max": self.strength_max,
-            "clustering_avg": self.clustering_avg,
-            "eigencentrality_mean": self.eigencentrality_mean,
-            "entropy": self.entropy,
-            "log_base": self.log_base,
-        }
+        return asdict(self)
 
 
 def adjacency_matrix(g: LayerGraph) -> np.ndarray:
     """Dense symmetric weighted adjacency over the full universe."""
     n = g.universe.size
     a = np.zeros((n, n))
-    for (i, j), w in g.weights.items():
-        a[i, j] = w
-        a[j, i] = w
+    i, j = pair_indices(g.codes, n)
+    a[i, j] = a[j, i] = g.values
     return a
 
 
@@ -80,7 +70,7 @@ def node_strengths(g: LayerGraph) -> np.ndarray:
 
 def measured_weight_values(g: LayerGraph) -> list[float]:
     """Weight of every measured pair, zeros included, in pair order."""
-    return [g.weight(pair) for pair in sorted(g.measurable)]
+    return g.values.tolist()
 
 
 def von_neumann_entropy(g: LayerGraph, log_base: str = "natural") -> EntropySpectrum:

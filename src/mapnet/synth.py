@@ -8,27 +8,37 @@ from the generated layers validates the estimator end to end.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
 from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse, Pair
-from .errors import DegenerateValues, ParseError, UniverseMismatch
+from .core import pair_codes, pair_view
+from .errors import DegenerateValues, UniverseMismatch
+from .ingest import parse_layer_csv, serialize_layer_csv
 
 _POISSON_INVERSION_MAX = 30.0
 
 
 @dataclass(frozen=True)
 class SyntheticTruth:
-    """Ground-truth rates and the parameters that produced them."""
+    """Ground-truth rates (every pair's rate on the pair codes; ``lambda_star``
+    is the read-only view keyed by pair) and the parameters that produced them."""
 
-    universe: NodeUniverse
-    lambda_star: dict[Pair, float]
+    rates: LayerGraph
     theta_star: float
     coverage: float
     seed: int
+
+    @property
+    def universe(self) -> NodeUniverse:
+        return self.rates.universe
+
+    @cached_property
+    def lambda_star(self) -> Mapping[Pair, float]:
+        return pair_view(self.rates.codes, self.rates.values, self.universe.size)
 
 
 @dataclass(frozen=True)
@@ -38,11 +48,7 @@ class RecoveryMetrics:
     theta_rel_err: float
 
     def to_dict(self) -> dict:
-        return {
-            "pearson_lambda": self.pearson_lambda,
-            "mean_abs_err": self.mean_abs_err,
-            "theta_rel_err": self.theta_rel_err,
-        }
+        return asdict(self)
 
 
 def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -103,8 +109,8 @@ def generate_synthetic(
 
     width = len(str(n - 1))
     universe = NodeUniverse(tuple(f"n{i:0{width}d}" for i in range(n)))
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
+    codes = pair_codes(*np.triu_indices(n, 1), n)  # all pairs, sorted
+    m = codes.size
 
     rng = np.random.default_rng(seed)
     lam_star = -np.log1p(-rng.random(m)) / theta_star
@@ -118,16 +124,13 @@ def generate_synthetic(
     layers = []
     for alpha in range(d):
         idx = np.nonzero(measured[alpha])[0]
-        weights = {pairs[i]: float(xi[alpha, i]) for i in idx if xi[alpha, i] > 0}
-        measurable = frozenset(pairs[i] for i in idx)
-        layers.append(LayerGraph(universe, weights, measurable))
+        layers.append(LayerGraph.from_codes(universe, codes[idx], xi[alpha, idx]))
     name_width = len(str(d))
     names = tuple(f"layer{alpha + 1:0{name_width}d}" for alpha in range(d))
     net = MultilayerNetwork(universe, tuple(layers), names)
 
     truth = SyntheticTruth(
-        universe=universe,
-        lambda_star={pair: float(v) for pair, v in zip(pairs, lam_star)},
+        rates=LayerGraph.from_codes(universe, codes, lam_star),
         theta_star=theta_star,
         coverage=coverage,
         seed=seed,
@@ -139,11 +142,12 @@ def recovery_metrics(est: AggregatedNetwork, truth: SyntheticTruth) -> RecoveryM
     """Score an estimate against ground truth over the observed pairs."""
     if est.universe != truth.universe:
         raise UniverseMismatch("estimate and truth use different universes")
-    pairs = sorted(est.lam)
-    if len(pairs) < 2:
+    if est.codes.size < 2:
         raise DegenerateValues("need at least two observed pairs")
-    est_vals = np.array([est.lam[p] for p in pairs])
-    true_vals = np.array([truth.lambda_star[p] for p in pairs])
+    if not np.isin(est.codes, truth.rates.codes).all():
+        raise UniverseMismatch("estimate has pairs without a true rate")
+    est_vals = est.values
+    true_vals = truth.rates.values[np.searchsorted(truth.rates.codes, est.codes)]
     pearson = float(np.corrcoef(est_vals, true_vals)[0, 1])
     mean_abs_err = float(np.abs(est_vals - true_vals).mean())
     theta_rel_err = abs(est.theta - truth.theta_star) / truth.theta_star
@@ -152,11 +156,7 @@ def recovery_metrics(est: AggregatedNetwork, truth: SyntheticTruth) -> RecoveryM
 
 def truth_to_csv(truth: SyntheticTruth) -> str:
     """Rate table as ``node_u,node_v,lambda_star`` rows (all pairs)."""
-    labels = truth.universe.labels
-    lines = ["node_u,node_v,lambda_star"]
-    for i, j in sorted(truth.lambda_star):
-        lines.append(f"{labels[i]},{labels[j]},{truth.lambda_star[(i, j)]!r}")
-    return "\n".join(lines) + "\n"
+    return serialize_layer_csv(truth.rates, "lambda_star")
 
 
 def truth_meta(truth: SyntheticTruth) -> dict:
@@ -164,26 +164,9 @@ def truth_meta(truth: SyntheticTruth) -> dict:
 
 
 def truth_from_csv(text: str, meta: dict) -> SyntheticTruth:
-    """Inverse of truth_to_csv + truth_meta."""
-    rows = list(csv.reader(text.splitlines()))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise ParseError("expected a header and at least one rate row")
-    by_label: dict[tuple[str, str], float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, found {len(row)}", line=lineno)
-        u, v = row[0].strip(), row[1].strip()
-        try:
-            value = float(row[2])
-        except ValueError:
-            raise ParseError(f"malformed rate {row[2]!r}", line=lineno, column=3) from None
-        by_label[(u, v) if u < v else (v, u)] = value
-    universe = NodeUniverse(tuple(sorted({n for pair in by_label for n in pair})))
-    lambda_star = {universe.pair(u, v): w for (u, v), w in by_label.items()}
+    """Inverse of truth_to_csv + truth_meta; rates are read like layer weights."""
     return SyntheticTruth(
-        universe=universe,
-        lambda_star=lambda_star,
+        rates=parse_layer_csv(text),
         theta_star=float(meta["theta_star"]),
         coverage=float(meta["coverage"]),
         seed=int(meta["seed"]),

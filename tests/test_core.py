@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mapnet import (
+    AggregatedNetwork,
     AggregationInput,
     LayerGraph,
     MultilayerNetwork,
@@ -11,6 +12,7 @@ from mapnet import (
     relabel,
     union_nodes,
 )
+from mapnet.core import reindexed
 from mapnet.errors import EmptyNetwork
 
 
@@ -78,6 +80,54 @@ class TestLayerGraph:
         with pytest.raises(ValueError):
             LayerGraph(uni, {(1, 0): 1.0})
 
+    def test_dict_adapter_equals_array_constructor(self):
+        uni = NodeUniverse(("a", "b", "c", "d"))
+        from_dict = LayerGraph(uni, {(2, 3): 1.5, (0, 1): 0.0, (0, 2): 2.0}, frozenset({(1, 3)}))
+        # codes i*4 + j of (0, 1), (0, 2), (1, 3), (2, 3)
+        from_codes = LayerGraph.from_codes(uni, [1, 2, 7, 11], [0.0, 2.0, 0.0, 1.5])
+        assert from_dict == from_codes
+        assert from_codes.codes.tolist() == [1, 2, 7, 11]
+        assert from_codes.weights == {(0, 2): 2.0, (2, 3): 1.5}
+        assert from_codes.measurable == frozenset({(0, 1), (0, 2), (1, 3), (2, 3)})
+        assert from_dict != LayerGraph.from_codes(uni, [1, 2, 7, 11], [0.0, 2.0, 0.0, 1.25])
+        assert from_dict != LayerGraph.from_codes(uni, [1, 2, 7], [0.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            [5],  # (1, 1): i == j
+            [4],  # (1, 0): i > j
+            [3 * 4 + 3 + 1],  # (4, 0): i out of range
+            [-1],
+            [16],
+            [1, 1],  # repeated
+            [2, 1],  # unsorted
+            [[1, 2]],  # not one-dimensional
+        ],
+    )
+    def test_invalid_codes_rejected(self, codes):
+        uni = NodeUniverse(("a", "b", "c", "d"))
+        with pytest.raises(ValueError):
+            LayerGraph.from_codes(uni, codes, np.ones(np.size(codes)))
+
+    @pytest.mark.parametrize("values", [[-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [1.0]])
+    def test_invalid_values_rejected(self, values):
+        uni = NodeUniverse(("a", "b", "c"))
+        with pytest.raises(ValueError):
+            LayerGraph.from_codes(uni, [1, 2], values)
+
+    def test_arrays_and_views_are_read_only(self):
+        uni = NodeUniverse(("a", "b", "c"))
+        codes = np.array([1, 5])
+        layer = LayerGraph.from_codes(uni, codes, [-0.0, 2.0])
+        codes[0] = 2  # the layer holds its own copy
+        assert layer.codes.tolist() == [1, 5]
+        assert np.signbit(layer.values).tolist() == [False, False]
+        with pytest.raises(ValueError):
+            layer.values[1] = 3.0
+        with pytest.raises(TypeError):
+            layer.weights[(0, 1)] = 3.0
+
 
 class TestObservationSummaries:
     def test_counts_and_sums(self):
@@ -96,6 +146,14 @@ class TestObservationSummaries:
         assert by_measure.s[(0, 1)] == 0.0
         by_nonzero = observation_summaries(net, count_mode="nonzero_only")
         assert (0, 1) not in by_nonzero.k
+
+    def test_sums_add_in_layer_order(self):
+        # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit
+        uni = NodeUniverse(("a", "b", "c"))
+        layers = tuple(LayerGraph(uni, {(0, 1): w, (1, 2): 1.0}) for w in (0.1, 0.2, 0.3))
+        inp = observation_summaries(MultilayerNetwork(uni, layers, ("x", "y", "z")))
+        assert inp.s[(0, 1)] == (0.0 + 0.1 + 0.2) + 0.3 != 0.3 + 0.2 + 0.1
+        assert inp.k == {(0, 1): 3, (1, 2): 3}
 
     def test_pair_count_modes(self):
         net = two_layer_net()
@@ -182,3 +240,36 @@ class TestAggregationInput:
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(ValueError):
             AggregationInput(uni, {(0, 1): 1}, {(0, 1): -0.5}, 1)
+
+    def test_dict_adapter_equals_array_constructor(self):
+        uni = NodeUniverse(("a", "b", "c"))
+        inp = AggregationInput(uni, {(1, 2): 3, (0, 1): 1}, {(0, 1): 2.0, (1, 2): 0.5}, 3)
+        assert inp == AggregationInput.from_codes(uni, [1, 5], [1, 3], [2.0, 0.5], 3)
+        assert inp.k == {(0, 1): 1, (1, 2): 3}
+        assert inp.s == {(0, 1): 2.0, (1, 2): 0.5}
+        assert sum(inp.k.values()) == 4
+
+    def test_estimate_dict_adapter_equals_array_constructor(self):
+        uni = NodeUniverse(("a", "b", "c"))
+        est = AggregatedNetwork(uni, {(1, 2): 0.5, (0, 1): 0.0}, 2.0, 7, True, -1.5)
+        assert est == AggregatedNetwork.from_codes(uni, [1, 5], [0.0, 0.5], 2.0, 7, True, -1.5)
+        assert est.lam == {(0, 1): 0.0, (1, 2): 0.5}
+        assert est.to_layer() == LayerGraph(uni, {(0, 1): 0.0, (1, 2): 0.5})
+
+
+class TestReindexed:
+    def test_pairs_follow_their_labels(self):
+        small = NodeUniverse(("b", "d", "e"))
+        layer = LayerGraph(small, {(0, 2): 1.5, (1, 2): 0.0, (0, 1): 2.5})
+        big = NodeUniverse(("a", "b", "c", "d", "e"))
+        moved = reindexed(layer, big)
+        assert moved == LayerGraph(big, {(1, 4): 1.5, (3, 4): 0.0, (1, 3): 2.5})
+        est = AggregatedNetwork(small, {(0, 2): 0.25}, 3.0, 4, False, -2.0)
+        moved = reindexed(est, big)
+        assert moved.lam == {(1, 4): 0.25}
+        assert (moved.theta, moved.iterations, moved.converged) == (3.0, 4, False)
+
+    def test_missing_label_raises_key_error(self):
+        layer = LayerGraph(NodeUniverse(("a", "z")), {(0, 1): 1.0})
+        with pytest.raises(KeyError):
+            reindexed(layer, NodeUniverse(("a", "b")))

@@ -16,6 +16,7 @@ from mapnet import (
 )
 from mapnet.correlation import _pearson_masked
 from mapnet.errors import DegenerateConditionWarning, LengthMismatch, NegativeWeight
+from conftest import make_expression_dataset
 
 NAN = float("nan")
 
@@ -86,6 +87,25 @@ class TestPearsonPairwiseComplete:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pearson_pairwise_complete([1, 2], [1, 2, 3], min_pairs=2)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scale_gives_the_unscaled_r(self, scale):
+        # sxx * syy under- or overflows at these scales
+        x = np.array([1, 2, 3, 4, 5, 7], dtype=float)
+        y = np.array([2, 1, 4, 3, 6, 5], dtype=float)
+        r = pearson_pairwise_complete(x, y)
+        assert abs(pearson_pairwise_complete(x * scale, y * scale) - r) <= 1e-12
+        assert abs(pearson_pairwise_complete(x * scale, y) - r) <= 1e-12
+
+    def test_tiny_scale_dataset_builds_the_unscaled_layer(self):
+        ds = make_expression_dataset(
+            np.random.default_rng(4), [f"g{i:02d}" for i in range(30)], 12, "d", missing_rate=0.1
+        )
+        tiny = ExpressionDataset(ds.genes, ds.conditions, ds.values * 1e-160, name="d")
+        cfg = CorrelationConfig()
+        layer = build_correlation_layer(ds, cfg)
+        assert layer.codes.size == 30 * 29 // 2
+        assert build_correlation_layer(tiny, cfg) == layer
 
 
 class TestBuildCorrelationLayer:

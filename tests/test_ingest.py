@@ -144,3 +144,80 @@ class TestRoundTrip:
         assert agg.lam == {(0, 1): 0.5, (1, 2): 0.0}
         assert agg.theta == 2.0
         assert agg.converged
+
+
+BAD_LINE = 50_001
+
+
+def _good_rows(count, sep, layered):
+    """``count`` distinct, valid rows over 400 nodes (pairs in row-major order)."""
+    i, j = np.triu_indices(400, 1)
+    rows = []
+    for t in range(count):
+        fields = [f"n{i[t]:03d}", f"n{j[t]:03d}", f"{t % 7}.5"]
+        rows.append(sep.join([f"L{t % 3}", *fields] if layered else fields))
+    return rows
+
+
+class TestErrorsDeepInLargeInput:
+    """Each error kind on line 50,001 of a large input reports that line."""
+
+    @pytest.mark.parametrize(
+        "bad, error, column",
+        [
+            ("L1 n001", ParseError, None),
+            ("L1 n001 n002 3 4", ParseError, None),
+            ("L1 n001 n001 2", ParseError, None),
+            ("L1 n001 n002 2,5", ParseError, 4),
+            ("L1 n001 n002 nan", ParseError, 4),
+            ("L1 n001 n002 inf", ParseError, 4),
+            ("L1 n001 n002 -2", NegativeWeight, None),
+        ],
+    )
+    def test_edgelist(self, bad, error, column):
+        lines = _good_rows(BAD_LINE - 1, " ", layered=True) + [bad, "L1 n003 n004 1"]
+        with pytest.raises(error) as err:
+            parse_multiplex_edgelist("\n".join(lines) + "\n")
+        if error is ParseError:
+            assert (err.value.line, err.value.column) == (BAD_LINE, column)
+        else:
+            assert str(err.value) == f"negative weight -2.0 at line {BAD_LINE}"
+
+    @pytest.mark.parametrize(
+        "bad, error, column",
+        [
+            ("n001,n002", ParseError, None),
+            ("n001,n002,3,4", ParseError, None),
+            ("n001, n001,2", ParseError, None),
+            ("n001,n002,x", ParseError, 3),
+            ("n001,n002,nan", ParseError, 3),
+            ("n001,n002,inf", ParseError, 3),
+            ("n001,n002,-2", NegativeWeight, None),
+        ],
+    )
+    def test_layer_csv(self, bad, error, column):
+        # line 1 is the header
+        lines = ["node_u,node_v,weight"] + _good_rows(BAD_LINE - 2, ",", layered=False)
+        lines += [bad, "n003,n004,1"]
+        with pytest.raises(error) as err:
+            parse_layer_csv("\n".join(lines) + "\n")
+        if error is ParseError:
+            assert (err.value.line, err.value.column) == (BAD_LINE, column)
+        else:
+            assert str(err.value) == f"negative weight -2.0 at line {BAD_LINE}"
+
+    def test_duplicates_over_several_layers_keep_last(self):
+        lines = _good_rows(BAD_LINE - 1, " ", layered=True)
+        # repeats in L0 (three, one with its endpoints swapped), L1 (one) and
+        # L2 (four); the same pair in a new layer L9 is no duplicate
+        repeats = [lines[0], lines[1], lines[2], lines[5], lines[5], lines[5]]
+        u, v = lines[3].split()[1:3]
+        extra = ["L0 n000 n001 9", f"L0 {v} {u} 8", "L9 n000 n001 4"]
+        with pytest.warns(DuplicateEdgeWarning) as records:
+            net = parse_multiplex_edgelist("\n".join(lines + repeats + extra) + "\n")
+        assert [r.message.count for r in records] == [8]
+        assert net.layer_names == ("L0", "L1", "L2", "L9")
+        layer0 = net.layers[0]
+        assert layer0.weight(net.universe.pair("n000", "n001")) == 9.0
+        assert layer0.weight(net.universe.pair(u, v)) == 8.0
+        assert sum(layer.codes.size for layer in net.layers) == (BAD_LINE - 1) + 1  # + L9

@@ -11,7 +11,7 @@ from mapnet import (
     observation_summaries,
     recovery_metrics,
 )
-from mapnet.errors import UniverseMismatch
+from mapnet.errors import NegativeWeight, ParseError, UniverseMismatch
 from mapnet.synth import _poisson, truth_from_csv, truth_meta, truth_to_csv
 
 
@@ -132,6 +132,17 @@ class TestRecoveryMetrics:
         with pytest.raises(UniverseMismatch):
             recovery_metrics(est, truth)
 
+    def test_estimate_pair_without_true_rate(self):
+        _, truth = generate_synthetic(n=6, d=2, seed=11)
+        partial = truth_from_csv(
+            "node_u,node_v,lambda_star\nn0,n1,0.5\nn2,n3,1.0\nn4,n5,2.0\n",
+            truth_meta(truth),
+        )
+        assert partial.universe == truth.universe
+        est = AggregatedNetwork(truth.universe, {(0, 1): 0.4, (0, 2): 0.1}, 1.0, 3, True, 0.0)
+        with pytest.raises(UniverseMismatch):
+            recovery_metrics(est, partial)
+
     def test_more_evidence_reduces_error(self):
         # pairs observed more often shrink less, so their errors are smaller
         gaps = []
@@ -159,3 +170,16 @@ class TestTruthSerialization:
         assert again.seed == truth.seed
         for pair, value in truth.lambda_star.items():
             assert again.lambda_star[pair] == value
+        assert again == truth
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_has_position(self, token):
+        text = f"node_u,node_v,lambda_star\na,b,0.5\na,c,{token}\nb,c,1.0\n"
+        with pytest.raises(ParseError) as err:
+            truth_from_csv(text, {"theta_star": 1.0, "seed": 0, "coverage": 1.0})
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    def test_negative_rate_rejected(self):
+        text = "node_u,node_v,lambda_star\na,b,0.5\na,c,-1\nb,c,1.0\n"
+        with pytest.raises(NegativeWeight, match="line 3"):
+            truth_from_csv(text, {"theta_star": 1.0, "seed": 0, "coverage": 1.0})
