@@ -46,7 +46,6 @@ from .metrics import (
     EntropySpectrum,
     NetworkReport,
     exponential_fit_r2,
-    measured_weight_values,
     network_report,
     node_strengths,
     von_neumann_entropy,
@@ -62,7 +61,7 @@ __all__ = [
     "NetworkReport", "NodeUniverse", "RecoveryMetrics", "SubsetResult", "SyntheticTruth",
     "aggregate_network", "build_avenet", "build_connet", "build_correlation_layer",
     "build_correlation_network", "compare_networks", "conflate", "em_aggregate",
-    "exponential_fit_r2", "generate_synthetic", "log_posterior", "measured_weight_values",
+    "exponential_fit_r2", "generate_synthetic", "log_posterior",
     "network_report", "node_strengths", "observation_summaries", "parse_aggregated_csv",
     "parse_expression_csv", "parse_layer_csv", "parse_multiplex_edgelist",
     "pearson_pairwise_complete", "presence_summaries", "recovery_metrics", "relabel",

@@ -44,18 +44,15 @@ _THETA_DIVERGED = 1e100
 class EmConfig:
     """Solver settings.
 
-    tol is the relative change in theta between iterations; init is
-    "deterministic" (lam = S/k) or "random" (seeded draws for both
-    parameters).  unweighted_mode treats every pair as measured in every
-    layer with presence/absence weights, so the estimate becomes the rate
-    of presence up to a common factor.
+    tol is the relative change in theta between iterations.  seed=None
+    starts from lam = S/k; an integer seeds random draws of both
+    parameters as the starting point.  track_objective records the
+    log-posterior after every iteration.
     """
 
     tol: float = 1e-10
     max_iter: int = 10000
-    init: str = "deterministic"
-    seed: int = 0
-    unweighted_mode: bool = False
+    seed: int | None = None
     track_objective: bool = False
 
     def __post_init__(self):
@@ -63,8 +60,6 @@ class EmConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.init not in ("deterministic", "random"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 def _objective(k: np.ndarray, s: np.ndarray, lam: np.ndarray, theta: float, pair_count: int) -> float:
@@ -111,7 +106,7 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
         raise DegenerateAllZero("every pair has zero observed weight")
     pair_count = inp.pair_count
 
-    if cfg.init == "deterministic":
+    if cfg.seed is None:
         lam = s / k
         theta = pair_count / float(lam.sum())
     else:
@@ -213,8 +208,13 @@ def aggregate_network(
     count_mode: str = "measurable",
     pair_count_mode: str = "unordered",
 ) -> AggregatedNetwork:
-    """Summarize a multilayer network and run the solver in one call."""
-    if cfg.unweighted_mode:
+    """Summarize a multilayer network and run the solver in one call.
+
+    count_mode "presence" uses ``presence_summaries`` (undistinguished
+    presence/absence layers); "measurable" and "nonzero_only" are passed to
+    ``observation_summaries``.
+    """
+    if count_mode == "presence":
         inp = presence_summaries(net, pair_count_mode)
     else:
         inp = observation_summaries(net, count_mode, pair_count_mode)

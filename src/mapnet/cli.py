@@ -30,7 +30,7 @@ from .ingest import (
     serialize_layer_csv,
     serialize_multiplex_edgelist,
 )
-from .metrics import measured_weight_values, network_report, weight_cdf
+from .metrics import network_report, weight_cdf
 from .synth import generate_synthetic, recovery_metrics, truth_from_csv, truth_meta, truth_to_csv
 
 _LOG_BASES = {"e": "natural", "2": "base2"}
@@ -53,15 +53,10 @@ def _write_json(path: str, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _cdf_csv(points: list[tuple[float, float]], value_name: str = "value") -> str:
-    lines = [f"{value_name},fraction"]
-    lines.extend(f"{v!r},{f!r}" for v, f in points)
-    return "\n".join(lines) + "\n"
-
-
-def _scatter_csv(rows: list[tuple[str, str, float, float]], other_name: str) -> str:
-    lines = [f"node_u,node_v,map_weight,{other_name}_weight"]
-    lines.extend(f"{u},{v},{a!r},{b!r}" for u, v, a, b in rows)
+def _table_csv(header: str, rows) -> str:
+    """Header plus comma-joined rows: strings as they are, numbers by repr."""
+    lines = [header]
+    lines.extend(",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -81,17 +76,6 @@ def _corr_config(args) -> CorrelationConfig:
     )
 
 
-def _em_config(args) -> EmConfig:
-    random_init = args.seed is not None
-    return EmConfig(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        init="random" if random_init else "deterministic",
-        seed=args.seed if random_init else 0,
-        unweighted_mode=getattr(args, "unweighted", False),
-    )
-
-
 def _cmd_build_layers(args) -> None:
     datasets = _load_datasets(args.datasets)
     net = build_correlation_network(datasets, _corr_config(args))
@@ -102,7 +86,8 @@ def _cmd_aggregate(args) -> None:
     net = parse_multiplex_edgelist(_read(args.network))
     count_mode = _COUNT_MODES[args.count_mode]
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
-    agg = aggregate_network(net, _em_config(args), count_mode, pair_count_mode)
+    em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    agg = aggregate_network(net, em, "presence" if args.unweighted else count_mode, pair_count_mode)
     _write(args.output, serialize_layer_csv(agg.to_layer(), "lambda"))
     sidecar = args.sidecar or str(Path(args.output).with_suffix(".json"))
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
@@ -132,7 +117,7 @@ def _cmd_metrics(args) -> None:
     report = network_report(layer, _LOG_BASES[args.log_base])
     _write_json(args.output, report.to_dict())
     if args.cdf:
-        _write(args.cdf, _cdf_csv(weight_cdf(measured_weight_values(layer))))
+        _write(args.cdf, _table_csv("value,fraction", weight_cdf(layer.values)))
 
 
 def _cmd_compare(args) -> None:
@@ -146,10 +131,11 @@ def _cmd_compare(args) -> None:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write(str(out / "scatter_map_vs_con.csv"), _scatter_csv(bundle.scatter_con, "con"))
-    _write(str(out / "scatter_map_vs_ave.csv"), _scatter_csv(bundle.scatter_ave, "ave"))
+    for name, rows in (("con", bundle.scatter_con), ("ave", bundle.scatter_ave)):
+        header = f"node_u,node_v,map_weight,{name}_weight"
+        _write(str(out / f"scatter_map_vs_{name}.csv"), _table_csv(header, rows))
     for name, cdf in bundle.strength_cdfs.items():
-        _write(str(out / f"strength_cdf_{name}.csv"), _cdf_csv(cdf, "strength"))
+        _write(str(out / f"strength_cdf_{name}.csv"), _table_csv("strength,fraction", cdf))
     reports = {name: report.to_dict() for name, report in bundle.reports.items()}
     _write_json(str(out / "reports.json"), reports)
 
@@ -160,9 +146,8 @@ def _cmd_experiment(args) -> None:
     rows = run_subset_experiment(
         datasets, sizes, args.reps, args.seed, _corr_config(args), EmConfig(tol=args.tol, max_iter=args.max_iter)
     )
-    lines = ["size,mean_theta,mean_r2"]
-    lines.extend(f"{r.size},{r.mean_theta!r},{r.mean_r2!r}" for r in rows)
-    _write(args.output, "\n".join(lines) + "\n")
+    table = [(r.size, r.mean_theta, r.mean_r2) for r in rows]
+    _write(args.output, _table_csv("size,mean_theta,mean_r2", table))
 
 
 def _cmd_synth_gen(args) -> None:

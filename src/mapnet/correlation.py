@@ -8,7 +8,10 @@ and weights are optionally quantized to integer levels, mirroring how
 co-expression layers are usually built before aggregation.
 
 A layer is computed for all pairs at once from masked Gram products.
-With M the present-value mask and X0 the data centred per gene over its
+Each gene is first scaled by an exact power of two to a largest |value|
+in [0.5, 1), which leaves r unchanged and keeps the products of data near
+1e-78 or 1e150 from underflowing or overflowing.  With M the
+present-value mask and X0 the scaled data centred per gene over its
 present values (missing set to 0), M·Mᵀ gives each pair's shared count,
 X0·Mᵀ and X0²·Mᵀ each gene's sums over the shared conditions, and
 X0·X0ᵀ the cross sums.  Centring first removes most of the cancellation
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, remap_codes
-from .errors import DegenerateConditionWarning, LengthMismatch, NegativeWeight
+from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, remap_codes, union_nodes
+from .errors import DegenerateConditionWarning, LengthMismatch
 from .ingest import ExpressionDataset
 
 
@@ -38,12 +41,12 @@ from .ingest import ExpressionDataset
 class CorrelationConfig:
     """Knobs for building one correlation layer.
 
-    quantize_levels=None keeps raw clamped coefficients; zscore applies
-    per-condition normalization before correlating.
+    Negative coefficients are always clamped to zero.  quantize_levels=None
+    keeps raw clamped coefficients; zscore applies per-condition
+    normalization before correlating.
     """
 
     min_pairs: int = 5
-    clamp_negative: bool = True
     quantize_levels: int | None = 10
     zscore: bool = False
 
@@ -59,9 +62,10 @@ def _round_half_away(x):
 
 
 def _unit_scale(v: np.ndarray) -> np.ndarray:
-    # An exact power-of-two scaling to max |v| in [0.5, 1): r keeps its bits, and
-    # sums of squares of data near 1e-160 (or 1e160) no longer underflow (overflow).
-    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    # An exact power-of-two scaling of each row to max |v| in [0.5, 1): r keeps its
+    # bits, and sums of products of data near 1e-160 (or 1e160) no longer underflow
+    # (overflow).
+    return np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1])
 
 
 def _pearson_masked(x: np.ndarray, y: np.ndarray, min_pairs: int) -> float | None:
@@ -141,10 +145,11 @@ def _gram_pearson(data: np.ndarray, min_pairs: int, levels: int | None):
     the pairs the per-pair formula leaves unmeasured removed.
     """
     present = ~np.isnan(data)
+    scaled = _unit_scale(np.where(present, data, 0.0))
     mask = present.astype(float)
     count = mask.sum(axis=1)
-    mean = np.where(present, data, 0.0).sum(axis=1) / np.maximum(count, 1.0)
-    x0 = np.where(present, data - mean[:, None], 0.0)
+    mean = scaled.sum(axis=1) / np.maximum(count, 1.0)
+    x0 = np.where(present, scaled - mean[:, None], 0.0)
 
     shared = mask @ mask.T
     a, b = np.triu_indices(data.shape[0], 1)
@@ -198,12 +203,9 @@ def build_correlation_layer(
         universe = NodeUniverse(tuple(sorted(ds.genes)))
     data = ds.values if not cfg.zscore else zscore_normalize(ds).values
     a, b, w = _gram_pearson(data, cfg.min_pairs, cfg.quantize_levels)
-    if cfg.clamp_negative:
-        w = np.maximum(w, 0.0)
+    w = np.maximum(w, 0.0)
     if cfg.quantize_levels is not None:
         w = _round_half_away(cfg.quantize_levels * w)
-    if np.any(w < 0):
-        raise NegativeWeight("negative correlation weight with clamp_negative disabled")
 
     gene_index = np.array([universe.index(g) for g in ds.genes], dtype=np.int64)
     codes, order = remap_codes(pair_codes(a, b, ds.n_genes), ds.n_genes, gene_index, universe.size)
@@ -217,7 +219,7 @@ def build_correlation_network(
     """One correlation layer per dataset over the shared gene universe."""
     if not datasets:
         raise ValueError("need at least one dataset")
-    universe = NodeUniverse(tuple(sorted({g for ds in datasets for g in ds.genes})))
+    universe = union_nodes(ds.genes for ds in datasets)
     layers = tuple(build_correlation_layer(ds, cfg, universe=universe) for ds in datasets)
     names = tuple(ds.name or f"ds{i + 1}" for i, ds in enumerate(datasets))
     return MultilayerNetwork(universe, layers, names)
@@ -231,7 +233,7 @@ def conflate(datasets: list[ExpressionDataset]) -> ExpressionDataset:
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    genes = sorted({g for ds in datasets for g in ds.genes})
+    genes = union_nodes(ds.genes for ds in datasets).labels
     gene_row = {g: r for r, g in enumerate(genes)}
     conditions: list[str] = []
     blocks: list[np.ndarray] = []
@@ -244,4 +246,4 @@ def conflate(datasets: list[ExpressionDataset]) -> ExpressionDataset:
         blocks.append(block)
     if len(set(conditions)) != len(conditions):
         raise ValueError("conflated condition labels collide; give datasets distinct names")
-    return ExpressionDataset(tuple(genes), tuple(conditions), np.hstack(blocks), name="conflated")
+    return ExpressionDataset(genes, tuple(conditions), np.hstack(blocks), name="conflated")

@@ -68,11 +68,6 @@ def node_strengths(g: LayerGraph) -> np.ndarray:
     return adjacency_matrix(g).sum(axis=1)
 
 
-def measured_weight_values(g: LayerGraph) -> list[float]:
-    """Weight of every measured pair, zeros included, in pair order."""
-    return g.values.tolist()
-
-
 def von_neumann_entropy(g: LayerGraph, log_base: str = "natural") -> EntropySpectrum:
     """Spectrum and entropy of the Laplacian scaled to unit trace.
 

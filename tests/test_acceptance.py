@@ -112,8 +112,8 @@ def test_c04_em_monotonicity(expression_collection, aarhus_style_text):
         inputs.append(observation_summaries(synth_net))
     configs = [
         EmConfig(track_objective=True),
-        EmConfig(init="random", seed=1, track_objective=True),
-        EmConfig(init="random", seed=2, track_objective=True),
+        EmConfig(seed=1, track_objective=True),
+        EmConfig(seed=2, track_objective=True),
     ]
     for inp in inputs:
         for cfg in configs:
@@ -130,7 +130,7 @@ def test_c05_init_independence(expression_collection):
     for inp in instances:
         reference = em_aggregate(inp).theta
         for seed in (1, 2, 3):
-            theta = em_aggregate(inp, EmConfig(init="random", seed=seed)).theta
+            theta = em_aggregate(inp, EmConfig(seed=seed)).theta
             assert abs(theta - reference) / reference < 1e-6
 
 

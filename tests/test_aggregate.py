@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -123,8 +124,8 @@ class TestEmAggregate:
         inp = random_input(seed=5)
         for cfg in (
             EmConfig(track_objective=True),
-            EmConfig(init="random", seed=1, track_objective=True),
-            EmConfig(init="random", seed=2, track_objective=True),
+            EmConfig(seed=1, track_objective=True),
+            EmConfig(seed=2, track_objective=True),
         ):
             trace = np.array(em_aggregate(inp, cfg).objective_trace)
             assert np.all(np.diff(trace) >= -1e-12)
@@ -133,8 +134,19 @@ class TestEmAggregate:
         inp = random_input(seed=6)
         theta0 = em_aggregate(inp).theta
         for seed in (1, 2, 3):
-            theta = em_aggregate(inp, EmConfig(init="random", seed=seed)).theta
+            theta = em_aggregate(inp, EmConfig(seed=seed)).theta
             assert abs(theta - theta0) / theta0 < 1e-6
+
+    def test_seed_selects_a_random_start(self):
+        inp = random_input(seed=6)
+        default = em_aggregate(inp, EmConfig(track_objective=True))
+        seeded = em_aggregate(inp, EmConfig(seed=3, track_objective=True))
+        assert seeded.objective_trace[0] != default.objective_trace[0]
+        again = em_aggregate(inp, EmConfig(seed=3, track_objective=True))
+        assert again.objective_trace == seeded.objective_trace
+
+    def test_config_fields(self):
+        assert [f.name for f in fields(EmConfig)] == ["tol", "max_iter", "seed", "track_objective"]
 
     def test_joint_scale_covariance_exact(self):
         # scaling S and P together by c scales lambda by c and keeps theta
@@ -166,7 +178,7 @@ def per_pair_em_reference(inp, cfg):
     k = np.array([inp.k[p] for p in pairs], dtype=float)
     s = np.array([inp.s[p] for p in pairs], dtype=float)
     pair_count = inp.pair_count
-    if cfg.init == "deterministic":
+    if cfg.seed is None:
         lam = s / k
         theta = pair_count / float(lam.sum())
     else:
@@ -215,7 +227,7 @@ class TestStratifiedEquivalence:
     @pytest.mark.parametrize("make_input", [near_edge_input, gapped_levels_input])
     @pytest.mark.parametrize(
         "cfg",
-        [EmConfig(), EmConfig(init="random", seed=3), EmConfig(max_iter=40)],
+        [EmConfig(), EmConfig(seed=3), EmConfig(max_iter=40)],
         ids=["deterministic", "random", "truncated"],
     )
     def test_matches_per_pair_loop(self, make_input, cfg):
@@ -283,12 +295,19 @@ class TestUnweightedMode:
         nonzero = [v for v in agg.lam.values() if v > 0]
         assert len(weight_cdf(nonzero)) == len(counts) == 5
 
-    def test_aggregate_network_unweighted_flag(self, aarhus_style_text):
+    def test_aggregate_network_presence_count_mode(self, aarhus_style_text):
         net = parse_multiplex_edgelist(aarhus_style_text)
         direct = em_aggregate(presence_summaries(net))
-        via_flag = aggregate_network(net, EmConfig(unweighted_mode=True))
-        assert via_flag.lam == direct.lam
-        assert via_flag.theta == direct.theta
+        via_mode = aggregate_network(net, count_mode="presence")
+        assert via_mode.lam == direct.lam
+        assert (via_mode.theta, via_mode.iterations) == (direct.theta, direct.iterations)
+        paper = aggregate_network(net, count_mode="presence", pair_count_mode="paper_n_squared")
+        assert paper.theta == em_aggregate(presence_summaries(net, "paper_n_squared")).theta
+
+    def test_aggregate_network_unknown_count_mode(self, aarhus_style_text):
+        net = parse_multiplex_edgelist(aarhus_style_text)
+        with pytest.raises(ValueError, match="count_mode"):
+            aggregate_network(net, count_mode="unweighted")
 
     def test_presence_counts_all_pairs(self, aarhus_style_text):
         net = parse_multiplex_edgelist(aarhus_style_text)

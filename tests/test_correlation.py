@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from mapnet import (
     zscore_normalize,
 )
 from mapnet.correlation import _pearson_masked
-from mapnet.errors import DegenerateConditionWarning, LengthMismatch, NegativeWeight
+from mapnet.errors import DegenerateConditionWarning, LengthMismatch
 from conftest import make_expression_dataset
 
 NAN = float("nan")
@@ -97,6 +99,25 @@ class TestPearsonPairwiseComplete:
         assert abs(pearson_pairwise_complete(x * scale, y * scale) - r) <= 1e-12
         assert abs(pearson_pairwise_complete(x * scale, y) - r) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-78, 1e150])
+    @pytest.mark.parametrize("levels", [10, None])
+    def test_extreme_scale_dataset_on_the_gram_path(self, scale, levels):
+        # unscaled, the Gram products go subnormal near 1e-78 and overflow near 1e150
+        ds = make_expression_dataset(
+            np.random.default_rng(0), [f"g{i:02d}" for i in range(30)], 12, "d", missing_rate=0.1
+        )
+        scaled = ExpressionDataset(ds.genes, ds.conditions, ds.values * scale, name="d")
+        cfg = CorrelationConfig(quantize_levels=levels)
+        layer = build_correlation_layer(ds, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = build_correlation_layer(scaled, cfg)
+        assert np.array_equal(got.codes, layer.codes)
+        if levels is None:
+            assert np.abs(got.values - layer.values).max() <= 1e-15
+        else:
+            assert got == layer
+
     def test_tiny_scale_dataset_builds_the_unscaled_layer(self):
         ds = make_expression_dataset(
             np.random.default_rng(4), [f"g{i:02d}" for i in range(30)], 12, "d", missing_rate=0.1
@@ -168,11 +189,9 @@ class TestBuildCorrelationLayer:
         assert layer.universe.pair("g0", "g2") in layer.measurable
         assert layer.universe.pair("g1", "g2") in layer.measurable
 
-    def test_unclamped_negative_raises(self):
-        ds = self.make_dataset([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
-        cfg = CorrelationConfig(min_pairs=5, clamp_negative=False)
-        with pytest.raises(NegativeWeight):
-            build_correlation_layer(ds, cfg)
+    def test_config_fields(self):
+        names = [f.name for f in fields(CorrelationConfig)]
+        assert names == ["min_pairs", "quantize_levels", "zscore"]
 
 
 def per_pair_layer(ds, cfg, universe=None):
@@ -186,12 +205,10 @@ def per_pair_layer(ds, cfg, universe=None):
             r = _pearson_masked(data[a], data[b], cfg.min_pairs)
             if r is None:
                 continue
-            w = max(r, 0.0) if cfg.clamp_negative else r
+            w = max(r, 0.0)
             if cfg.quantize_levels is not None:
                 x = cfg.quantize_levels * w
                 w = math.copysign(math.floor(abs(x) + 0.5), x)
-            if w < 0:
-                raise NegativeWeight("negative weight in the reference")
             pair = universe.pair(ds.genes[a], ds.genes[b])
             measurable.add(pair)
             if w > 0:
@@ -266,12 +283,16 @@ class TestGramMatchesPerPairOracle:
         assert len(layer.measurable) == 40 * 39 // 2
 
     def test_non_finite_gram_r_is_recomputed(self, monkeypatch):
-        # at this scale var_a * var_b underflows to 0, so the Gram r is
-        # infinite; it must go to the exact path, not be clipped to 1
+        # each gene's largest values (0.5) lie outside the shared conditions,
+        # so per-gene scaling leaves the shared values near 1e-85: both
+        # paired variances (~1e-169) pass the variance rule but their product
+        # underflows to 0, so the Gram r is infinite; it must go to the exact
+        # path, not be clipped to 1
         import mapnet.correlation as correlation
 
         monkeypatch.setattr(correlation, "_pearson_masked", lambda *a: 0.5)
-        values = np.array([[1, 2, 3, 4, 5, 7], [2, 1, 4, 3, 6, 5]]) * 1e-160
+        shared = [1e-85, 2e-85, 3e-85, 4e-85]
+        values = [[0.5, -0.5, NAN, NAN, *shared, 5e-85], [NAN, NAN, 0.5, -0.5, *shared, 6e-85]]
         layer = build_correlation_layer(expression(values), CorrelationConfig(quantize_levels=None))
         assert layer.weights == {(0, 1): 0.5}
 
@@ -361,16 +382,6 @@ class TestGramMatchesPerPairOracle:
         assert_matches_reference(
             expression(values), CorrelationConfig(min_pairs=4, quantize_levels=levels, zscore=True)
         )
-
-    @pytest.mark.parametrize("levels", [10, None])
-    def test_unclamped(self, levels):
-        rng = np.random.default_rng(6)
-        base = rng.normal(size=10)
-        positive = np.array([base + 0.3 * rng.normal(size=10) for _ in range(6)])
-        cfg = CorrelationConfig(min_pairs=5, clamp_negative=False, quantize_levels=levels)
-        assert_matches_reference(expression(positive), cfg)
-        with pytest.raises(NegativeWeight):
-            build_correlation_layer(expression(np.vstack([positive, -base])), cfg)
 
     def test_unsorted_genes_in_larger_universe(self):
         rng = np.random.default_rng(12)

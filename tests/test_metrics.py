@@ -8,7 +8,6 @@ from mapnet import (
     LayerGraph,
     NodeUniverse,
     exponential_fit_r2,
-    measured_weight_values,
     network_report,
     von_neumann_entropy,
     weight_cdf,
@@ -152,7 +151,7 @@ class TestWeightCdf:
     def test_measured_zeros_included(self):
         uni = NodeUniverse(("a", "b", "c"))
         layer = LayerGraph(uni, {(0, 1): 2.0, (0, 2): 0.0})
-        assert measured_weight_values(layer) == [2.0, 0.0]
+        assert weight_cdf(layer.values) == [(0.0, 0.5), (2.0, 1.0)]
 
 
 class TestExponentialFitR2:
