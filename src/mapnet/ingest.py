@@ -7,6 +7,17 @@ list: whitespace-separated ``layer_id node_u node_v [weight]`` lines with
 ``#`` comments; a missing weight defaults to 1, an explicit weight of 0
 records a measured-but-zero observation, and a non-finite weight is
 rejected.
+
+Edge lists and ``node_u,node_v,weight`` layer CSVs are read in one of two
+ways with the same result.  A regular body (ASCII, one separator between
+non-empty fields, the same field count on every line, a final newline, no
+comment, quote, tab, CR or other whitespace, labels of at most 8 bytes, no
+self-loop and only finite non-negative weights; see ``_regular_rows``) is
+read with numpy from chunks of whole lines, each distinct weight token of
+a chunk by float() once.  Any other text falls back to the per-line
+reader, which is the only source of errors, so error lines and columns do
+not depend on the path; both paths end in the same step that sorts
+labels, keeps the last of repeated rows and splits the layers.
 """
 
 from __future__ import annotations
@@ -88,39 +99,46 @@ def _parse_weight(token: str, line: int, column: int) -> float:
     return weight
 
 
+def _csv_rows(text: str):
+    """The non-blank rows of a CSV text, each with the physical line it ends on."""
+    reader = csv.reader(text.splitlines())
+    return ((reader.line_num, row) for row in reader if row and any(c.strip() for c in row))
+
+
 def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
     """Parse an expression CSV into a dataset.
 
-    Raises ParseError with 1-based line/column (column counts CSV fields)
-    on malformed or infinite numbers or ragged rows, and DuplicateLabel on
-    repeated gene or condition labels.
+    The first non-blank row is the header; blank rows are skipped.  Raises
+    ParseError with 1-based line/column (lines count every physical line,
+    column counts CSV fields) on malformed or infinite numbers or ragged
+    rows, and DuplicateLabel on repeated gene or condition labels.
     """
-    rows = list(csv.reader(text.splitlines()))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    rows = list(_csv_rows(text))
     if not rows:
         raise ParseError("empty input", line=1)
-    header = rows[0]
+    header_line, header = rows[0]
     conditions = [cell.strip() for cell in header[1:]]
     if not conditions or any(not c for c in conditions):
-        raise ParseError("header must list at least one non-empty condition label", line=1)
+        message = "header must list at least one non-empty condition label"
+        raise ParseError(message, line=header_line)
     if len(set(conditions)) != len(conditions):
         raise DuplicateLabel("duplicate condition label in header")
     if len(rows) == 1:
-        raise ParseError("no gene rows", line=1)
+        raise ParseError("no gene rows", line=header_line)
 
     genes: list[str] = []
     data = np.full((len(rows) - 1, len(conditions)), np.nan)
-    for r, row in enumerate(rows[1:], start=2):
+    for r, (line, row) in enumerate(rows[1:]):
         gene = row[0].strip()
         if not gene:
-            raise ParseError("empty gene label", line=r, column=1)
+            raise ParseError("empty gene label", line=line, column=1)
         if len(row) != len(conditions) + 1:
             raise ParseError(
-                f"expected {len(conditions) + 1} fields, found {len(row)}", line=r
+                f"expected {len(conditions) + 1} fields, found {len(row)}", line=line
             )
         genes.append(gene)
         for c, cell in enumerate(row[1:], start=2):
-            data[r - 2, c - 2] = _parse_cell(cell, line=r, column=c)
+            data[r, c - 2] = _parse_cell(cell, line=line, column=c)
     if len(set(genes)) != len(genes):
         seen = set()
         dup = next(g for g in genes if g in seen or seen.add(g))
@@ -128,10 +146,151 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
     return ExpressionDataset(tuple(genes), tuple(conditions), data, name=name)
 
 
+# (group names, node labels, both sorted; per row the group and the two
+# endpoints as positions in them, and the weight), in input order
+Rows = tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_CHUNK_BYTES = 1 << 18
+_KEY_BYTES = 8
+# Bytes that make a body irregular: NUL (the key padding), quote, '#', and
+# every ASCII byte other than space and newline that str.split treats as
+# whitespace, which includes every ASCII line break of str.splitlines.
+_IRREGULAR = b'\0"#\t\r\x0b\x0c\x1c\x1d\x1e\x1f'
+# The comment lines or CSV header may hold anything but NUL, quotes and
+# line breaks other than newline.
+_HEAD_IRREGULAR = '\0"\r\x0b\x0c\x1c\x1d\x1e'
+
+
 def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     """Labels in sorted order, and for each first-seen id its label's sorted position."""
     labels = sorted(ids)
     return labels, np.argsort(np.array([ids[label] for label in labels], dtype=np.int64))
+
+
+def _ranked_rows(groups: dict[str, int], nodes: dict[str, int], ids, weights) -> Rows:
+    """Rows from ``(group, u, v)`` id triples, one per line (an int64 array or
+    buffer, flat or ``(rows, 3)``), with ids interned in first-seen order."""
+    ids = np.asarray(ids).reshape(-1, 3)
+    names, group_rank = _ranked(groups)
+    labels, node_rank = _ranked(nodes)
+    return (names, labels, group_rank[ids[:, 0]], node_rank[ids[:, 1]],
+            node_rank[ids[:, 2]], np.asarray(weights))
+
+
+def _interned(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+              ids: dict[str, int]) -> np.ndarray | None:
+    """Ids of the labels ``bytes[starts:stops]``, new labels added to ``ids``;
+    None if a label is longer than 8 bytes.  ``words[k]`` holds the 8 bytes
+    from ``k`` as a big-endian uint64; a label's key keeps its own bytes and
+    zeros the rest, so equal keys are equal labels."""
+    width = stops - starts
+    if width.max() > _KEY_BYTES:
+        return None
+    pad = (_KEY_BYTES - width).astype(np.uint64) * np.uint64(8)
+    keys = (words[starts].astype(np.uint64) >> pad) << pad
+    unique, inverse = np.unique(keys, return_inverse=True)
+    labels = unique.astype(">u8").view("S8").astype("U8").tolist()  # drops the zero bytes
+    known = np.array([ids.setdefault(label, len(ids)) for label in labels], dtype=np.int64)
+    return known[inverse.reshape(-1)]
+
+
+def _weight_values(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """Weights of the tokens ``buf[starts:stops]``, each distinct token read by
+    float() once; None if one is malformed, non-finite or negative."""
+    edges = np.empty(2 * starts.size + 1, dtype=np.int64)
+    edges[0] = 0
+    edges[1::2] = starts
+    edges[2::2] = stops + 1  # with the newline that ends each token
+    inside = np.repeat(np.tile(np.array([False, True]), starts.size), np.diff(edges))
+    tokens = buf[inside].tobytes().decode("ascii").split("\n")
+    tokens.pop()
+    distinct = dict.fromkeys(tokens)
+    try:
+        values = np.array(list(map(float, distinct)), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        return None
+    if len(distinct) == len(tokens):
+        return values
+    lookup = dict(zip(distinct, values.tolist()))
+    return np.fromiter(map(lookup.__getitem__, tokens), np.float64, len(tokens))
+
+
+def _regular_rows(text: str, sep: str) -> Rows | None:
+    """Rows of a regular edge list (``sep=" "``) or layer CSV (``sep=","``)
+    read from chunks of about 256 KB of whole lines, or None to leave the
+    text to the per-line reader.
+
+    The head (leading ``#`` lines of an edge list, the header line of a CSV)
+    is skipped.  The body after it is regular when it is ASCII and ends with a
+    newline; every line has the same number of fields (3 or 4 for an edge
+    list, 3 for a CSV), one separator apart and none empty; it holds no ``#``,
+    NUL, quote, tab or CR, no other byte that str.split treats as whitespace
+    (nor a space in a CSV); no label is longer than 8 bytes; and no line is a
+    self-loop or has a weight that is malformed, non-finite or negative.
+    """
+    is_csv = sep == ","
+    if not (text.isascii() and text.endswith("\n")):
+        return None
+    start = 0
+    if is_csv:
+        start = text.find("\n") + 1
+        if not any(cell.strip() for cell in text[:start].split(",")):
+            return None  # csv.reader would skip a blank first line
+    while not is_csv and text.startswith("#", start):
+        start = text.find("\n", start) + 1
+    if start == len(text) or any(c in text[:start] for c in _HEAD_IRREGULAR):
+        return None
+    width = text.count(sep, start, text.find("\n", start)) + 1
+    if width not in ((3,) if is_csv else (3, 4)):
+        return None
+    groups: dict[str, int] = {"": 0} if is_csv else {}
+    nodes: dict[str, int] = {}
+    # the id column each label field fills, and the labels it interns
+    targets = [(1, nodes), (2, nodes)] if is_csv else [(0, groups), (1, nodes), (2, nodes)]
+    ids = np.zeros((text.count("\n", start), 3), dtype=np.int64)
+    weights = np.ones(len(ids))
+    irregular = _IRREGULAR + (b" " if is_csv else b"")
+    row = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
+        chunk = text[start:end].encode("ascii")
+        start = end
+        if any(byte in chunk for byte in irregular):
+            return None
+        buf = np.frombuffer(chunk, dtype=np.uint8)
+        ends = np.flatnonzero(buf == 10)
+        seps = np.flatnonzero(buf == ord(sep))
+        if seps.size != ends.size * (width - 1):
+            return None
+        # per line: the byte before it, its separators and its newline;
+        # fields are non-empty (and each line holds its own separators)
+        # exactly when these rise by at least 2 along every row
+        bounds = np.empty((ends.size, width + 1), dtype=np.int64)
+        bounds[0, 0] = -1
+        bounds[1:, 0] = ends[:-1]
+        bounds[:, 1:width] = seps.reshape(-1, width - 1)
+        bounds[:, width] = ends
+        if np.diff(bounds, axis=1).min() < 2:
+            return None
+        rows = slice(row, row + ends.size)
+        row += ends.size
+        words = np.ndarray(buf.shape, dtype=">u8", buffer=chunk + bytes(_KEY_BYTES - 1),
+                           strides=(1,))
+        for field, (column, labels) in enumerate(targets):
+            interned = _interned(words, bounds[:, field] + 1, bounds[:, field + 1], labels)
+            if interned is None:
+                return None
+            ids[rows, column] = interned
+        if np.any(ids[rows, 1] == ids[rows, 2]):
+            return None  # a self-loop
+        if width > len(targets):
+            chunk_weights = _weight_values(buf, bounds[:, width - 1] + 1, ends)
+            if chunk_weights is None:
+                return None
+            weights[rows] = chunk_weights
+    return _ranked_rows(groups, nodes, ids, weights)
 
 
 def _keep_last(keys: np.ndarray) -> np.ndarray:
@@ -142,37 +301,27 @@ def _keep_last(keys: np.ndarray) -> np.ndarray:
 
 
 def _layers_from_rows(
-    nodes: dict[str, int], groups: dict[str, int], ids: array, weights: array
-) -> tuple[NodeUniverse, list[str], list[LayerGraph]]:
-    """One layer per group, groups and universe sorted by label, from interned
-    ``(group, u, v)`` rows; a repeated (group, pair) keeps its last row and
-    raises one DuplicateEdgeWarning carrying the count."""
-    rows = np.frombuffer(ids, dtype=np.int64).reshape(-1, 3)
-    labels, node_rank = _ranked(nodes)
-    names, group_rank = _ranked(groups)
+    names: list[str], labels: list[str], group: np.ndarray, u: np.ndarray, v: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[NodeUniverse, list[LayerGraph]]:
+    """One layer per group over the universe of ``labels``; a repeated (group,
+    pair) keeps its last row and raises one DuplicateEdgeWarning carrying the
+    count."""
     universe = NodeUniverse(tuple(labels))
     n = universe.size
-    codes = pair_codes(node_rank[rows[:, 1]], node_rank[rows[:, 2]], n)
-    group = group_rank[rows[:, 0]]
+    codes = pair_codes(u, v, n)
     keep = _keep_last(group * (n * n) + codes)
     if keep.size < codes.size:
         warnings.warn(DuplicateEdgeWarning(codes.size - keep.size), stacklevel=3)
-    codes, values = codes[keep], np.frombuffer(weights)[keep]
+    codes, values = codes[keep], weights[keep]
     bounds = np.searchsorted(group[keep], np.arange(len(names) + 1))
     layers = [LayerGraph.from_codes(universe, codes[a:b], values[a:b])
               for a, b in zip(bounds[:-1], bounds[1:])]
-    return universe, names, layers
+    return universe, layers
 
 
-def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
-    """Parse a multiplex edge list into a multilayer network.
-
-    Layers are ordered by sorted layer id; the universe is the sorted
-    union of endpoint labels.  Duplicate (layer, u, v) lines keep the last
-    occurrence and raise a DuplicateEdgeWarning carrying the count.  For
-    edge-list input the measurable set of a layer equals its recorded
-    pairs (absence of a line means no measurement, not a zero).
-    """
+def _edgelist_rows(text: str) -> Rows:
+    """Rows of an edge list, read line by line; raises on the first bad line."""
     layer_ids: dict[str, int] = {}
     nodes: dict[str, int] = {}
     ids = array("q")
@@ -192,8 +341,21 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
                     nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("no edges found")
-    universe, names, layers = _layers_from_rows(nodes, layer_ids, ids, weights)
-    return MultilayerNetwork(universe, tuple(layers), tuple(names))
+    return _ranked_rows(layer_ids, nodes, ids, weights)
+
+
+def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
+    """Parse a multiplex edge list into a multilayer network.
+
+    Layers are ordered by sorted layer id; the universe is the sorted
+    union of endpoint labels.  Duplicate (layer, u, v) lines keep the last
+    occurrence and raise a DuplicateEdgeWarning carrying the count.  For
+    edge-list input the measurable set of a layer equals its recorded
+    pairs (absence of a line means no measurement, not a zero).
+    """
+    rows = _regular_rows(text, " ") or _edgelist_rows(text)
+    universe, layers = _layers_from_rows(*rows)
+    return MultilayerNetwork(universe, tuple(layers), tuple(rows[0]))
 
 
 def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
@@ -213,7 +375,8 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
             raise ValueError("node labels must not contain whitespace")
         rows = zip(labels[i].tolist(), labels[j].tolist(), layer.values.tolist())
         lines.extend(f"{layer_id} {u} {v} {w!r}" for u, v, w in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
@@ -223,22 +386,18 @@ def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
     rows = zip(labels[i].tolist(), labels[j].tolist(), layer.values.tolist())
     lines = [f"node_u,node_v,{value_name}"]
     lines.extend(f"{u},{v},{w!r}" for u, v, w in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
-def parse_layer_csv(text: str) -> LayerGraph:
-    """Parse a ``node_u,node_v,weight`` CSV into a single layer.
-
-    Rows with weight 0 are recorded as measured-but-zero pairs.  Line
-    numbers in errors count non-blank rows, the header being line 1.
-    """
-    rows = csv.reader(text.splitlines())
-    rows = (row for row in rows if row and any(cell.strip() for cell in row))
+def _layer_csv_rows(text: str) -> Rows:
+    """Rows of a layer CSV, read row by row; raises on the first bad row."""
+    rows = _csv_rows(text)
     next(rows, None)  # header
     nodes: dict[str, int] = {}
     ids = array("q")
     weights = array("d")
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, found {len(row)}", line=lineno)
         u, v = row[0].strip(), row[1].strip()
@@ -248,7 +407,18 @@ def parse_layer_csv(text: str) -> LayerGraph:
         ids.extend((0, nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("expected a header and at least one edge row")
-    _, _, (layer,) = _layers_from_rows(nodes, {"": 0}, ids, weights)
+    return _ranked_rows({"": 0}, nodes, ids, weights)
+
+
+def parse_layer_csv(text: str) -> LayerGraph:
+    """Parse a ``node_u,node_v,weight`` CSV into a single layer.
+
+    Rows with weight 0 are recorded as measured-but-zero pairs.  The first
+    non-blank row is the header; blank rows are skipped, and line numbers
+    in errors count every physical line.
+    """
+    rows = _regular_rows(text, ",") or _layer_csv_rows(text)
+    _, (layer,) = _layers_from_rows(*rows)
     return layer
 
 

@@ -74,8 +74,12 @@ def von_neumann_entropy(g: LayerGraph, log_base: str = "natural") -> EntropySpec
     Eigenvalues below 1e-12 (numerical negatives included) are clipped to
     zero before the gamma*log(gamma) sum, with 0*log(0) = 0.
     """
+    return _entropy_spectrum(adjacency_matrix(g), log_base)
+
+
+def _entropy_spectrum(a: np.ndarray, log_base: str) -> EntropySpectrum:
+    """von_neumann_entropy of the graph with adjacency matrix ``a``."""
     log = _log_fn(log_base)
-    a = adjacency_matrix(g)
     total = a.sum() / 2.0
     if total <= 0:
         raise EmptyGraph("graph has no positive edge weight")
@@ -139,7 +143,7 @@ def network_report(g: LayerGraph, log_base: str = "natural") -> NetworkReport:
         strength_max=float(strengths.max()),
         clustering_avg=_weighted_clustering_avg(a),
         eigencentrality_mean=float(centrality.mean()),
-        entropy=von_neumann_entropy(g, log_base).entropy,
+        entropy=_entropy_spectrum(a, log_base).entropy,
         log_base=log_base,
     )
 

@@ -54,21 +54,30 @@ class RecoveryMetrics:
 def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Poisson draws by CDF inversion: smallest k with u < F(k).
 
+    Each step works only on the draws still below their uniform; they have
+    all taken the same number of steps, so each one's count is that step.
     Only valid for moderate rates; callers route large rates to the
     normal approximation.
     """
-    counts = np.zeros(lam.shape, dtype=np.int64)
+    shape = lam.shape
+    counts = np.zeros(lam.size, dtype=np.int64)
+    index = np.arange(lam.size)
+    lam, u = lam.ravel(), u.ravel()
     prob = np.exp(-lam)
     cdf = prob.copy()
-    active = cdf <= u
-    for _ in range(500):
-        if not active.any():
+    for step in range(1, 501):
+        active = cdf <= u
+        index = index[active]
+        if not index.size:
             break
-        counts[active] += 1
-        prob[active] *= lam[active] / counts[active]
-        cdf[active] += prob[active]
-        active &= cdf <= u
-    return counts
+        lam = lam[active]
+        u = u[active]
+        prob = prob[active]
+        cdf = cdf[active]
+        counts[index] = step
+        prob *= lam / step
+        cdf += prob
+    return counts.reshape(shape)
 
 
 def _poisson(lam: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mapnet import (
     generate_synthetic,
+    ingest,
     parse_aggregated_csv,
     parse_expression_csv,
     parse_layer_csv,
@@ -15,6 +18,8 @@ from mapnet.errors import (
     NegativeWeight,
     ParseError,
 )
+from mapnet.ingest import serialize_layer_csv
+from mapnet.synth import truth_to_csv
 
 
 class TestParseExpressionCsv:
@@ -51,6 +56,17 @@ class TestParseExpressionCsv:
         with pytest.raises(ParseError) as err:
             parse_expression_csv("gene,c1,c2\ng1,1.0")
         assert err.value.line == 2
+
+    def test_blank_lines_count_in_positions(self):
+        with pytest.raises(ParseError) as err:
+            parse_expression_csv("gene,c1,c2\ng1,1.0,2.0\n\n,,\ng2,abc,3.0\n")
+        assert (err.value.line, err.value.column) == (5, 2)
+        with pytest.raises(ParseError) as err:
+            parse_expression_csv("\n\ngene,c1,c2\n\ng1,1.0\n")
+        assert (err.value.line, err.value.column) == (5, None)
+        with pytest.raises(ParseError) as err:
+            parse_expression_csv("\n\ngene,c1,\ng1,1.0,2.0\n")
+        assert err.value.line == 3
 
     @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999"])
     def test_infinite_value_has_position(self, token):
@@ -138,6 +154,16 @@ class TestRoundTrip:
             parse_layer_csv(f"node_u,node_v,weight\na,b,1.5\na,c,{token}\n")
         assert (err.value.line, err.value.column) == (3, 3)
 
+    def test_layer_csv_blank_lines_count_in_positions(self):
+        with pytest.raises(ParseError) as err:
+            parse_layer_csv("node_u,node_v,weight\na,b,1.5\n\n\na,c,x\n")
+        assert (err.value.line, err.value.column) == (5, 3)
+        with pytest.raises(ParseError) as err:
+            parse_layer_csv("\nnode_u,node_v,weight\n , \na,b,1.5\nc,c,1\n")
+        assert (err.value.line, err.value.column) == (5, None)
+        with pytest.raises(NegativeWeight, match="at line 4$"):
+            parse_layer_csv("node_u,node_v,weight\n\na,b,1\na,c,-1\n")
+
     def test_aggregated_csv(self):
         text = "node_u,node_v,lambda\na,b,0.5\nb,c,0.0\n"
         agg = parse_aggregated_csv(text, {"theta": 2.0, "iterations": 7, "converged": True})
@@ -221,3 +247,150 @@ class TestErrorsDeepInLargeInput:
         assert layer0.weight(net.universe.pair("n000", "n001")) == 9.0
         assert layer0.weight(net.universe.pair(u, v)) == 8.0
         assert sum(layer.codes.size for layer in net.layers) == (BAD_LINE - 1) + 1  # + L9
+
+
+def _outcome(parse, text):
+    """What ``parse(text)`` gives: the result or the error's type, message,
+    line and column; and the counts of the DuplicateEdgeWarnings raised."""
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except Exception as err:  # noqa: BLE001 - compared below
+            where = (getattr(err, "line", None), getattr(err, "column", None))
+            result = (type(err), str(err), *where)
+    counts = [r.message.count for r in records if issubclass(r.category, DuplicateEdgeWarning)]
+    return result, counts
+
+
+def _per_line(parse, text, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_regular_rows", lambda text, sep: None)
+        return _outcome(parse, text)
+
+
+EDGE = "# layer u v w\n"
+# (text, whether the whole-text reader takes it)
+EDGELIST_CASES = [
+    (EDGE + "L1 a b 1\nL1 b c 2.5\nL2 a c 0\n", True),
+    ("L1 a b\nL2 b c\n", True),
+    ("# one\n#two\n# three\nL1 a b 1\n", True),
+    ("L1\ta\tb\t1\nL1 b c 2\n", False),
+    ("L1 a b 1\r\nL1 b c 2\r\n", False),
+    ("L1 a b 1\rL1 b c 2\n", False),
+    ("L1  a b 1\n", False),
+    ("L1 a b 1 \n", False),
+    (" L1 a b 1\n", False),
+    ("L1 a b 1", False),
+    ("L1 a b 1\nL1 b c", False),
+    (EDGE + "L1 a b 1\n# later\nL1 b c 2\n", False),
+    ("L1 a b 1\n\nL1 b c 2\n", False),
+    ("# h\n\nL1 a b 1\n", False),
+    ("# h\x0bL1 a b 9\nL1 a b 1\n", False),
+    ("L1 a b\nL1 b c 2\n", False),
+    ("L1 a b 2\nL1 b c\n", False),
+    ("L1 a b 1 2\n", False),
+    ("L1 a\n", False),
+    ("L1 é b 1\n", False),
+    ("L1 a b 1\nL1 a b L1 b c 2\n", False),
+    ("L1 abcdefgh abcdefgg 1\nL1 abcdefgh b 2\nlayer_08 b c 1\n", True),
+    ("L1 abcdefghi abcdefgh 1\n", False),
+    ("layer_009 a b 1\n", False),
+    ("L1 a ab 1\nL1 ab a~ 2\nL1 B a 3\nL1 a\x01 b 1\nL1 a,b 9 1\n", True),
+    ("L1 a\x0cb c 1\n", False),
+    ("L1 a\x1fb c 1\n", False),
+    ("L1 a\x00b c 1\n", False),
+    ('L1 "a" b 1\n', False),
+    ("L1 a#b c 1\n", False),
+    ("L1 a b +1\nL1 a c 1e3\nL1 b c 1_0\nL2 a b -0.0\nL2 a c .5\nL2 b c 7.\n", True),
+    ("L1 a b 1\nL1 a c nan\n", False),
+    ("L1 a b 1\nL1 a c inf\n", False),
+    ("L1 a b 1\nL1 a c -1\n", False),
+    ("L1 a b 1\nL1 a c 1,5\n", False),
+    ("L1 a b 1\nL1 a c 0x1\n", False),
+    ("L1 a b 1\nL1 c c 2\n", False),
+    ("L1 a b 1\nL1 a c 1\x01\n", False),
+    ("L1 a b 1\nL2 a b 2\nL1 b a 3\nL2 a b 4\nL1 a c 5\nL3 c a 6\nL1 a b 7\n", True),
+    ("# only comments\n", False),
+    ("", False),
+]
+
+
+class TestWholeTextReader:
+    """The whole-text reader gives what the per-line reader gives, or leaves the text to it."""
+
+    @pytest.mark.parametrize("chunk", [None, 12])
+    @pytest.mark.parametrize("text, fast", EDGELIST_CASES)
+    def test_edgelist(self, text, fast, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        assert (ingest._regular_rows(text, " ") is not None) == fast
+        assert _outcome(parse_multiplex_edgelist, text) == _per_line(
+            parse_multiplex_edgelist, text, monkeypatch
+        )
+
+    @pytest.mark.parametrize("chunk", [None, 12])
+    @pytest.mark.parametrize(
+        "text, fast",
+        [
+            ("node_u,node_v,weight\na,b,1.5\na,c,0\nb,c,2\n", True),
+            ("x\nb,a,1\nc,a,+2\nc,b,1e3\nd,a,1_0\nd,b,-0.0\nd,c,.5\n", True),
+            ("node_u,node_v,weight\nabcdefgh,a,1\nabcdefgh,abcdefgg,2\n", True),
+            ("node_u,node_v,weight\nabcdefghi,a,1\n", False),
+            ('node_u,node_v,weight\n"a",b,1\n', False),
+            ('node_u,node_v,weight\n"a,b",c,1\n', False),
+            ('"node_u,node_v",weight\na,b,1\n', False),
+            ("node_u,node_v,weight\na, b,1\n", False),
+            ("node_u,node_v,weight\n a,a ,1\n", False),
+            ("node_u,node_v,weight\na\t,b,1\n", False),
+            ("node_u,node_v,weight\na,b,1\n\nb,c,2\n", False),
+            ("\nnode_u,node_v,weight\na,b,1\n", False),
+            (",,\nnode_u,node_v,weight\na,b,1\n", False),
+            (" , \nx,y,1\na,b,2\n", False),
+            ("\nx,y,1\na,b,2\n", False),
+            ("node_u,node_v,weight\r\na,b,1\r\n", False),
+            ("node_u,node_v,weight\na,b,1,2\n", False),
+            ("node_u,node_v,weight\na,b\n", False),
+            ("node_u,node_v,weight\n,b,1\n", False),
+            ("node_u,node_v,weight\na,b,1\nb,a,2\na,c,3\na,b,4\n", True),
+            ("node_u,node_v,weight\na,b,1\na,c,nan\n", False),
+            ("node_u,node_v,weight\na,b,1\na,c,-inf\n", False),
+            ("node_u,node_v,weight\na,b,1\na,c,-1\n", False),
+            ("node_u,node_v,weight\na,b,1\nc,c,1\n", False),
+            ("node_u,node_v,weight\na#,b,1\n", False),
+            ("node_u,node_v,weight\nà,b,1\n", False),
+            ("node_u,node_v,weight\n", False),
+            ("node_u,node_v,weight\na,b,1", False),
+            ("node_u,node_v,weight\na,b,1\nc", False),
+        ],
+    )
+    def test_layer_csv(self, text, fast, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        assert (ingest._regular_rows(text, ",") is not None) == fast
+        assert _outcome(parse_layer_csv, text) == _per_line(parse_layer_csv, text, monkeypatch)
+
+    def test_benchmark_shaped_input_never_falls_back(self, monkeypatch):
+        """Edge lists and layer CSVs as the CLI writes them, and the
+        unweighted edge list of the benchmark's presence workload, are read
+        whole; the weighted edge list spans several chunks."""
+        net, truth = generate_synthetic(n=120, d=11, coverage=0.8, seed=4)
+        edges = serialize_multiplex_edgelist(net)
+        presence = "# layer node_u node_v\n" + "".join(
+            " ".join(line.split()[:3]) + "\n" for line in edges.splitlines()[1:]
+        )
+        rates = truth_to_csv(truth)
+        ave = serialize_layer_csv(net.layers[0], "weight")
+        assert len(edges) > 4 * ingest._CHUNK_BYTES
+        inputs = [(parse_multiplex_edgelist, edges), (parse_multiplex_edgelist, presence),
+                  (parse_layer_csv, rates), (parse_layer_csv, ave)]
+        expected = [_per_line(parse, text, monkeypatch) for parse, text in inputs]
+
+        def per_line(text):
+            raise AssertionError("fell back to the per-line reader")
+
+        monkeypatch.setattr(ingest, "_edgelist_rows", per_line)
+        monkeypatch.setattr(ingest, "_layer_csv_rows", per_line)
+        assert parse_multiplex_edgelist(edges) == net
+        assert parse_layer_csv(rates) == truth.rates
+        assert [_outcome(parse, text) for parse, text in inputs] == expected

@@ -8,6 +8,7 @@ from mapnet import (
     LayerGraph,
     NodeUniverse,
     exponential_fit_r2,
+    metrics,
     network_report,
     von_neumann_entropy,
     weight_cdf,
@@ -139,6 +140,22 @@ class TestNetworkReport:
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(EmptyGraph):
             network_report(LayerGraph(uni, {}))
+
+    def test_adjacency_built_once(self, monkeypatch):
+        layer = random_layer(np.random.default_rng(36), 12)
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return adjacency_matrix(g)
+
+        monkeypatch.setattr(metrics, "adjacency_matrix", counted)
+        report = network_report(layer)
+        assert calls == [layer]
+        monkeypatch.undo()
+        assert report.entropy == von_neumann_entropy(layer).entropy
+        base2 = network_report(layer, "base2")
+        assert base2.entropy == von_neumann_entropy(layer, "base2").entropy
 
 
 class TestWeightCdf:

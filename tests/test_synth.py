@@ -12,7 +12,7 @@ from mapnet import (
     recovery_metrics,
 )
 from mapnet.errors import NegativeWeight, ParseError, UniverseMismatch
-from mapnet.synth import _poisson, truth_from_csv, truth_meta, truth_to_csv
+from mapnet.synth import _poisson, _poisson_from_uniform, truth_from_csv, truth_meta, truth_to_csv
 
 
 class TestGenerateSynthetic:
@@ -86,6 +86,52 @@ class TestPoissonSampler:
         lam = np.zeros(100)
         draws = _poisson(lam, rng.random(100), rng.standard_normal(100))
         assert not draws.any()
+
+
+def masked_inversion(lam, u):
+    """The inversion loop that masks the whole grid on every step (the
+    sampler's earlier form, kept as an oracle for its draws)."""
+    counts = np.zeros(lam.shape, dtype=np.int64)
+    prob = np.exp(-lam)
+    cdf = prob.copy()
+    active = cdf <= u
+    for _ in range(500):
+        if not active.any():
+            break
+        counts[active] += 1
+        prob[active] *= lam[active] / counts[active]
+        cdf[active] += prob[active]
+        active &= cdf <= u
+    return counts
+
+
+class TestCompactedInversion:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_match_masked_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        lam = np.concatenate([
+            [0.0, 1e-300, 29.999999999999996],
+            rng.uniform(0.0, 1e-3, 3000),        # near 0
+            rng.uniform(29.0, 30.0, 3000),       # near the inversion limit
+            rng.exponential(1.0, 3000),
+        ])
+        u = rng.random(lam.size)
+        u[:: 50] = np.nextafter(1.0, 0.0)  # the CDF may never pass it: the 500-step cap
+        u[1:: 50] = 0.0
+        draws = _poisson_from_uniform(lam, u)
+        np.testing.assert_array_equal(draws, masked_inversion(lam, u))
+        assert draws.dtype == np.int64 and draws.max() == 500
+
+    def test_grid_shape_kept(self):
+        rng = np.random.default_rng(9)
+        lam = rng.uniform(0.0, 30.0, (4, 250))
+        u = rng.random(lam.shape)
+        draws = _poisson_from_uniform(lam, u)
+        assert draws.shape == (4, 250)
+        np.testing.assert_array_equal(draws, masked_inversion(lam, u))
+
+    def test_empty_input(self):
+        assert _poisson_from_uniform(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 class TestRecoveryMetrics:
