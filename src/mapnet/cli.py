@@ -13,16 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .aggregate import EmConfig, aggregate_network
 from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
 from .core import NodeUniverse, reindexed
 from .correlation import CorrelationConfig, build_correlation_network
-from .errors import MapnetError, UniverseMismatch
+from .errors import MapnetError, MapnetWarning, UniverseMismatch
 from .ingest import (
     ExpressionDataset,
+    _write_rows,
     parse_aggregated_csv,
     parse_expression_csv,
     parse_layer_csv,
@@ -54,10 +58,18 @@ def _write_json(path: str, obj) -> None:
 
 
 def _table_csv(header: str, rows) -> str:
-    """Header plus comma-joined rows: strings as they are, numbers by repr."""
-    lines = [header]
-    lines.extend(",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """Header plus comma-joined rows.  A column holds only strings (quoted
+    where CSV needs it), only ints or only floats (written by repr)."""
+    columns = []
+    for column in zip(*rows):
+        if isinstance(column[0], str):
+            labels = list(dict.fromkeys(column))
+            position = dict(zip(labels, range(len(labels))))
+            index = np.fromiter(map(position.__getitem__, column), np.int64, len(column))
+            columns.append((labels, index))
+        else:
+            columns.append(np.array(column))
+    return _write_rows(header, columns, ",")
 
 
 def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
@@ -267,13 +279,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Errors and mapnet's warnings go to stderr as JSON
+    lines, so stderr does not depend on where the package is installed."""
     args = _build_parser().parse_args(argv)
-    try:
-        args.func(args)
-    except (MapnetError, OSError, ValueError) as exc:
-        line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
-        print(line, file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def show_json(message, category, *where):
+            if issubclass(category, MapnetWarning):
+                line = {"warning": category.__name__, **vars(message), "message": str(message)}
+                print(json.dumps(line), file=sys.stderr)
+            else:
+                show(message, category, *where)
+
+        warnings.showwarning = show_json
+        try:
+            args.func(args)
+        except (MapnetError, OSError, ValueError) as exc:
+            line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
+            print(line, file=sys.stderr)
+            return 1
     return 0
 
 

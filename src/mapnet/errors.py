@@ -61,7 +61,11 @@ class UniverseMismatch(MapnetError):
     """Two objects refer to different node universes."""
 
 
-class DuplicateEdgeWarning(UserWarning):
+class MapnetWarning(UserWarning):
+    """Base class for all mapnet warnings."""
+
+
+class DuplicateEdgeWarning(MapnetWarning):
     """Duplicate (layer, u, v) lines were found while parsing; carries a count."""
 
     def __init__(self, count):
@@ -69,7 +73,7 @@ class DuplicateEdgeWarning(UserWarning):
         super().__init__(f"{count} duplicate edge line(s); last occurrence wins")
 
 
-class DegenerateConditionWarning(UserWarning):
+class DegenerateConditionWarning(MapnetWarning):
     """Conditions that could not be z-scored were left unchanged."""
 
     def __init__(self, labels):

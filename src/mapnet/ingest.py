@@ -1,23 +1,23 @@
-"""Parsers for raw inputs: expression matrices and multiplex edge lists.
+"""Readers and writers for raw inputs and results: expression matrices,
+multiplex edge lists and layer CSVs.
 
-Two text formats are supported.  Expression CSV: first row is a header of
-condition labels, first column holds gene labels, empty cells (or NA/NaN
-tokens) are missing values; infinite values are rejected.  Multiplex edge
-list: whitespace-separated ``layer_id node_u node_v [weight]`` lines with
-``#`` comments; a missing weight defaults to 1, an explicit weight of 0
-records a measured-but-zero observation, and a non-finite weight is
-rejected.
+Expression CSV: first row is a header of condition labels, first column
+holds gene labels, empty cells (or NA/NaN tokens) are missing values;
+infinite values are rejected.  Multiplex edge list: whitespace-separated
+``layer_id node_u node_v [weight]`` lines with ``#`` comments; a missing
+weight defaults to 1, an explicit weight of 0 records a measured-but-zero
+observation, and a non-finite weight is rejected.
 
-Edge lists and ``node_u,node_v,weight`` layer CSVs are read in one of two
-ways with the same result.  A regular body (ASCII, one separator between
-non-empty fields, the same field count on every line, a final newline, no
-comment, quote, tab, CR or other whitespace, labels of at most 8 bytes, no
-self-loop and only finite non-negative weights; see ``_regular_rows``) is
-read with numpy from chunks of whole lines, each distinct weight token of
+Edge lists and ``node_u,node_v,weight`` layer CSVs with a regular body (see
+``_regular_rows``) are read whole with numpy, each distinct weight token of
 a chunk by float() once.  Any other text falls back to the per-line
-reader, which is the only source of errors, so error lines and columns do
-not depend on the path; both paths end in the same step that sorts
-labels, keeps the last of repeated rows and splits the layers.
+reader, the only source of errors; both paths end in the same step that
+sorts labels, keeps the last of repeated rows and splits the layers.
+
+One column writer, ``_write_rows``, writes every text output, the CLI's
+tables included: each label is formatted once, each distinct number of a
+chunk of rows once by repr, and each chunk is joined at once.  CSV labels
+holding a comma, quote, CR or LF are quoted as csv.QUOTE_MINIMAL does.
 """
 
 from __future__ import annotations
@@ -151,6 +151,7 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
 Rows = tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _CHUNK_BYTES = 1 << 18
+_WRITE_ROWS = 1 << 16
 _KEY_BYTES = 8
 # Bytes that make a body irregular: NUL (the key padding), quote, '#', and
 # every ASCII byte other than space and newline that str.split treats as
@@ -358,36 +359,69 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
     return MultilayerNetwork(universe, tuple(layers), tuple(rows[0]))
 
 
+def _quoted(label: str) -> str:
+    """``label`` as a CSV field, quoted as csv.QUOTE_MINIMAL does."""
+    return '"' + label.replace('"', '""') + '"' if any(c in label for c in ',"\r\n') else label
+
+
+def _write_rows(header: str, columns: list, sep: str) -> str:
+    """``header`` and one line per row, fields ``sep`` apart.
+
+    A column is ``(labels, index)``, row r holding ``labels[index[r]]``, or
+    an int64 or float64 array.  Labels, and the distinct numbers of a chunk
+    keyed by their bits (so -0.0 and nan keep their text), are formatted
+    once with the separator after them and gathered into an object grid.
+    """
+    tails = [sep] * (len(columns) - 1) + ["\n"]
+    quote = _quoted if sep == "," else str
+    labels = [np.array([quote(label) + tail for label in column[0]], dtype=object)
+              if isinstance(column, tuple) else None for column, tail in zip(columns, tails)]
+    first = columns[0] if columns else []
+    rows = len(first[1] if isinstance(first, tuple) else first)
+    grid = np.empty((min(rows, _WRITE_ROWS), len(columns)), dtype=object)
+    chunks = [header + "\n"]
+    for start in range(0, rows, _WRITE_ROWS):
+        part, chunk = grid[:rows - start], slice(start, start + _WRITE_ROWS)
+        for c, (column, tail, texts) in enumerate(zip(columns, tails, labels)):
+            if texts is not None:
+                index = column[1][chunk]
+            else:
+                values = np.asarray(column[chunk])
+                distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+                texts = np.array([repr(value) + tail for value in
+                                  distinct.view(values.dtype).tolist()], dtype=object)
+            part[:, c] = texts[index.reshape(-1)]
+        chunks.append("".join(part.ravel().tolist()))
+    return "".join(chunks)
+
+
 def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     """Inverse of parse_multiplex_edgelist (exact when layer names are sorted).
 
     Zero-weight measurable pairs are written as explicit weight-0 lines so
     that observation counts survive a round trip.
     """
-    labels = np.array(net.universe.labels, dtype=object)
+    labels = net.universe.labels
     spaced = np.array([any(ch.isspace() for ch in label) for label in labels], dtype=bool)
-    lines = ["# layer node_u node_v weight"]
-    for layer_id, layer in zip(net.layer_names, net.layers):
+    sizes = [layer.codes.size for layer in net.layers]
+    i, j = pair_indices(np.concatenate([layer.codes for layer in net.layers]), net.universe.size)
+    stops = np.cumsum(sizes)
+    for layer_id, start, stop in zip(net.layer_names, stops - sizes, stops):
         if any(ch.isspace() for ch in layer_id):
             raise ValueError(f"layer name {layer_id!r} contains whitespace")
-        i, j = pair_indices(layer.codes, net.universe.size)
-        if spaced[i].any() or spaced[j].any():
+        if spaced[i[start:stop]].any() or spaced[j[start:stop]].any():
             raise ValueError("node labels must not contain whitespace")
-        rows = zip(labels[i].tolist(), labels[j].tolist(), layer.values.tolist())
-        lines.extend(f"{layer_id} {u} {v} {w!r}" for u, v, w in rows)
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    group = np.repeat(np.arange(net.depth), sizes)
+    values = np.concatenate([layer.values for layer in net.layers])
+    columns = [(net.layer_names, group), (labels, i), (labels, j), values]
+    return _write_rows("# layer node_u node_v weight", columns, " ")
 
 
 def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
     """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros included."""
-    labels = np.array(layer.universe.labels, dtype=object)
+    labels = layer.universe.labels
     i, j = pair_indices(layer.codes, layer.universe.size)
-    rows = zip(labels[i].tolist(), labels[j].tolist(), layer.values.tolist())
-    lines = [f"node_u,node_v,{value_name}"]
-    lines.extend(f"{u},{v},{w!r}" for u, v, w in rows)
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    return _write_rows(f"node_u,node_v,{value_name}", [(labels, i), (labels, j), layer.values], ",")
 
 
 def _layer_csv_rows(text: str) -> Rows:
