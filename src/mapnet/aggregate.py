@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .core import (
     AggregatedNetwork,
     AggregationInput,
     MultilayerNetwork,
-    Pair,
     pair_codes,
     observation_summaries,
     prior_pair_count,
@@ -73,21 +71,21 @@ def _objective(k: np.ndarray, s: np.ndarray, lam: np.ndarray, theta: float, pair
     )
 
 
-def log_posterior(inp: AggregationInput, lam: Mapping[Pair, float], theta: float) -> float:
-    """Log-posterior (up to constants) of an estimate.
+def log_posterior(inp: AggregationInput, lam, theta: float) -> float:
+    """Log-posterior (up to constants) of an estimate ``lam``, one value per
+    pair of ``inp.codes`` (as ``AggregatedNetwork.values`` is).
 
     The sum runs over all ``pair_count`` pairs with the convention
     0*log(0) = 0; pairs never observed contribute log(theta) only.
     """
     if theta <= 0:
         raise DomainError("theta must be positive")
-    for pair, value in lam.items():
-        if value < 0:
-            raise DomainError(f"negative lambda on pair {pair}")
-        if value != 0 and pair not in inp.k:
-            raise DomainError(f"nonzero lambda on unobserved pair {pair}")
-    lam_arr = np.array([lam.get(p, 0.0) for p in inp.k], dtype=float)
-    return _objective(inp.counts.astype(float), inp.sums, lam_arr, theta, inp.pair_count)
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != inp.codes.shape:
+        raise ValueError(f"need one lambda per pair code, got {lam.shape} for {inp.codes.shape}")
+    if np.any(lam < 0):
+        raise DomainError("lambda must be non-negative")
+    return _objective(inp.counts.astype(float), inp.sums, lam, theta, inp.pair_count)
 
 
 def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> AggregatedNetwork:
@@ -142,7 +140,7 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
 
     objective = _objective(k, s, lam, theta, pair_count)
     trace = tuple(trace) if trace is not None else None
-    return AggregatedNetwork.from_codes(
+    return AggregatedNetwork(
         inp.universe, inp.codes, lam, theta, iterations, converged, objective, trace
     )
 
@@ -199,7 +197,7 @@ def presence_summaries(
     present = np.concatenate([layer.codes[layer.values > 0] for layer in net.layers])
     presence = np.bincount(present, minlength=n * n)[codes]
     depth = np.full(codes.size, net.depth)
-    return AggregationInput.from_codes(net.universe, codes, depth, presence, pair_count)
+    return AggregationInput(net.universe, codes, depth, presence, pair_count)
 
 
 def aggregate_network(

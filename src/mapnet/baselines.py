@@ -41,4 +41,4 @@ def build_avenet(net: MultilayerNetwork, denominator: str = "measurable_layers")
         raise ValueError(f"unknown denominator {denominator!r}")
     summaries = observation_summaries(net, count_mode="measurable")
     counts = summaries.counts if denominator == "measurable_layers" else net.depth
-    return LayerGraph.from_codes(net.universe, summaries.codes, summaries.sums / counts)
+    return LayerGraph(net.universe, summaries.codes, summaries.sums / counts)

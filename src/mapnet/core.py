@@ -6,16 +6,14 @@ observed a pair (k) and the total weight those layers reported (S).
 
 A node pair ``(i, j)``, ``i < j``, indexes the universe's labels and is
 stored as the int64 code ``i·N + j``, so code order is tuple order.  Each
-type keeps a sorted, unique code array beside its value arrays; the
-tuple-keyed mappings (``weights``, ``measurable``, ``k``, ``s``, ``lam``)
-remain as read-only views built on first use, and constructing from such
-mappings is a thin adapter into the same arrays.  All types are
+type keeps a sorted, unique code array beside its value arrays, and its
+one constructor takes and validates those arrays.  All types are
 immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -49,13 +47,6 @@ class NodeUniverse:
     def index(self, label: str) -> int:
         return self._index[label]
 
-    def pair(self, u: str, v: str) -> Pair:
-        """Index pair for two labels, ordered i < j."""
-        i, j = self._index[u], self._index[v]
-        if i == j:
-            raise ValueError(f"self-loop on {u!r}")
-        return (i, j) if i < j else (j, i)
-
 
 def pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Codes i·N + j of the unordered index pairs {a, b} (a != b), with i < j."""
@@ -72,22 +63,6 @@ def _decode(codes: np.ndarray, n: int) -> list[Pair]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-def pair_view(codes: np.ndarray, values: np.ndarray, n: int) -> Mapping[Pair, float]:
-    """Read-only ``{(i, j): value}`` mapping of values on pair codes, in code order."""
-    return MappingProxyType(dict(zip(_decode(codes, n), values.tolist())))
-
-
-def _encode(pairs: Iterable[Pair], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted codes of index pairs (ValueError unless 0 <= i < j < N) and their sorting order."""
-    ij = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-    bad = ~((0 <= ij[:, 0]) & (ij[:, 0] < ij[:, 1]) & (ij[:, 1] < n))
-    if bad.any():
-        raise ValueError(f"invalid pair {tuple(ij[bad][0].tolist())} for universe of size {n}")
-    codes = pair_codes(ij[:, 0], ij[:, 1], n)
-    order = np.argsort(codes)
-    return codes[order], order
-
-
 def _checked(universe: NodeUniverse, codes, values, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read-only copies of pair codes and one value per code; ValueError unless the codes
     are sorted and unique with i < j < N each and the values are finite and non-negative."""
@@ -102,13 +77,6 @@ def _checked(universe: NodeUniverse, codes, values, what: str) -> tuple[np.ndarr
         raise ValueError(f"{what} must be finite and non-negative")
     codes.flags.writeable = values.flags.writeable = False
     return codes, values
-
-
-def _build(cls, **fields):
-    """Instance of a frozen array-backed dataclass from validated fields."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def equal_fields(self, other) -> bool:
@@ -136,8 +104,7 @@ def remap_codes(codes: np.ndarray, n: int, new_index: np.ndarray, m: int):
 
 def _recoded(obj, universe: NodeUniverse, new_index: np.ndarray):
     codes, order = remap_codes(obj.codes, obj.universe.size, new_index, universe.size)
-    rest = [getattr(obj, f.name) for f in fields(obj)[3:]]  # after universe, codes, values
-    return type(obj).from_codes(universe, codes, obj.values[order], *rest)
+    return replace(obj, universe=universe, codes=codes, values=obj.values[order])
 
 
 def reindexed(obj, universe: NodeUniverse):
@@ -147,49 +114,29 @@ def reindexed(obj, universe: NodeUniverse):
     return _recoded(obj, universe, np.array(index, dtype=np.int64))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class LayerGraph:
     """One weighted layer.
 
     ``codes`` lists every pair for which a weight was computable in this
-    layer and ``values`` its weight, zeros included.  The views
-    ``weights`` (the strictly positive weights) and ``measurable`` (every
-    coded pair) are built on first use.  Constructing from a ``weights``
-    mapping moves its zero entries into ``measurable``, so equal layers
-    compare equal.
+    layer and ``values`` its weight, zeros included.
     """
 
     universe: NodeUniverse
     codes: np.ndarray
     values: np.ndarray
 
-    def __init__(self, universe: NodeUniverse, weights: Mapping[Pair, float],
-                 measurable: Iterable[Pair] = frozenset()):
-        merged = {**dict.fromkeys(measurable, 0.0), **weights}
-        codes, order = _encode(merged, universe.size)
-        values = np.fromiter(merged.values(), float, len(merged))[order]
-        self.__dict__.update(vars(self.from_codes(universe, codes, values)))
-
-    @classmethod
-    def from_codes(cls, universe: NodeUniverse, codes, values) -> LayerGraph:
-        """Layer from sorted, unique pair codes and their weights (validated)."""
-        codes, values = _checked(universe, codes, values, "weight")
-        return _build(cls, universe=universe, codes=codes, values=values)
+    def __post_init__(self):
+        codes, values = _checked(self.universe, self.codes, self.values, "weight")
+        self.__dict__.update(codes=codes, values=values)
 
     __eq__ = equal_fields
 
     @cached_property
-    def weights(self) -> Mapping[Pair, float]:
-        positive = self.values > 0
-        return pair_view(self.codes[positive], self.values[positive], self.universe.size)
-
-    @cached_property
     def measurable(self) -> frozenset[Pair]:
+        """Every coded pair as ``(i, j)``.  Kept only because
+        perfbench/trace_boot.py counts it; ``codes.size`` is the same count."""
         return frozenset(_decode(self.codes, self.universe.size))
-
-    def weight(self, pair: Pair) -> float:
-        """Observed weight, 0.0 for measurable-but-zero pairs."""
-        return self.weights.get(pair, 0.0)
 
 
 @dataclass(frozen=True)
@@ -217,15 +164,14 @@ class MultilayerNetwork:
         return len(self.layers)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class AggregationInput:
     """Per-pair observation counts k and weight sums S, plus the pair count P.
 
-    ``counts`` (int64) and ``sums`` align with the sorted pair ``codes``;
-    every stored pair was observed at least once.  ``k`` and ``s`` are
-    read-only views keyed by pair.  ``pair_count`` is the denominator
-    convention used by the prior-rate update (number of unordered pairs
-    by default).
+    ``counts`` (stored as int64) and ``sums`` align with the sorted pair
+    ``codes``; every stored pair was observed at least once.
+    ``pair_count`` is the denominator convention used by the prior-rate
+    update (number of unordered pairs by default).
     """
 
     universe: NodeUniverse
@@ -234,50 +180,36 @@ class AggregationInput:
     sums: np.ndarray
     pair_count: int
 
-    def __init__(self, universe: NodeUniverse, k: Mapping[Pair, int], s: Mapping[Pair, float],
-                 pair_count: int):
-        if k.keys() != s.keys():
-            raise ValueError("k and s must cover the same pairs")
-        codes, order = _encode(k, universe.size)
-        counts = np.fromiter(k.values(), float, len(k))[order]
-        sums = np.fromiter((s[pair] for pair in k), float, len(k))[order]
-        self.__dict__.update(vars(self.from_codes(universe, codes, counts, sums, pair_count)))
-
-    @classmethod
-    def from_codes(cls, universe: NodeUniverse, codes, counts, sums, pair_count: int):
-        """Summaries on sorted, unique pair codes (validated)."""
-        if pair_count < 1:
+    def __post_init__(self):
+        if self.pair_count < 1:
             raise ValueError("pair_count must be positive")
-        codes, sums = _checked(universe, codes, sums, "weight sum")
-        counts = np.asarray(counts, dtype=float)
+        codes, sums = _checked(self.universe, self.codes, self.sums, "weight sum")
+        counts = np.asarray(self.counts, dtype=float)
         whole = np.isfinite(counts) & (counts >= 1) & (counts == np.floor(counts))
         if counts.shape != codes.shape or not whole.all():
             raise ValueError("every stored pair needs an integer count k >= 1")
         counts = counts.astype(np.int64)
         counts.flags.writeable = False
-        return _build(cls, universe=universe, codes=codes, counts=counts, sums=sums,
-                      pair_count=pair_count)
+        self.__dict__.update(codes=codes, counts=counts, sums=sums)
 
     __eq__ = equal_fields
 
     @cached_property
     def k(self) -> Mapping[Pair, int]:
-        return pair_view(self.codes, self.counts, self.universe.size)
+        """Read-only ``{(i, j): k}``.  Kept only because perfbench/trace_boot.py
+        sums it; ``counts.sum()`` is the same number."""
+        pairs = _decode(self.codes, self.universe.size)
+        return MappingProxyType(dict(zip(pairs, self.counts.tolist())))
 
-    @cached_property
-    def s(self) -> Mapping[Pair, float]:
-        return pair_view(self.codes, self.sums, self.universe.size)
 
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class AggregatedNetwork:
     """MAP estimate of the single-layer network.
 
     ``values`` holds the estimated weight of every observed pair (k >= 1)
     in ``codes``, zeros included; unobserved pairs are absent and
-    implicitly zero.  ``lam`` is the read-only view keyed by pair.
-    ``objective_trace`` holds the per-iteration log-posterior when the
-    solver was asked to record it.
+    implicitly zero.  ``objective_trace`` holds the per-iteration
+    log-posterior when the solver was asked to record it.
     """
 
     universe: NodeUniverse
@@ -289,32 +221,15 @@ class AggregatedNetwork:
     final_objective: float
     objective_trace: tuple[float, ...] | None = None
 
-    def __init__(self, universe: NodeUniverse, lam: Mapping[Pair, float], theta: float,
-                 iterations: int, converged: bool, final_objective: float,
-                 objective_trace: tuple[float, ...] | None = None):
-        self.__dict__.update(vars(LayerGraph(universe, lam)), theta=theta, iterations=iterations,
-                             converged=converged, final_objective=final_objective,
-                             objective_trace=objective_trace)
-
-    @classmethod
-    def from_codes(cls, universe: NodeUniverse, codes, values, theta: float, iterations: int,
-                   converged: bool, final_objective: float,
-                   objective_trace: tuple[float, ...] | None = None) -> AggregatedNetwork:
-        """Estimate on sorted, unique pair codes (validated)."""
-        codes, values = _checked(universe, codes, values, "lambda")
-        return _build(cls, universe=universe, codes=codes, values=values, theta=theta,
-                      iterations=iterations, converged=converged,
-                      final_objective=final_objective, objective_trace=objective_trace)
+    def __post_init__(self):
+        codes, values = _checked(self.universe, self.codes, self.values, "lambda")
+        self.__dict__.update(codes=codes, values=values)
 
     __eq__ = equal_fields
 
-    @cached_property
-    def lam(self) -> Mapping[Pair, float]:
-        return pair_view(self.codes, self.values, self.universe.size)
-
     def to_layer(self) -> LayerGraph:
         """View the estimate as a plain layer (for metrics and export)."""
-        return LayerGraph.from_codes(self.universe, self.codes, self.values)
+        return LayerGraph(self.universe, self.codes, self.values)
 
 
 def union_nodes(layer_node_lists: Iterable[Sequence[str]]) -> NodeUniverse:
@@ -377,7 +292,7 @@ def observation_summaries(
     pairs, slot = np.unique(codes, return_inverse=True)
     k = np.bincount(slot, minlength=pairs.size)
     s = np.bincount(slot, weights=values, minlength=pairs.size)
-    return AggregationInput.from_codes(net.universe, pairs, k, s, pair_count)
+    return AggregationInput(net.universe, pairs, k, s, pair_count)
 
 
 def relabel(net: MultilayerNetwork, mapping: Mapping[str, str]) -> MultilayerNetwork:

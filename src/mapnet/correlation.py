@@ -210,7 +210,7 @@ def build_correlation_layer(
     gene_index = np.array([universe.index(g) for g in ds.genes], dtype=np.int64)
     codes, order = remap_codes(pair_codes(a, b, ds.n_genes), ds.n_genes, gene_index, universe.size)
     # zero weights stay in the layer as measured zeros
-    return LayerGraph.from_codes(universe, codes, w[order])
+    return LayerGraph(universe, codes, w[order])
 
 
 def build_correlation_network(

@@ -316,7 +316,7 @@ def _layers_from_rows(
         warnings.warn(DuplicateEdgeWarning(codes.size - keep.size), stacklevel=3)
     codes, values = codes[keep], weights[keep]
     bounds = np.searchsorted(group[keep], np.arange(len(names) + 1))
-    layers = [LayerGraph.from_codes(universe, codes[a:b], values[a:b])
+    layers = [LayerGraph(universe, codes[a:b], values[a:b])
               for a, b in zip(bounds[:-1], bounds[1:])]
     return universe, layers
 
@@ -399,7 +399,10 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     """Inverse of parse_multiplex_edgelist (exact when layer names are sorted).
 
     Zero-weight measurable pairs are written as explicit weight-0 lines so
-    that observation counts survive a round trip.
+    that observation counts survive a round trip.  ValueError for names the
+    reader would misread: a layer name that is empty, starts with ``#`` or
+    holds whitespace, and a written node label that is empty or holds
+    whitespace.
     """
     labels = net.universe.labels
     spaced = np.array([any(ch.isspace() for ch in label) for label in labels], dtype=bool)
@@ -407,10 +410,15 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     i, j = pair_indices(np.concatenate([layer.codes for layer in net.layers]), net.universe.size)
     stops = np.cumsum(sizes)
     for layer_id, start, stop in zip(net.layer_names, stops - sizes, stops):
+        if not layer_id or layer_id.startswith("#"):
+            raise ValueError(f"layer name {layer_id!r} is empty or starts with '#'")
         if any(ch.isspace() for ch in layer_id):
             raise ValueError(f"layer name {layer_id!r} contains whitespace")
         if spaced[i[start:stop]].any() or spaced[j[start:stop]].any():
             raise ValueError("node labels must not contain whitespace")
+    empty = labels.index("") if "" in labels else -1
+    if empty in i or empty in j:
+        raise ValueError("node labels must not be empty")
     group = np.repeat(np.arange(net.depth), sizes)
     values = np.concatenate([layer.values for layer in net.layers])
     columns = [(net.layer_names, group), (labels, i), (labels, j), values]
@@ -456,9 +464,29 @@ def parse_layer_csv(text: str) -> LayerGraph:
     return layer
 
 
+def _sidecar_value(sidecar, name: str, kind=float, finite: bool = True):
+    """``kind(sidecar[name])`` of a JSON sidecar; ParseError naming the field
+    when the sidecar is not an object, or the field is missing, does not
+    convert, or (with ``finite``) is not finite."""
+    if not isinstance(sidecar, dict):
+        raise ParseError(f"sidecar must be a JSON object, found {type(sidecar).__name__}")
+    if name not in sidecar:
+        raise ParseError(f"sidecar has no field {name!r}")
+    try:
+        value = kind(sidecar[name])
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"sidecar field {name!r} is not a number: {sidecar[name]!r}") from None
+    if finite and not math.isfinite(value):
+        raise ParseError(f"sidecar field {name!r} is not finite: {sidecar[name]!r}")
+    return value
+
+
 def parse_aggregated_csv(text: str, sidecar: dict) -> AggregatedNetwork:
-    """Rebuild an aggregated network from its CSV and sidecar metadata."""
+    """Rebuild an aggregated network from its CSV and sidecar metadata.
+    ParseError names a sidecar field that is missing or not a finite number."""
     layer = parse_layer_csv(text)
-    solver = (float(sidecar["theta"]), int(sidecar["iterations"]), bool(sidecar["converged"]),
-              float(sidecar.get("final_objective", np.nan)))
-    return AggregatedNetwork.from_codes(layer.universe, layer.codes, layer.values, *solver)
+    solver = (_sidecar_value(sidecar, "theta"), _sidecar_value(sidecar, "iterations", int),
+              _sidecar_value(sidecar, "converged", bool))
+    objective = (_sidecar_value(sidecar, "final_objective", finite=False)
+                 if "final_objective" in sidecar else np.nan)
+    return AggregatedNetwork(layer.universe, layer.codes, layer.values, *solver, objective)

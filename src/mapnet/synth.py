@@ -9,23 +9,20 @@ from the generated layers validates the estimator end to end.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
-from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse, Pair
-from .core import pair_codes, pair_view
+from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes
 from .errors import DegenerateValues, UniverseMismatch
-from .ingest import parse_layer_csv, serialize_layer_csv
+from .ingest import _sidecar_value, parse_layer_csv, serialize_layer_csv
 
 _POISSON_INVERSION_MAX = 30.0
 
 
 @dataclass(frozen=True)
 class SyntheticTruth:
-    """Ground-truth rates (every pair's rate on the pair codes; ``lambda_star``
-    is the read-only view keyed by pair) and the parameters that produced them."""
+    """Ground-truth rates (every pair's rate on the pair codes) and the
+    parameters that produced them."""
 
     rates: LayerGraph
     theta_star: float
@@ -35,10 +32,6 @@ class SyntheticTruth:
     @property
     def universe(self) -> NodeUniverse:
         return self.rates.universe
-
-    @cached_property
-    def lambda_star(self) -> Mapping[Pair, float]:
-        return pair_view(self.rates.codes, self.rates.values, self.universe.size)
 
 
 @dataclass(frozen=True)
@@ -133,13 +126,13 @@ def generate_synthetic(
     layers = []
     for alpha in range(d):
         idx = np.nonzero(measured[alpha])[0]
-        layers.append(LayerGraph.from_codes(universe, codes[idx], xi[alpha, idx]))
+        layers.append(LayerGraph(universe, codes[idx], xi[alpha, idx]))
     name_width = len(str(d))
     names = tuple(f"layer{alpha + 1:0{name_width}d}" for alpha in range(d))
     net = MultilayerNetwork(universe, tuple(layers), names)
 
     truth = SyntheticTruth(
-        rates=LayerGraph.from_codes(universe, codes, lam_star),
+        rates=LayerGraph(universe, codes, lam_star),
         theta_star=theta_star,
         coverage=coverage,
         seed=seed,
@@ -173,10 +166,11 @@ def truth_meta(truth: SyntheticTruth) -> dict:
 
 
 def truth_from_csv(text: str, meta: dict) -> SyntheticTruth:
-    """Inverse of truth_to_csv + truth_meta; rates are read like layer weights."""
+    """Inverse of truth_to_csv + truth_meta; rates are read like layer weights.
+    ParseError names a sidecar field that is missing or not a finite number."""
     return SyntheticTruth(
         rates=parse_layer_csv(text),
-        theta_star=float(meta["theta_star"]),
-        coverage=float(meta["coverage"]),
-        seed=int(meta["seed"]),
+        theta_star=_sidecar_value(meta, "theta_star"),
+        coverage=_sidecar_value(meta, "coverage"),
+        seed=_sidecar_value(meta, "seed", int),
     )

@@ -78,6 +78,33 @@ def make_expression_collection(
     return datasets
 
 
+def coded(universe, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted codes i·N + j of a ``{(i, j): value}`` mapping, and its values.
+
+    Each pair is encoded as given, not reordered, so ``(0, 0)`` and ``(1, 0)``
+    reach the constructors, which reject them.
+    """
+    n = universe.size
+    codes = np.array([i * n + j for i, j in pairs], dtype=np.int64)
+    values = np.array(list(pairs.values()), dtype=float)
+    order = np.argsort(codes)
+    return codes[order], values[order]
+
+
+def pair_dict(obj, values=None) -> dict:
+    """``{(i, j): value}`` of an object's pair codes and ``values``
+    (``obj.values`` by default), in code order."""
+    n = obj.universe.size
+    values = obj.values if values is None else values
+    return {divmod(code, n): value for code, value in zip(obj.codes.tolist(), values.tolist())}
+
+
+def label_pair(universe, u: str, v: str) -> tuple[int, int]:
+    """Index pair ``(i, j)``, i < j, of two node labels."""
+    i, j = universe.index(u), universe.index(v)
+    return (i, j) if i < j else (j, i)
+
+
 def expression_csv(ds: ExpressionDataset) -> str:
     """Serialize a dataset back to the expression CSV format."""
     lines = ["gene," + ",".join(ds.conditions)]

@@ -34,7 +34,7 @@ from mapnet import (
     weight_cdf,
 )
 from mapnet.cli import main
-from conftest import expression_csv
+from conftest import coded, expression_csv, pair_dict
 
 
 def criterion(number, description):
@@ -55,10 +55,8 @@ def criterion(number, description):
 
 
 def identity_residuals(inp, agg):
-    pairs = sorted(inp.k)
-    k = np.array([inp.k[p] for p in pairs])
-    s = np.array([inp.s[p] for p in pairs])
-    lam = np.array([agg.lam[p] for p in pairs])
+    assert agg.codes.tolist() == inp.codes.tolist()
+    k, s, lam = inp.counts, inp.sums, agg.values
     lam_residual = np.max(np.abs(lam * (k + agg.theta) - s) / np.maximum(s, 1.0))
     theta_residual = abs(agg.theta * lam.sum() - inp.pair_count) / inp.pair_count
     return lam_residual, theta_residual
@@ -95,9 +93,9 @@ def test_c02_oracle_equivalence():
 @criterion(3, "single-pair instance (k=2, S=8, P=1) gives lambda=3.5, theta=2/7 to 1e-10")
 def test_c03_hand_solvable_instance():
     uni = NodeUniverse(("a", "b"))
-    inp = AggregationInput(uni, {(0, 1): 2}, {(0, 1): 8.0}, 1)
+    inp = AggregationInput(uni, [1], [2], [8.0], 1)
     agg = em_aggregate(inp)
-    assert abs(agg.lam[(0, 1)] - 3.5) < 1e-10
+    assert abs(pair_dict(agg)[(0, 1)] - 3.5) < 1e-10
     assert abs(agg.theta - 2.0 / 7.0) < 1e-10
 
 
@@ -143,15 +141,16 @@ def test_c06_rate_of_presence(aarhus_style_text):
     assert agg.converged
 
     weight_by_count = {}
-    for pair, presence in inp.s.items():
-        weight_by_count.setdefault(int(presence), set()).add(agg.lam[pair])
+    lam = pair_dict(agg)
+    for pair, presence in pair_dict(inp, inp.sums).items():
+        weight_by_count.setdefault(int(presence), set()).add(lam[pair])
     for values in weight_by_count.values():
         assert len(values) == 1
     counts = sorted(c for c in weight_by_count if c > 0)
     distinct_presence = len(counts)
     weights = [next(iter(weight_by_count[c])) for c in counts]
     assert np.all(np.diff(weights) > 0)
-    nonzero = [v for v in agg.lam.values() if v > 0]
+    nonzero = [v for v in lam.values() if v > 0]
     assert len({v for v in nonzero}) == distinct_presence
     assert len(weight_cdf(nonzero)) == distinct_presence == 5
 
@@ -179,17 +178,17 @@ def test_c08_exponential_fit():
         for seed in (0, 1, 2):
             net, _ = generate_synthetic(n=100, d=d, theta_star=1.0, coverage=1.0, seed=seed)
             agg = em_aggregate(observation_summaries(net))
-            positive = [v for v in agg.lam.values() if v > 0]
+            positive = [v for v in agg.values.tolist() if v > 0]
             assert exponential_fit_r2(positive, agg.theta) > 0.9
 
 
 @criterion(9, "entropy: K2 exact 0, K3 = log 2, unit trace, rescale invariance")
 def test_c09_entropy_correctness():
     two = NodeUniverse(("a", "b"))
-    assert von_neumann_entropy(LayerGraph(two, {(0, 1): 2.5})).entropy == 0.0
+    assert von_neumann_entropy(LayerGraph(two, [1], [2.5])).entropy == 0.0
 
     three = NodeUniverse(("a", "b", "c"))
-    triangle = LayerGraph(three, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+    triangle = LayerGraph(three, *coded(three, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}))
     assert abs(von_neumann_entropy(triangle).entropy - math.log(2)) < 1e-9
 
     rng = np.random.default_rng(90)
@@ -204,10 +203,10 @@ def test_c09_entropy_correctness():
         }
         if not weights:
             weights[(0, 1)] = 1.0
-        layer = LayerGraph(uni, weights)
+        layer = LayerGraph(uni, *coded(uni, weights))
         spec = von_neumann_entropy(layer)
         assert abs(sum(spec.gammas) - 1.0) < 1e-9
-        scaled = LayerGraph(uni, {p: 13.7 * w for p, w in weights.items()})
+        scaled = LayerGraph(uni, *coded(uni, {p: 13.7 * w for p, w in weights.items()}))
         assert abs(von_neumann_entropy(scaled).entropy - spec.entropy) < 1e-9
 
 
@@ -230,11 +229,12 @@ def test_c11_shrinkage_and_stratification(expression_collection):
     net = build_correlation_network(expression_collection, CorrelationConfig())
     inp = observation_summaries(net)
     agg = em_aggregate(inp)
-    ave = build_avenet(net)
+    ave = pair_dict(build_avenet(net))
+    lam, sums = pair_dict(agg), pair_dict(inp, inp.sums)
     for pair, k in inp.k.items():
-        assert agg.lam[pair] <= inp.s[pair] / k
-        if inp.s[pair] > 0:
-            ratio = agg.lam[pair] / ave.weight(pair)
+        assert lam[pair] <= sums[pair] / k
+        if sums[pair] > 0:
+            ratio = lam[pair] / ave.get(pair, 0.0)
             assert abs(ratio - k / (k + agg.theta)) < 1e-9
     # distinct radial lines: one ratio per observation count
     ratios = {k: k / (k + agg.theta) for k in set(inp.k.values())}

@@ -17,7 +17,7 @@ from mapnet import (
     zscore_normalize,
 )
 from mapnet.errors import DegenerateConditionWarning
-from conftest import make_expression_dataset
+from conftest import coded, label_pair, make_expression_dataset, pair_dict
 
 
 class TestBuildConnet:
@@ -29,8 +29,8 @@ class TestBuildConnet:
         connet = build_connet([ds], CorrelationConfig())
         assert connet.universe == plain.universe
         assert connet.measurable == plain.measurable
-        for pair in plain.measurable:
-            assert connet.weight(pair) == pytest.approx(plain.weight(pair), abs=1e-12)
+        for pair, weight in pair_dict(plain).items():
+            assert pair_dict(connet)[pair] == pytest.approx(weight, abs=1e-12)
 
     def test_conflation_detects_pairs_no_layer_can(self):
         rng = np.random.default_rng(22)
@@ -42,7 +42,7 @@ class TestBuildConnet:
         for layer in net.layers:
             assert layer.measurable == frozenset()
         connet = build_connet([ds1, ds2], cfg)
-        assert connet.universe.pair("a", "b") in connet.measurable
+        assert label_pair(connet.universe, "a", "b") in connet.measurable
 
     def test_no_overlap_anywhere_gives_empty_layer(self):
         values = np.array([[1.0, np.nan], [np.nan, 2.0]])
@@ -55,7 +55,7 @@ class TestBuildConnet:
         rng = np.random.default_rng(23)
         ds = make_expression_dataset(rng, [f"g{i}" for i in range(6)], 12, name="raw")
         connet = build_connet([ds], CorrelationConfig())
-        values = [connet.weight(p) for p in connet.measurable]
+        values = list(pair_dict(connet).values())
         assert any(v != int(v) for v in values)
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -64,30 +64,30 @@ class TestBuildAvenet:
     def make_net(self):
         uni = NodeUniverse(("a", "b", "c"))
         layers = (
-            LayerGraph(uni, {(0, 1): 4.0}),
-            LayerGraph(uni, {(0, 1): 6.0}),
-            LayerGraph(uni, {(1, 2): 9.0}),
+            LayerGraph(uni, *coded(uni, {(0, 1): 4.0})),
+            LayerGraph(uni, *coded(uni, {(0, 1): 6.0})),
+            LayerGraph(uni, *coded(uni, {(1, 2): 9.0})),
         )
         return MultilayerNetwork(uni, layers, ("x", "y", "z"))
 
     def test_measurable_layers_mean(self):
         ave = build_avenet(self.make_net())
-        assert ave.weight((0, 1)) == pytest.approx(5.0)
+        assert pair_dict(ave)[(0, 1)] == pytest.approx(5.0)
 
     def test_all_layers_mean(self):
         ave = build_avenet(self.make_net(), denominator="all_layers")
-        assert ave.weight((0, 1)) == pytest.approx(10.0 / 3.0)
+        assert pair_dict(ave)[(0, 1)] == pytest.approx(10.0 / 3.0)
 
     def test_single_layer_identity(self):
         uni = NodeUniverse(("a", "b", "c"))
-        layer = LayerGraph(uni, {(0, 1): 2.5, (1, 2): 0.0})
+        layer = LayerGraph(uni, *coded(uni, {(0, 1): 2.5, (1, 2): 0.0}))
         net = MultilayerNetwork(uni, (layer,), ("only",))
         assert build_avenet(net) == layer
 
     def test_avenet_dominates_map_estimate(self, expression_collection):
         net = build_correlation_network(expression_collection, CorrelationConfig())
-        ave = build_avenet(net)
+        ave = pair_dict(build_avenet(net))
         agg = em_aggregate(observation_summaries(net), EmConfig())
         assert agg.theta > 0
-        for pair, lam in agg.lam.items():
-            assert lam <= ave.weight(pair) + 1e-15
+        for pair, lam in pair_dict(agg).items():
+            assert lam <= ave.get(pair, 0.0) + 1e-15

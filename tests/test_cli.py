@@ -23,7 +23,7 @@ from mapnet import (
 )
 from mapnet.cli import main
 from mapnet.errors import UniverseMismatch
-from conftest import expression_csv, make_expression_dataset
+from conftest import coded, expression_csv, make_expression_dataset
 
 
 @pytest.fixture()
@@ -88,7 +88,7 @@ class TestAggregate:
         assert sidecar["pair_count_mode"] == "unordered"
         agg = parse_aggregated_csv(out.read_text(encoding="utf-8"), sidecar)
         assert agg.theta == sidecar["theta"]
-        assert all(v >= 0 for v in agg.lam.values())
+        assert all(v >= 0 for v in agg.values.tolist())
 
     def test_converged_run_prints_nothing(self, multiplex_file, tmp_path, capsys):
         assert main(["aggregate", multiplex_file, "-o", str(tmp_path / "agg.csv")]) == 0
@@ -141,7 +141,7 @@ class TestAggregate:
             out.read_text(encoding="utf-8"),
             json.loads((tmp_path / "agg3.json").read_text(encoding="utf-8")),
         )
-        assert len({round(v, 12) for v in agg.lam.values() if v > 0}) == 5
+        assert len({round(v, 12) for v in agg.values.tolist() if v > 0}) == 5
 
 
 class TestBaseline:
@@ -185,7 +185,7 @@ class TestMetricsCommand:
 class TestCompareCommand:
     def test_identity_networks_lie_on_diagonal(self, tmp_path):
         uni = NodeUniverse(("a", "b", "c"))
-        layer = LayerGraph(uni, {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0})
+        layer = LayerGraph(uni, *coded(uni, {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0}))
         csv_text = "node_u,node_v,weight\na,b,1.0\na,c,3.0\nb,c,2.0\n"
         for name in ("map.csv", "con.csv", "ave.csv"):
             (tmp_path / name).write_text(csv_text, encoding="utf-8")
@@ -220,9 +220,9 @@ class TestCompareCommand:
     def test_universe_mismatch_in_library(self):
         uni1 = NodeUniverse(("a", "b"))
         uni2 = NodeUniverse(("a", "c"))
-        agg = AggregatedNetwork(uni1, {(0, 1): 1.0}, 1.0, 1, True, 0.0)
-        layer1 = LayerGraph(uni1, {(0, 1): 1.0})
-        layer2 = LayerGraph(uni2, {(0, 1): 1.0})
+        agg = AggregatedNetwork(uni1, *coded(uni1, {(0, 1): 1.0}), 1.0, 1, True, 0.0)
+        layer1 = LayerGraph(uni1, *coded(uni1, {(0, 1): 1.0}))
+        layer2 = LayerGraph(uni2, *coded(uni2, {(0, 1): 1.0}))
         with pytest.raises(UniverseMismatch):
             compare_networks(agg, layer1, layer2)
 
@@ -341,6 +341,17 @@ class TestErrorHandling:
         assert err["error"] == "ParseError"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_layer_name_read_as_a_comment_is_rejected(self, dataset_files, tmp_path, capsys):
+        # build-layers names layers by file stem; a '#A' layer would be read back as a comment
+        hashed = tmp_path / "#A.csv"
+        Path(dataset_files[0]).rename(hashed)
+        out = tmp_path / "layers.txt"
+        assert main(["build-layers", str(hashed), dataset_files[1], "-o", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": "layer name '#A' is empty or starts with '#'"}
+        assert not out.exists()
+
     def test_module_entry_point(self, tmp_path):
         # the child imports the same mapnet as this process
         src = str(Path(mapnet.__file__).parents[1])
@@ -353,3 +364,68 @@ class TestErrorHandling:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stderr.strip())["error"] == "FileNotFoundError"
+
+
+MAP_META = {"theta": 0.5, "iterations": 3, "converged": True}
+TRUTH_META = {"theta_star": 1.0, "seed": 0, "coverage": 1.0}
+SIDECAR_FAULTS = [
+    ("theta", None, "sidecar has no field 'theta'"),
+    ("theta", "abc", "sidecar field 'theta' is not a number: 'abc'"),
+    ("theta", [0.5], "sidecar field 'theta' is not a number: [0.5]"),
+    ("theta", float("nan"), "sidecar field 'theta' is not finite: nan"),
+    ("theta", float("inf"), "sidecar field 'theta' is not finite: inf"),
+    ("iterations", "x", "sidecar field 'iterations' is not a number: 'x'"),
+    ("iterations", float("inf"), "sidecar field 'iterations' is not a number: inf"),
+    ("converged", None, "sidecar has no field 'converged'"),
+]
+
+
+class TestSidecarErrors:
+    """A broken sidecar gives one ParseError line naming the field, not a traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        layer = "node_u,node_v,weight\na,b,1.0\na,c,3.0\nb,c,2.0\n"
+        for name in ("map.csv", "con.csv", "ave.csv", "truth.csv"):
+            (tmp_path / name).write_text(layer, encoding="utf-8")
+        return tmp_path
+
+    def run(self, files, command, map_meta, truth_meta=TRUTH_META):
+        (files / "map.json").write_text(json.dumps(map_meta), encoding="utf-8")
+        (files / "truth.json").write_text(json.dumps(truth_meta), encoding="utf-8")
+        if command == "compare":
+            argv = ["compare", "--map-csv", files / "map.csv", "--map-meta", files / "map.json",
+                    "--con", files / "con.csv", "--ave", files / "ave.csv",
+                    "--out-dir", files / "cmp"]
+        else:
+            argv = ["synth", "score", "--est", files / "map.csv", "--est-meta", files / "map.json",
+                    "--truth", files / "truth.csv", "--truth-meta", files / "truth.json",
+                    "-o", files / "score.json"]
+        return main([str(arg) for arg in argv])
+
+    @pytest.mark.parametrize("command", ["compare", "synth score"])
+    @pytest.mark.parametrize("field, value, message", SIDECAR_FAULTS)
+    def test_estimate_sidecar_field(self, files, capsys, command, field, value, message):
+        meta = {key: v for key, v in MAP_META.items() if key != field}
+        if value is not None:
+            meta[field] = value
+        assert self.run(files, command, meta) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ParseError", "message": message}
+
+    @pytest.mark.parametrize("command", ["compare", "synth score"])
+    def test_sidecar_that_is_not_an_object(self, files, capsys, command):
+        assert self.run(files, command, [0.5, 3, True]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParseError", "message": "sidecar must be a JSON object, found list"}
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"seed": 0, "coverage": 1.0}, "sidecar has no field 'theta_star'"),
+        ({**TRUTH_META, "theta_star": float("nan")}, "sidecar field 'theta_star' is not finite: nan"),
+        ({**TRUTH_META, "theta_star": "one"}, "sidecar field 'theta_star' is not a number: 'one'"),
+        ({**TRUTH_META, "seed": None}, "sidecar field 'seed' is not a number: None"),
+        ({"theta_star": 1.0}, "sidecar has no field 'coverage'"),
+        ("theta_star", "sidecar must be a JSON object, found str"),
+    ])
+    def test_truth_sidecar(self, files, capsys, meta, message):
+        assert self.run(files, "synth score", MAP_META, meta) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ParseError", "message": message}

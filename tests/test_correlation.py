@@ -18,7 +18,7 @@ from mapnet import (
 )
 from mapnet.correlation import _pearson_masked
 from mapnet.errors import DegenerateConditionWarning, LengthMismatch
-from conftest import make_expression_dataset
+from conftest import coded, label_pair, make_expression_dataset, pair_dict
 
 NAN = float("nan")
 
@@ -148,9 +148,9 @@ class TestBuildCorrelationLayer:
     def test_negative_clamped_to_measured_zero(self):
         ds = self.make_dataset([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
         layer = build_correlation_layer(ds, CorrelationConfig(min_pairs=5))
-        pair = layer.universe.pair("g0", "g1")
+        pair = label_pair(layer.universe, "g0", "g1")
         assert pair in layer.measurable
-        assert layer.weight(pair) == 0.0
+        assert pair_dict(layer)[pair] == 0.0
 
     def test_quantized_weight_range_and_monotonicity(self):
         rng = np.random.default_rng(9)
@@ -159,13 +159,13 @@ class TestBuildCorrelationLayer:
         ds = self.make_dataset(rows)
         cfg = CorrelationConfig(min_pairs=5)
         layer = build_correlation_layer(ds, cfg)
-        values = [layer.weight(p) for p in layer.measurable]
+        values = list(pair_dict(layer).values())
         assert all(v == int(v) and 0 <= v <= 10 for v in values)
         raw = build_correlation_layer(ds, CorrelationConfig(min_pairs=5, quantize_levels=None))
         # quantization is monotone in the raw coefficient
         pairs = sorted(raw.measurable)
-        raw_w = [raw.weight(p) for p in pairs]
-        qua_w = [layer.weight(p) for p in pairs]
+        raw_w = [pair_dict(raw)[p] for p in pairs]
+        qua_w = [pair_dict(layer)[p] for p in pairs]
         order = np.argsort(raw_w)
         assert np.all(np.diff(np.asarray(qua_w)[order]) >= 0)
 
@@ -185,9 +185,9 @@ class TestBuildCorrelationLayer:
             ]
         )
         layer = build_correlation_layer(ds, CorrelationConfig(min_pairs=5))
-        assert layer.universe.pair("g0", "g1") not in layer.measurable
-        assert layer.universe.pair("g0", "g2") in layer.measurable
-        assert layer.universe.pair("g1", "g2") in layer.measurable
+        assert label_pair(layer.universe, "g0", "g1") not in layer.measurable
+        assert label_pair(layer.universe, "g0", "g2") in layer.measurable
+        assert label_pair(layer.universe, "g1", "g2") in layer.measurable
 
     def test_config_fields(self):
         names = [f.name for f in fields(CorrelationConfig)]
@@ -199,7 +199,7 @@ def per_pair_layer(ds, cfg, universe=None):
     if universe is None:
         universe = NodeUniverse(tuple(sorted(ds.genes)))
     data = ds.values if not cfg.zscore else zscore_normalize(ds).values
-    weights, measurable = {}, set()
+    weights = {}
     for a in range(ds.n_genes):
         for b in range(a + 1, ds.n_genes):
             r = _pearson_masked(data[a], data[b], cfg.min_pairs)
@@ -209,11 +209,8 @@ def per_pair_layer(ds, cfg, universe=None):
             if cfg.quantize_levels is not None:
                 x = cfg.quantize_levels * w
                 w = math.copysign(math.floor(abs(x) + 0.5), x)
-            pair = universe.pair(ds.genes[a], ds.genes[b])
-            measurable.add(pair)
-            if w > 0:
-                weights[pair] = w
-    return LayerGraph(universe, weights, frozenset(measurable))
+            weights[label_pair(universe, ds.genes[a], ds.genes[b])] = w
+    return LayerGraph(universe, *coded(universe, weights))
 
 
 def assert_matches_reference(ds, cfg, universe=None):
@@ -221,12 +218,13 @@ def assert_matches_reference(ds, cfg, universe=None):
     ref = per_pair_layer(ds, cfg, universe=universe)
     assert got.universe == ref.universe
     assert got.measurable == ref.measurable
-    assert got.weights.keys() == ref.weights.keys()
+    got_w, ref_w = pair_dict(got), pair_dict(ref)
+    assert {p for p, w in got_w.items() if w > 0} == {p for p, w in ref_w.items() if w > 0}
     if cfg.quantize_levels is not None:
-        assert got.weights == ref.weights
+        assert got_w == ref_w
     else:
-        for pair, w in ref.weights.items():
-            assert abs(got.weights[pair] - w) <= 1e-12
+        for pair, w in ref_w.items():
+            assert abs(got_w[pair] - w) <= 1e-12
     return got
 
 
@@ -294,7 +292,7 @@ class TestGramMatchesPerPairOracle:
         shared = [1e-85, 2e-85, 3e-85, 4e-85]
         values = [[0.5, -0.5, NAN, NAN, *shared, 5e-85], [NAN, NAN, 0.5, -0.5, *shared, 6e-85]]
         layer = build_correlation_layer(expression(values), CorrelationConfig(quantize_levels=None))
-        assert layer.weights == {(0, 1): 0.5}
+        assert pair_dict(layer) == {(0, 1): 0.5}
 
     def test_min_pairs_threshold_is_exact(self):
         base = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0])
@@ -309,10 +307,10 @@ class TestGramMatchesPerPairOracle:
         cfg = CorrelationConfig(min_pairs=5)
         layer = assert_matches_reference(expression(values), cfg)
         u = layer.universe
-        assert u.pair("g000", "g002") in layer.measurable
-        assert u.pair("g001", "g002") in layer.measurable
-        assert u.pair("g000", "g003") not in layer.measurable
-        assert u.pair("g002", "g003") not in layer.measurable
+        assert label_pair(u, "g000", "g002") in layer.measurable
+        assert label_pair(u, "g001", "g002") in layer.measurable
+        assert label_pair(u, "g000", "g003") not in layer.measurable
+        assert label_pair(u, "g002", "g003") not in layer.measurable
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
@@ -355,13 +353,13 @@ class TestGramMatchesPerPairOracle:
         layer = assert_matches_reference(expression(values), CorrelationConfig(min_pairs=5))
         u = layer.universe
         assert all(
-            u.pair(f"g00{a}", f"g00{b}") not in layer.measurable
+            label_pair(u, f"g00{a}", f"g00{b}") not in layer.measurable
             for a in range(3)
             for b in range(8)
             if a != b
         )
-        assert u.pair("g003", "g004") not in layer.measurable
-        assert u.pair("g003", "g006") in layer.measurable
+        assert label_pair(u, "g003", "g004") not in layer.measurable
+        assert label_pair(u, "g003", "g006") in layer.measurable
 
     def test_constant_on_shared_conditions_only(self):
         # every cross pair shares only the seven conditions where both genes
@@ -399,7 +397,7 @@ class TestGramMatchesPerPairOracle:
     def test_single_gene(self):
         layer = assert_matches_reference(expression([[1.0, 2.0, 3.0, 4.0, 5.0]]), CorrelationConfig())
         assert layer.measurable == frozenset()
-        assert layer.weights == {}
+        assert pair_dict(layer) == {}
 
 
 class TestZscoreNormalize:

@@ -20,6 +20,7 @@ from mapnet.errors import (
 )
 from mapnet.ingest import serialize_layer_csv
 from mapnet.synth import truth_to_csv
+from conftest import label_pair, pair_dict
 
 
 class TestParseExpressionCsv:
@@ -82,11 +83,11 @@ class TestParseMultiplexEdgelist:
         assert net.universe.labels == ("u", "v", "w")
         assert net.layer_names == ("1", "2")
         layer2 = net.layers[1]
-        assert layer2.weights == {(0, 1): 1.0, (1, 2): 1.0}
+        assert pair_dict(layer2) == {(0, 1): 1.0, (1, 2): 1.0}
 
     def test_explicit_weight(self):
         net = parse_multiplex_edgelist("1 u v 3.5")
-        assert net.layers[0].weights == {(0, 1): 3.5}
+        assert pair_dict(net.layers[0]) == {(0, 1): 3.5}
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeight):
@@ -102,7 +103,7 @@ class TestParseMultiplexEdgelist:
         net = parse_multiplex_edgelist("1 u v 0\n1 u w 2\n")
         layer = net.layers[0]
         assert layer.measurable == frozenset({(0, 1), (0, 2)})
-        assert layer.weights == {(0, 2): 2.0}
+        assert pair_dict(layer) == {(0, 1): 0.0, (0, 2): 2.0}
 
     def test_comments_and_blank_lines_skipped(self):
         net = parse_multiplex_edgelist("# header\n\n1 u v\n")
@@ -122,8 +123,8 @@ class TestParseMultiplexEdgelist:
             net = parse_multiplex_edgelist("1 u v 2\n1 v u 5\n1 u w 1\n1 u w 3\n")
         assert records[0].message.count == 2
         layer = net.layers[0]
-        assert layer.weight(net.universe.pair("u", "v")) == 5.0
-        assert layer.weight(net.universe.pair("u", "w")) == 3.0
+        assert pair_dict(layer)[label_pair(net.universe, "u", "v")] == 5.0
+        assert pair_dict(layer)[label_pair(net.universe, "u", "w")] == 3.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
@@ -145,7 +146,7 @@ class TestRoundTrip:
     def test_layer_csv_round_trip(self):
         text = "node_u,node_v,weight\na,b,1.5\na,c,0.0\n"
         layer = parse_layer_csv(text)
-        assert layer.weights == {(0, 1): 1.5}
+        assert pair_dict(layer) == {(0, 1): 1.5, (0, 2): 0.0}
         assert layer.measurable == frozenset({(0, 1), (0, 2)})
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -167,7 +168,7 @@ class TestRoundTrip:
     def test_aggregated_csv(self):
         text = "node_u,node_v,lambda\na,b,0.5\nb,c,0.0\n"
         agg = parse_aggregated_csv(text, {"theta": 2.0, "iterations": 7, "converged": True})
-        assert agg.lam == {(0, 1): 0.5, (1, 2): 0.0}
+        assert pair_dict(agg) == {(0, 1): 0.5, (1, 2): 0.0}
         assert agg.theta == 2.0
         assert agg.converged
 
@@ -244,8 +245,8 @@ class TestErrorsDeepInLargeInput:
         assert [r.message.count for r in records] == [8]
         assert net.layer_names == ("L0", "L1", "L2", "L9")
         layer0 = net.layers[0]
-        assert layer0.weight(net.universe.pair("n000", "n001")) == 9.0
-        assert layer0.weight(net.universe.pair(u, v)) == 8.0
+        assert pair_dict(layer0)[label_pair(net.universe, "n000", "n001")] == 9.0
+        assert pair_dict(layer0)[label_pair(net.universe, u, v)] == 8.0
         assert sum(layer.codes.size for layer in net.layers) == (BAD_LINE - 1) + 1  # + L9
 
 

@@ -15,6 +15,7 @@ from mapnet import (
 )
 from mapnet.errors import DegenerateValues, EmptyGraph
 from mapnet.metrics import _principal_eigenvector, adjacency_matrix
+from conftest import coded, pair_dict
 
 
 def star_labels(n):
@@ -30,21 +31,21 @@ def random_layer(rng, n, p=0.4, max_w=5.0):
                 weights[(i, j)] = float(rng.uniform(0.1, max_w))
     if not weights:
         weights[(0, 1)] = 1.0
-    return LayerGraph(uni, weights)
+    return LayerGraph(uni, *coded(uni, weights))
 
 
 class TestVonNeumannEntropy:
     def test_single_edge_pure_state(self):
         for w in (1.0, 4.2):
             uni = NodeUniverse(("a", "b"))
-            spec = von_neumann_entropy(LayerGraph(uni, {(0, 1): w}))
+            spec = von_neumann_entropy(LayerGraph(uni, [1], [w]))
             assert sorted(spec.gammas) == [0.0, 1.0]
             assert spec.entropy == 0.0
 
     def test_equal_triangle_closed_form(self):
         # raw Laplacian spectrum of K3 with equal weights w is {0, 3w, 3w}
         uni = NodeUniverse(("a", "b", "c"))
-        layer = LayerGraph(uni, {(0, 1): 2.0, (0, 2): 2.0, (1, 2): 2.0})
+        layer = LayerGraph(uni, *coded(uni, {(0, 1): 2.0, (0, 2): 2.0, (1, 2): 2.0}))
         spec = von_neumann_entropy(layer)
         np.testing.assert_allclose(sorted(spec.gammas), [0.0, 0.5, 0.5], atol=1e-12)
         assert spec.entropy == pytest.approx(math.log(2), abs=1e-9)
@@ -65,7 +66,7 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(32)
         layer = random_layer(rng, 12)
         h = von_neumann_entropy(layer).entropy
-        scaled = LayerGraph(layer.universe, {p: 37.5 * w for p, w in layer.weights.items()})
+        scaled = LayerGraph(layer.universe, layer.codes, 37.5 * layer.values)
         assert von_neumann_entropy(scaled).entropy == pytest.approx(h, abs=1e-9)
 
     def test_disjoint_union_is_more_mixed(self):
@@ -75,22 +76,22 @@ class TestVonNeumannEntropy:
         double = NodeUniverse(tuple(f"a{l}" for l in layer.universe.labels)
                               + tuple(f"b{l}" for l in layer.universe.labels))
         weights = {}
-        for (i, j), w in layer.weights.items():
+        for (i, j), w in pair_dict(layer).items():
             weights[(i, j)] = w
             weights[(i + n, j + n)] = w
-        union = LayerGraph(double, weights)
+        union = LayerGraph(double, *coded(double, weights))
         assert von_neumann_entropy(union).entropy > von_neumann_entropy(layer).entropy
 
     def test_empty_graph_rejected(self):
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(EmptyGraph):
-            von_neumann_entropy(LayerGraph(uni, {(0, 1): 0.0}))
+            von_neumann_entropy(LayerGraph(uni, [1], [0.0]))
 
 
 class TestNetworkReport:
     def test_path_graph(self):
         uni = NodeUniverse(("a", "b", "c"))
-        layer = LayerGraph(uni, {(0, 1): 1.0, (1, 2): 1.0})
+        layer = LayerGraph(uni, *coded(uni, {(0, 1): 1.0, (1, 2): 1.0}))
         report = network_report(layer)
         assert report.strength_min == 1.0
         assert report.strength_max == 2.0
@@ -99,13 +100,13 @@ class TestNetworkReport:
 
     def test_triangle_clustering_is_one(self):
         uni = NodeUniverse(("a", "b", "c"))
-        layer = LayerGraph(uni, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+        layer = LayerGraph(uni, *coded(uni, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}))
         assert network_report(layer).clustering_avg == pytest.approx(1.0)
 
     def test_complete_graph_uniform_centrality(self):
         n = 7
         uni = star_labels(n)
-        layer = LayerGraph(uni, {(i, j): 2.0 for i in range(n) for j in range(i + 1, n)})
+        layer = LayerGraph(uni, *coded(uni, {(i, j): 2.0 for i in range(n) for j in range(i + 1, n)}))
         report = network_report(layer)
         assert report.eigencentrality_mean == pytest.approx(1.0 / math.sqrt(n), abs=1e-9)
 
@@ -115,7 +116,7 @@ class TestNetworkReport:
             layer = random_layer(rng, int(rng.integers(5, 15)), p=0.5)
             g = nx.Graph()
             g.add_nodes_from(range(layer.universe.size))
-            for (i, j), w in layer.weights.items():
+            for (i, j), w in pair_dict(layer).items():
                 g.add_edge(i, j, weight=w)
             expected = nx.average_clustering(g, weight="weight")
             assert network_report(layer).clustering_avg == pytest.approx(expected, abs=1e-10)
@@ -132,14 +133,14 @@ class TestNetworkReport:
     def test_bipartite_graph_converges(self):
         # equal-magnitude extreme eigenvalues need the diagonal shift
         uni = star_labels(4)
-        layer = LayerGraph(uni, {(0, 2): 1.0, (0, 3): 1.0, (1, 2): 1.0, (1, 3): 1.0})
+        layer = LayerGraph(uni, *coded(uni, {(0, 2): 1.0, (0, 3): 1.0, (1, 2): 1.0, (1, 3): 1.0}))
         report = network_report(layer)
         assert report.eigencentrality_mean == pytest.approx(0.5, abs=1e-8)
 
     def test_empty_graph_rejected(self):
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(EmptyGraph):
-            network_report(LayerGraph(uni, {}))
+            network_report(LayerGraph(uni, [], []))
 
     def test_adjacency_built_once(self, monkeypatch):
         layer = random_layer(np.random.default_rng(36), 12)
@@ -167,7 +168,7 @@ class TestWeightCdf:
 
     def test_measured_zeros_included(self):
         uni = NodeUniverse(("a", "b", "c"))
-        layer = LayerGraph(uni, {(0, 1): 2.0, (0, 2): 0.0})
+        layer = LayerGraph(uni, *coded(uni, {(0, 1): 2.0, (0, 2): 0.0}))
         assert weight_cdf(layer.values) == [(0.0, 0.5), (2.0, 1.0)]
 
 

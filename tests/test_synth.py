@@ -13,12 +13,13 @@ from mapnet import (
 )
 from mapnet.errors import NegativeWeight, ParseError, UniverseMismatch
 from mapnet.synth import _poisson, _poisson_from_uniform, truth_from_csv, truth_meta, truth_to_csv
+from conftest import coded, pair_dict
 
 
 class TestGenerateSynthetic:
     def test_rate_sample_mean(self):
         _, truth = generate_synthetic(n=200, d=1, theta_star=1.0, seed=101)
-        rates = np.array(list(truth.lambda_star.values()))
+        rates = truth.rates.values
         stderr = 1.0 / np.sqrt(rates.size)
         assert abs(rates.mean() - 1.0) < 3 * stderr
 
@@ -33,8 +34,8 @@ class TestGenerateSynthetic:
         zero_measured = [
             pair
             for layer in net.layers
-            for pair in layer.measurable
-            if pair not in layer.weights
+            for pair, weight in pair_dict(layer).items()
+            if weight == 0
         ]
         assert zero_measured
 
@@ -139,7 +140,8 @@ class TestRecoveryMetrics:
         _, truth = generate_synthetic(n=20, d=3, seed=9)
         est = AggregatedNetwork(
             universe=truth.universe,
-            lam=dict(truth.lambda_star),
+            codes=truth.rates.codes,
+            values=truth.rates.values,
             theta=truth.theta_star,
             iterations=0,
             converged=True,
@@ -169,7 +171,8 @@ class TestRecoveryMetrics:
         _, other = generate_synthetic(n=11, d=2, seed=11)
         est = AggregatedNetwork(
             universe=other.universe,
-            lam=dict(other.lambda_star),
+            codes=other.rates.codes,
+            values=other.rates.values,
             theta=1.0,
             iterations=0,
             converged=True,
@@ -185,7 +188,8 @@ class TestRecoveryMetrics:
             truth_meta(truth),
         )
         assert partial.universe == truth.universe
-        est = AggregatedNetwork(truth.universe, {(0, 1): 0.4, (0, 2): 0.1}, 1.0, 3, True, 0.0)
+        est = AggregatedNetwork(truth.universe, *coded(truth.universe, {(0, 1): 0.4, (0, 2): 0.1}),
+                                1.0, 3, True, 0.0)
         with pytest.raises(UniverseMismatch):
             recovery_metrics(est, partial)
 
@@ -197,8 +201,9 @@ class TestRecoveryMetrics:
             inp = observation_summaries(net)
             agg = em_aggregate(inp)
             errors_low, errors_high = [], []
-            for pair, lam in agg.lam.items():
-                err = abs(lam - truth.lambda_star[pair])
+            rates = pair_dict(truth.rates)
+            for pair, lam in pair_dict(agg).items():
+                err = abs(lam - rates[pair])
                 (errors_high if inp.k[pair] >= 5 else errors_low).append(err)
             gaps.append(np.mean(errors_low) - np.mean(errors_high))
         assert np.mean(gaps) > 0
@@ -214,8 +219,9 @@ class TestTruthSerialization:
         assert again.theta_star == truth.theta_star
         assert again.coverage == truth.coverage
         assert again.seed == truth.seed
-        for pair, value in truth.lambda_star.items():
-            assert again.lambda_star[pair] == value
+        rates = pair_dict(again.rates)
+        for pair, value in pair_dict(truth.rates).items():
+            assert rates[pair] == value
         assert again == truth
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

@@ -105,8 +105,7 @@ def layers(draw, labels=NODE_TEXT, min_pairs=0):
     codes = sorted(draw(st.lists(st.sampled_from([i * n + j for i in range(n)
                                                   for j in range(i + 1, n)]),
                                  min_size=min_pairs, unique=True)))
-    return LayerGraph.from_codes(NodeUniverse(tuple(names)), codes,
-                                 _column(draw, WEIGHTS, len(codes)))
+    return LayerGraph(NodeUniverse(tuple(names)), codes, _column(draw, WEIGHTS, len(codes)))
 
 
 @st.composite
@@ -119,7 +118,7 @@ def networks(draw, min_pairs=0):
     for _ in names[1:]:
         picks = st.lists(st.sampled_from(pool), min_size=min_pairs, unique=True) if pool else []
         codes = sorted(draw(picks) if pool else picks)
-        rest.append(LayerGraph.from_codes(first.universe, codes, _column(draw, WEIGHTS, len(codes))))
+        rest.append(LayerGraph(first.universe, codes, _column(draw, WEIGHTS, len(codes))))
     return MultilayerNetwork(first.universe, tuple(rest), tuple(names))
 
 
@@ -188,7 +187,7 @@ class TestSameBytes:
         assert text == _table_oracle("x,k", rows)
 
     def test_empty_layer_and_table(self):
-        layer = LayerGraph.from_codes(NodeUniverse(("a", "b")), [], [])
+        layer = LayerGraph(NodeUniverse(("a", "b")), [], [])
         assert serialize_layer_csv(layer) == "node_u,node_v,weight\n"
         empty = MultilayerNetwork(layer.universe, (layer,), ("L1",))
         assert serialize_multiplex_edgelist(empty) == "# layer node_u node_v weight\n"
@@ -196,7 +195,7 @@ class TestSameBytes:
 
     def test_non_ascii_and_quoted_labels(self):
         universe = NodeUniverse(("é", "中文", "a,b", 'say "hi"', "x\ny"))
-        layer = LayerGraph.from_codes(universe, [1, 2, 3, 4, 7], [1.0, 2.5, 0.0, 1e16, 7.0])
+        layer = LayerGraph(universe, [1, 2, 3, 4, 7], [1.0, 2.5, 0.0, 1e16, 7.0])
         assert serialize_layer_csv(layer) == (
             "node_u,node_v,weight\n"
             "é,中文,1.0\n"
@@ -212,8 +211,8 @@ class TestSameBytes:
 
     def test_whitespace_checks(self):
         universe = NodeUniverse(("a", "b c", "d"))
-        clean = LayerGraph.from_codes(universe, [2], [1.0])  # a-d
-        spaced = LayerGraph.from_codes(universe, [1], [1.0])  # a-"b c"
+        clean = LayerGraph(universe, [2], [1.0])  # a-d
+        spaced = LayerGraph(universe, [1], [1.0])  # a-"b c"
         # a label with whitespace is fine while no written row uses it
         net = MultilayerNetwork(universe, (clean,), ("L1",))
         assert serialize_multiplex_edgelist(net) == _edgelist_oracle(net)
@@ -221,6 +220,27 @@ class TestSameBytes:
             serialize_multiplex_edgelist(MultilayerNetwork(universe, (clean, spaced), ("L1", "L 2")))
         with pytest.raises(ValueError, match="node labels must not contain whitespace"):
             serialize_multiplex_edgelist(MultilayerNetwork(universe, (spaced, clean), ("L1", "L 2")))
+
+    @pytest.mark.parametrize("names", [("#A", "B"), ("#", "B"), ("A", "#B"), ("", "B")])
+    def test_layer_names_read_as_comments_or_fields_are_rejected(self, names):
+        # '#A a b 1.0' is a comment to the reader, and ' a b 1.0' a layer 'a'
+        universe = NodeUniverse(("a", "b", "c"))
+        layer = LayerGraph(universe, [1], [1.0])
+        net = MultilayerNetwork(universe, (layer, layer), names)
+        bad = next(name for name in names if not name or name.startswith("#"))
+        with pytest.raises(ValueError, match=f"layer name {bad!r} is empty or starts with '#'"):
+            serialize_multiplex_edgelist(net)
+
+    def test_empty_node_label_is_rejected_once_written(self):
+        # 'L1  a 1.0' would be read as nodes 'a' and '1.0'
+        universe = NodeUniverse(("", "a", "b"))
+        clean = LayerGraph(universe, [5], [1.0])  # a-b
+        net = MultilayerNetwork(universe, (clean,), ("L1",))
+        assert serialize_multiplex_edgelist(net) == _edgelist_oracle(net)
+        for codes in ([1], [2]):  # ""-a, ""-b
+            empty = LayerGraph(universe, codes, [1.0])
+            with pytest.raises(ValueError, match="node labels must not be empty"):
+                serialize_multiplex_edgelist(MultilayerNetwork(universe, (clean, empty), ("L1", "L2")))
 
 
 # -- parse(serialize(x)) == x -------------------------------------------------
