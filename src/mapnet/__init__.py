@@ -2,7 +2,7 @@
 
 Builds weighted layers from expression datasets, collapses them into a
 single-layer network by maximizing a Poisson-likelihood/exponential-prior
-posterior with alternating closed-form updates, and evaluates the result
+posterior (Newton steps on the prior rate), and evaluates the result
 against conflation and averaging baselines.
 """
 

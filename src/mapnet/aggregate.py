@@ -1,4 +1,4 @@
-"""MAP aggregation: alternating closed-form updates for edge rates and prior.
+"""MAP aggregation: the edge rates and prior rate that maximize the posterior.
 
 The model treats each layer's weight for a pair as a Poisson draw around a
 latent rate, with an exponential prior (rate theta) shared by all pairs.
@@ -6,16 +6,14 @@ The log-posterior, up to constants, is
 
     sum over pairs of [ -k*lam + S*log(lam) + log(theta) - lam*theta ]
 
-and is maximized by alternating the exact coordinate updates
-``lam = S / (k + theta)`` and ``theta = P / sum(lam)``.  Both half-steps
-are closed-form argmaxes, so the objective never decreases.
-
-The theta iterate depends on the pairs only through the per-stratum sums
-``T_d`` (total S over pairs with k = d), since
-``sum(lam) = sum_d T_d / (d + theta)``.  ``em_aggregate`` therefore costs
-O(distinct k) per iteration and forms lam over all pairs once, after the
-loop.  ``track_objective`` evaluates the full objective every iteration,
-which costs O(pairs) per iteration.
+At its maximum ``lam = S / (k + theta)`` and ``theta = P / sum(lam)``, so
+theta is the root of g(theta) = (sum(S) - P) - sum_d T_d * d / (d + theta),
+where ``T_d`` is the total S over pairs with k = d.  g is increasing and
+concave with g(0) = -P and g(inf) = sum(S) - P, so a root exists exactly
+when sum(S) > P, and Newton steps from below rise to it monotonically, each
+costing O(distinct k); lam is formed over all pairs once, after the steps.
+``track_objective`` evaluates the profile log-posterior, whose slope is
+-g(theta)/theta, at every iterate, which costs O(pairs) per step.
 """
 
 from __future__ import annotations
@@ -35,17 +33,16 @@ from .core import (
 )
 from .errors import BracketingFailure, DegenerateAllZero, DomainError
 
-_THETA_DIVERGED = 1e100
-
 
 @dataclass(frozen=True)
 class EmConfig:
     """Solver settings.
 
-    tol is the relative change in theta between iterations.  seed=None
-    starts from lam = S/k; an integer seeds random draws of both
-    parameters as the starting point.  track_objective records the
-    log-posterior after every iteration.
+    The solver stops once a Newton step on theta is at most ``tol`` times
+    theta, or after ``max_iter`` steps.  seed=None starts from
+    P / sum(T_d / d), Newton's first step from theta = 0; an integer seeds a
+    random start below that one, by a factor of 10**-U(0, 3).
+    track_objective records the profile log-posterior at every iterate.
     """
 
     tol: float = 1e-10
@@ -54,8 +51,8 @@ class EmConfig:
     track_objective: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -89,85 +86,77 @@ def log_posterior(inp: AggregationInput, lam, theta: float) -> float:
 
 
 def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> AggregatedNetwork:
-    """Maximize the log-posterior by alternating the closed-form updates.
+    """Maximize the log-posterior by Newton steps on theta over the k-strata.
 
-    Stops when the relative change in theta falls below ``cfg.tol``; the
-    returned estimate satisfies theta * sum(lam) = P exactly and
-    lam * (k + theta) = S to solver tolerance.  When the total observed
-    weight does not exceed the pair count the prior rate diverges; the
-    run is then cut off and flagged as not converged.
-
-    Raises DegenerateAllZero when every weight sum is zero.
+    Stops once a step is at most ``cfg.tol`` times theta; the estimate
+    satisfies theta * sum(lam) = P exactly and lam * (k + theta) = S to
+    solver tolerance.  Raises DegenerateAllZero when every weight sum is
+    zero, and BracketingFailure when the total weight does not exceed the
+    pair count: then no finite prior rate maximizes the posterior.
     """
     k, s = inp.counts.astype(float), inp.sums
     if not np.any(s > 0):
         raise DegenerateAllZero("every pair has zero observed weight")
     pair_count = inp.pair_count
+    total = float(s.sum())
+    margin = total - pair_count
+    if margin <= 0:
+        raise BracketingFailure(f"no finite prior rate: total observed weight {total!r} "
+                                f"does not exceed the pair count {pair_count}")
 
-    if cfg.seed is None:
-        lam = s / k
-        theta = pair_count / float(lam.sum())
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        lam = rng.exponential(1.0, size=s.size)
-        theta = 10.0 ** rng.uniform(-3.0, 3.0)
-
-    trace: list[float] | None = None
-    if cfg.track_objective:
-        trace = [_objective(k, s, lam, theta, pair_count)]
-
-    # sum(lam) = sum_d T_d / (d + theta), so the theta update needs only the T_d
     stratum_sums = np.bincount(k.astype(np.intp), weights=s)
     levels = np.flatnonzero(stratum_sums)
     stratum_sums = stratum_sums[levels]
 
+    theta = pair_count / float((stratum_sums / levels).sum())
+    if cfg.seed is not None:
+        theta *= 10.0 ** -np.random.default_rng(cfg.seed).uniform(0.0, 3.0)
+
+    def profile(theta: float) -> float:
+        return _objective(k, s, s / (k + theta), theta, pair_count)
+
+    trace = [profile(theta)] if cfg.track_objective else None
     converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        theta_prev = theta
-        theta = pair_count / float((stratum_sums / (levels + theta_prev)).sum())
+        pull = stratum_sums * levels / (levels + theta)  # g(theta) = margin - sum(pull)
+        step = float((pull.sum() - margin) / (pull / (levels + theta)).sum())  # -g / g'
+        theta += step
         if trace is not None:
-            trace.append(_objective(k, s, s / (k + theta_prev), theta, pair_count))
-        if theta > _THETA_DIVERGED:
-            break
-        if abs(theta - theta_prev) <= cfg.tol * theta_prev:
+            trace.append(profile(theta))
+        if step <= cfg.tol * theta:
             converged = True
             break
 
-    # the last lam half-step over all pairs; theta from it keeps theta * sum(lam) = P
-    lam = s / (k + theta_prev)
+    # lam over all pairs; theta from it keeps theta * sum(lam) = P
+    lam = s / (k + theta)
     theta = pair_count / float(lam.sum())
 
     objective = _objective(k, s, lam, theta, pair_count)
     trace = tuple(trace) if trace is not None else None
-    return AggregatedNetwork(
-        inp.universe, inp.codes, lam, theta, iterations, converged, objective, trace
-    )
+    return AggregatedNetwork(inp.universe, inp.codes, lam, theta, iterations, converged,
+                             objective, trace)
 
 
 def theta_fixed_point_oracle(inp: AggregationInput) -> float:
     """Solve the scalar fixed-point equation for theta by bisection.
 
-    At the optimum theta satisfies theta * sum(S / (k + theta)) = P, a
-    strictly increasing function of theta, so a bracketed root is unique.
-    Independent of the alternating solver; used to cross-check it.
-
-    Raises BracketingFailure when no sign change exists (all-zero weights,
-    or total weight not exceeding the pair count).
+    The root of (sum(S) - P) - sum(S * k / (k + theta)), which increases in
+    theta, is evaluated pair by pair, independent of the solver's strata, to
+    cross-check it.  Raises BracketingFailure when the total weight does not
+    exceed the pair count (all-zero weights included): then no root exists.
     """
     k, s = inp.counts.astype(float), inp.sums
-    pair_count = inp.pair_count
+    margin = float(s.sum()) - inp.pair_count
+    if margin <= 0:
+        raise BracketingFailure("no finite prior rate: total observed weight "
+                                "does not exceed the pair count")
 
     def g(theta: float) -> float:
-        return theta * float((s / (k + theta)).sum()) - pair_count
+        return margin - float((s * k / (k + theta)).sum())
 
     hi = 1.0
     while g(hi) <= 0:
         hi *= 2.0
-        if hi > 1e16:
-            raise BracketingFailure(
-                "no finite prior rate: total observed weight does not exceed the pair count"
-            )
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -13,7 +13,7 @@ import numpy as np
 from .aggregate import EmConfig, aggregate_network
 from .core import AggregatedNetwork, LayerGraph, pair_indices
 from .correlation import CorrelationConfig, build_correlation_network
-from .errors import UniverseMismatch
+from .errors import BracketingFailure, UniverseMismatch
 from .ingest import ExpressionDataset
 from .metrics import NetworkReport, exponential_fit_r2, network_report, node_strengths, weight_cdf
 
@@ -81,7 +81,8 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
     replacement (all of them when fewer exist, so the full-size row is a
     single deterministic combination).  The fit R-squared uses the
     positive aggregated weights against an exponential with the
-    estimated rate; degenerate runs yield NaN.
+    estimated rate; degenerate runs yield NaN.  A subset with no finite
+    prior rate (total weight not above its pair count) gives inf and NaN.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -104,7 +105,12 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
         thetas, r2s = [], []
         for subset in subsets:
             net = build_correlation_network([datasets[i] for i in subset], cfg)
-            agg = aggregate_network(net, em)
+            try:
+                agg = aggregate_network(net, em)
+            except BracketingFailure:  # no finite prior rate
+                thetas.append(math.inf)
+                r2s.append(math.nan)
+                continue
             thetas.append(agg.theta)
             positive = agg.values[agg.values > 0]
             fits = np.unique(positive).size >= 2

@@ -426,9 +426,14 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
 
 
 def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
-    """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros included."""
+    """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros
+    included.  ValueError for a written node label with leading or trailing
+    whitespace, which the reader would strip."""
     labels = layer.universe.labels
     i, j = pair_indices(layer.codes, layer.universe.size)
+    padded = np.array([label != label.strip() for label in labels], dtype=bool)
+    if padded[i].any() or padded[j].any():
+        raise ValueError("node labels must not start or end with whitespace")
     return _write_rows(f"node_u,node_v,{value_name}", [(labels, i), (labels, j), layer.values], ",")
 
 

@@ -168,10 +168,23 @@ class TestEmAggregate:
         # total weight below the pair count: no finite fixed point
         uni = NodeUniverse(tuple("abcde"))
         inp = AggregationInput(uni, [1], [1], [2.0], 10)
-        agg = em_aggregate(inp, EmConfig(max_iter=100000))
-        assert not agg.converged
+        with pytest.raises(BracketingFailure, match=r"weight 2\.0 does not exceed the pair count 10"):
+            em_aggregate(inp, EmConfig(max_iter=100000))
         with pytest.raises(BracketingFailure):
             theta_fixed_point_oracle(inp)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            EmConfig(tol=tol)
+
+    def test_seeded_start_lies_below_the_default_start(self):
+        # the profile log-posterior rises up to the root, so a lower start scores lower
+        inp = random_input(seed=6)
+        default = em_aggregate(inp, EmConfig(track_objective=True)).objective_trace
+        for seed in (1, 2, 3):
+            seeded = em_aggregate(inp, EmConfig(seed=seed, track_objective=True)).objective_trace
+            assert seeded[0] < default[0]
 
     def test_final_objective_matches_log_posterior(self):
         inp = random_input(seed=7)
@@ -179,35 +192,6 @@ class TestEmAggregate:
         assert agg.final_objective == pytest.approx(
             log_posterior(inp, agg.values, agg.theta), rel=1e-12
         )
-
-
-def per_pair_em_reference(inp, cfg):
-    """Reference EM loop that forms lam over all pairs in every iteration."""
-    pairs = sorted(inp.k)
-    sums = pair_dict(inp, inp.sums)
-    k = np.array([inp.k[p] for p in pairs], dtype=float)
-    s = np.array([sums[p] for p in pairs], dtype=float)
-    pair_count = inp.pair_count
-    if cfg.seed is None:
-        lam = s / k
-        theta = pair_count / float(lam.sum())
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        lam = rng.exponential(1.0, size=len(pairs))
-        theta = 10.0 ** rng.uniform(-3.0, 3.0)
-    converged = False
-    for iterations in range(1, cfg.max_iter + 1):
-        lam = s / (k + theta)
-        theta_new = pair_count / float(lam.sum())
-        if theta_new > 1e100:
-            theta = theta_new
-            break
-        if abs(theta_new - theta) <= cfg.tol * theta:
-            theta = theta_new
-            converged = True
-            break
-        theta = theta_new
-    return iterations, converged, theta, dict(zip(pairs, lam))
 
 
 def near_edge_input(n=40, d=5, seed=11):
@@ -233,29 +217,62 @@ def gapped_levels_input(n=30, seed=12):
     return AggregationInput(uni, *coded(uni, k), coded(uni, s)[1], len(pairs))
 
 
+def exact_margin_input(margin, n=300, seed=0):
+    # k uniform on 1..11 and S on multiples of 2**-10 with sum(S) = P + margin
+    # exactly, so the input fixes theta to full precision
+    rng = np.random.default_rng(seed)
+    uni = NodeUniverse(tuple(f"v{i:03d}" for i in range(n)))
+    codes = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    units = round((codes.size + margin) * 1024)
+    sums = rng.multinomial(units, np.full(codes.size, 1 / codes.size)) / 1024
+    return AggregationInput(uni, codes, rng.integers(1, 12, codes.size), sums, codes.size)
+
+
 class TestStratifiedEquivalence:
     @pytest.mark.parametrize("make_input", [near_edge_input, gapped_levels_input])
-    @pytest.mark.parametrize(
-        "cfg",
-        [EmConfig(), EmConfig(seed=3), EmConfig(max_iter=40)],
-        ids=["deterministic", "random", "truncated"],
-    )
-    def test_matches_per_pair_loop(self, make_input, cfg):
+    @pytest.mark.parametrize("cfg", [EmConfig(), EmConfig(seed=3)], ids=["deterministic", "random"])
+    def test_matches_bisection_oracle(self, make_input, cfg):
         inp = make_input()
-        iterations, converged, theta, lam = per_pair_em_reference(inp, cfg)
         agg = em_aggregate(inp, cfg)
-        got = pair_dict(agg)
-        assert (agg.iterations, agg.converged) == (iterations, converged)
-        assert agg.theta == pytest.approx(theta, rel=1e-12)
-        assert got.keys() == lam.keys()
-        for pair, value in lam.items():
-            assert got[pair] == pytest.approx(value, rel=1e-12, abs=0.0)
-        assert agg.theta * sum(got.values()) == pytest.approx(inp.pair_count, rel=1e-12)
-
-    def test_near_edge_needs_thousands_of_iterations(self):
-        agg = em_aggregate(near_edge_input())
         assert agg.converged
-        assert agg.iterations > 1000
+        assert agg.theta == pytest.approx(theta_fixed_point_oracle(inp), rel=1e-10)
+        lam = inp.sums / (inp.counts + agg.theta)
+        np.testing.assert_allclose(agg.values, lam, rtol=1e-12, atol=0.0)
+        assert agg.theta * agg.values.sum() == pytest.approx(inp.pair_count, rel=1e-12)
+
+    def test_truncated_run_keeps_the_prior_identity(self):
+        inp = gapped_levels_input()
+        agg = em_aggregate(inp, EmConfig(max_iter=2))
+        assert (agg.iterations, agg.converged) == (2, False)
+        assert agg.theta * agg.values.sum() == pytest.approx(inp.pair_count, rel=1e-12)
+
+    def test_near_edge_takes_few_steps(self):
+        inp = near_edge_input()
+        agg = em_aggregate(inp)
+        assert agg.converged
+        assert agg.iterations <= 64
+        # one stratum (k = D for every pair): theta = D * P / (sum(S) - P)
+        margin = inp.sums.sum() - inp.pair_count
+        assert agg.theta == pytest.approx(5 * inp.pair_count / margin, rel=1e-12)
+
+    @pytest.mark.parametrize("margin", [2.0**-3, 2.0**-10])
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_exact_root_close_to_the_edge(self, margin, seed):
+        inp = exact_margin_input(margin)
+        assert inp.sums.sum() - inp.pair_count == margin
+        agg = em_aggregate(inp, EmConfig(seed=seed))
+        assert agg.converged
+        assert agg.iterations <= 64
+        oracle = theta_fixed_point_oracle(inp)
+        assert abs(agg.theta - oracle) <= 1e-10 * oracle
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0])
+    def test_no_optimum_at_or_past_the_edge(self, margin):
+        inp = exact_margin_input(margin)
+        with pytest.raises(BracketingFailure, match="does not exceed the pair count 44850"):
+            em_aggregate(inp)
+        with pytest.raises(BracketingFailure):
+            theta_fixed_point_oracle(inp)
 
 
 class TestThetaOracle:

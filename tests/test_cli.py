@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from mapnet import (
     EmConfig,
     LayerGraph,
     NodeUniverse,
+    aggregate_network,
+    build_correlation_network,
     compare_networks,
     parse_aggregated_csv,
     parse_expression_csv,
@@ -22,7 +25,7 @@ from mapnet import (
     run_subset_experiment,
 )
 from mapnet.cli import main
-from mapnet.errors import UniverseMismatch
+from mapnet.errors import BracketingFailure, UniverseMismatch
 from conftest import coded, expression_csv, make_expression_dataset
 
 
@@ -272,6 +275,20 @@ class TestExperimentCommand:
         assert a == b
 
 
+    def test_subset_without_optimum_reads_inf_and_nan(self, expression_collection):
+        # datasets 4, 5 and 7 hold total weight 0.58 P: no finite prior rate
+        subset = [expression_collection[i] for i in (4, 5, 7)]
+        with pytest.raises(BracketingFailure):
+            aggregate_network(build_correlation_network(subset, CorrelationConfig()))
+        (row,) = run_subset_experiment(subset, [3], reps=1, seed=0)
+        assert row.size == 3 and math.isinf(row.mean_theta) and math.isnan(row.mean_r2)
+        # one such subset makes its row inf and nan; the full collection has a rate
+        single, full = run_subset_experiment(expression_collection, [1, 8], reps=3, seed=11)
+        assert math.isinf(single.mean_theta) and math.isnan(single.mean_r2)
+        net = build_correlation_network(expression_collection, CorrelationConfig())
+        assert full.mean_theta == aggregate_network(net).theta
+
+
 class TestSynthCommands:
     def test_gen_then_score(self, tmp_path):
         net_path = tmp_path / "net.txt"
@@ -339,6 +356,27 @@ class TestErrorHandling:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ParseError"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text, total", [("L1 a b 1\nL1 b c 2\n", "3.0"),
+                                             ("L1 a b 1\nL1 b c 1\n", "2.0")])
+    def test_no_finite_prior_rate_writes_nothing(self, capsys, tmp_path, text, total):
+        # total weight equal to, then 1 below, the 3 pairs of a, b and c
+        net = tmp_path / "net.txt"
+        net.write_text(text, encoding="utf-8")
+        code = main(["aggregate", str(net), "-o", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "BracketingFailure", "message": "no finite prior rate: total "
+                       f"observed weight {total} does not exceed the pair count 3"}
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.json").exists()
+
+    def test_infinite_tolerance_is_rejected(self, multiplex_file, capsys, tmp_path):
+        code = main(["aggregate", multiplex_file, "-o", str(tmp_path / "x.csv"), "--tol", "inf"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "tol must be positive and finite"}
         assert not (tmp_path / "x.csv").exists()
 
     def test_layer_name_read_as_a_comment_is_rejected(self, dataset_files, tmp_path, capsys):

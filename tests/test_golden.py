@@ -4,10 +4,15 @@ The digests were recorded with the dict-based layer storage that preceded
 the array-native pair codes; every output must stay byte-identical.  The
 ``compare``/``experiment`` digests and the ``aggregate`` flag variants were
 recorded before the solver and correlation settings were reduced to one
-setting per choice.  The ``metrics.json`` report, the ``compare`` reports,
-the ``synth score`` Pearson and the raw ConNet coefficients of ``baseline
-con`` pass through BLAS/LAPACK, so on another BLAS build or CPU kernel
-their last digits, and so these digests, may differ.
+setting per choice.  The digests of every file that depends on the
+solver's theta (the aggregates and what is computed from them) were
+re-recorded when Newton steps replaced the alternating updates, once theta
+agreed with ``theta_fixed_point_oracle`` within 1.1e-15 relative (the old
+theta was up to 1.2e-10 off).  The ``metrics.json`` report, the
+``compare`` reports, the ``synth score`` Pearson and the raw ConNet
+coefficients of ``baseline con`` pass through BLAS/LAPACK, so on another
+BLAS build or CPU kernel their last digits, and so these digests, may
+differ.
 """
 
 import contextlib
@@ -23,14 +28,14 @@ EXPECTED = {
     "net.txt": "bf83d3f10652dada364349db2f1b835a79029ce9c7c989d51d83708752d5337b",
     "truth.csv": "6ef2719412b762ab12e988c318d38ead6b5be552891195a808a5e178d458c419",
     "truth.json": "7f9da25bdf44184f189f5bfa8ae28016adb6e9cc6560a5338b8c6055f1e08414",
-    "agg.csv": "7882070c4cee9203bc17409136e67e7ff0c1554f4db87daba6fcde4474e6a109",
-    "agg.json": "6811f34386583cd9b0046115dbb857e9d3b723b66ba817855a7491abccf1f461",
-    "unweighted.csv": "937ea8360e000f4f8c82590c088c5d410703c5b1fce9ed180a0734ea36536eed",
-    "unweighted.json": "f5c407280b35b7c99dfa7a922a323d35a199aaa64eb2e6d84d554b969c1c932a",
+    "agg.csv": "fa9d4b264fc66578ef0f79fca960804b968622197ba2c032316504f48f251d1a",
+    "agg.json": "bf2ab5b3468129250dfeac52be25b28b531b4d6c8110c3ff0eb5de59e2f02c1f",
+    "unweighted.csv": "e569bb0f75f476beb4105003bc9228ebd13185cbafd6428b3ad570d86fe91f0c",
+    "unweighted.json": "aaf1c034f2e5e0a5c2e27005b45c7c1b9b140f0b0ba085c7f8a5b2397cbb0b7c",
     "ave.csv": "e2a2fed362cc5976c1bb4f9724a0fe830d40da2f8e4fce6bdb70e7c788792d3e",
-    "metrics.json": "5a7e892f5822b914b15c6fb67d0a62758fc548770dfd9dd63c84e85c1ddae1c7",
-    "cdf.csv": "c61fa825a947d95f226117f3923e839b4cb6491a082ae9b95d61908664ff3729",
-    "score.json": "5e9dc2a084f0551348c5104832cd02ae1fbcefcb42b8877589943fc71a223c1d",
+    "metrics.json": "9f8ba7738ff5641b1ccc5dde4bee7edba0732252d6cbf2a9a96baf0d9aadc0db",
+    "cdf.csv": "751592931e19ef501b72d90796d10c6c2dc8971d0a1d9609f52fc38fe81e12fb",
+    "score.json": "0f5b70ddf9f3b1e66e91e8a285d7d311b18ab29913a72af9bbd7afac5a4c8e40",
     "layers.txt": "3039198bfabe13677abd309cb738b5bf8fd5401f348ec90dbfaeaa84f985782e",
     "con.csv": "71a8bcee70b8f4429de5f96e372cb4035c2d99c9d7d5f142f5d49dfe188d4a69",
 }
@@ -105,16 +110,16 @@ def analysis_outputs(expression_outputs):
 
 
 ANALYSIS_EXPECTED = {
-    "map.csv": "120bad551124118877306b20320bcb45f8d0aa9e7aa32d8e7b03810fb93f0bf0",
-    "map.json": "5f7e494ff31cfe020143cfdd3e2d165dbec41309fb045d64b932e63e7a31653c",
+    "map.csv": "a92099638fdb30a4755dce8096282a06228dd7b415802e267da9ccfd7baa301f",
+    "map.json": "460a1850a34cee1f6ad62ed252c91511635afd93e8323465eaf6941484eadfbf",
     "layers_ave.csv": "2a325afd0289cf26786ed5cefb9c834d4988f90e6ff3871ccec6fdf2563369c4",
-    "table.csv": "10c2bb01d1fc449d5fb0e1429e433b615c74fe8a9d466a0ccca9d54d011b1434",
-    "cmp/reports.json": "e9b8f134a2abd0ae296f262fd1b135c0c4ff6910207eb820eb0c81cf77983be8",
-    "cmp/scatter_map_vs_ave.csv": "01f0f457a2eceec89a516e85fe8c35b9cabaf21ed25cc6a6e9044d8f2b7b1a89",
-    "cmp/scatter_map_vs_con.csv": "0e02773b1180b06b4a73ee1da7a7a386d6af30625a039bad9688cd7eb344d7d6",
+    "table.csv": "ab77b1f6c76d3f9526262f5a7a4a975b5e21cdcc5714ad84fde9f78d70b5d07e",
+    "cmp/reports.json": "b8f85a32a4e52bdbbae2eec5db292b0490ba2ad0b06f98a65840667a4599ef89",
+    "cmp/scatter_map_vs_ave.csv": "9f870bff1fba64ee3026ea89a1e75b151f1b71b36a0386eed8ee89e3e3204573",
+    "cmp/scatter_map_vs_con.csv": "dd49c0145b26be9cd04ec1f02788f6a274bee0aa8a2a4d772e8772929dd87a26",
     "cmp/strength_cdf_ave.csv": "76f0f225608d06a0350f0744dd3f444f9261e81374f2234225bbd375ba001897",
     "cmp/strength_cdf_con.csv": "cbaa6df3e962c27ff38e681e5c0fd7feae70a87d79d358b2660c4437be5754db",
-    "cmp/strength_cdf_map.csv": "84d801149208a0be0c97a9d28c65c6c513768fc92037cd6f32359fbcde4da678",
+    "cmp/strength_cdf_map.csv": "a991b2c85f9c365b4f5bae5e70825081dc5882f2780a7f4a3b97f7b8aee8b70a",
 }
 
 
@@ -127,39 +132,39 @@ def test_compare_and_experiment_bytes(analysis_outputs, name):
 AGGREGATE_VARIANTS = {
     "seed_5": (
         ["--seed", "5"],
-        "7db871997840fb290b349b6401c4dcc764153af91365d48eef7e3bf9e4e5ed6c",
-        "c3acc9283b8fd25f0437280a85f8ba99baa38bd6b9ccfd42d675dd6a60af4f72",
+        "da75a474dabc0c50e99630a1f8dbe6de0afef4be506211b28c8c753ba83ec951",
+        "6823bab1a55c9d03b432c5396e47e4b1d2323856e04e5b03c5cc03eca716f27b",
         "",
     ),
     "count_nonzero": (
         ["--count-mode", "nonzero"],
-        "88fe46383241b98e19571ed20de7ee4226ec6e2efac59a2103a2f5ea88431ea2",
-        "39fc9a08d2ca22a84e2ea30884f7bec16a01b6423252319e1fffdb432e0abe1b",
+        "1920d0d34c56575f4f606666de80f5854120fdd570645b18daf6863dd90fd725",
+        "fa6a828f0ec77d634016b92d193b32f5d7595396d6e0fcf0b35caf4537cb8377",
         "",
     ),
     "pair_paper": (
         ["--pair-count", "paper"],
-        "77a03f3715047fcbfadd868a89a798c80f2d2e1c56b751afe91609a790c6c37a",
-        "2ab4c5c118a021567e61c03c572fa3c2073d7b3d4e6aca889e7272c171a1086b",
+        "11dfa703bfdde5c5a314f4df88581caa05036241707b95421e1225c38a188713",
+        "40fd6af57da05a1c0a2c07d3dc5be21d308a63f1103394cf28cb463f77566059",
         "",
     ),
     "unweighted": (
         ["--unweighted"],
-        "937ea8360e000f4f8c82590c088c5d410703c5b1fce9ed180a0734ea36536eed",
-        "f5c407280b35b7c99dfa7a922a323d35a199aaa64eb2e6d84d554b969c1c932a",
+        "e569bb0f75f476beb4105003bc9228ebd13185cbafd6428b3ad570d86fe91f0c",
+        "aaf1c034f2e5e0a5c2e27005b45c7c1b9b140f0b0ba085c7f8a5b2397cbb0b7c",
         "",
     ),
     "unweighted_nonzero_seed_2": (
         ["--unweighted", "--count-mode", "nonzero", "--seed", "2"],
-        "5b3b76d3905c50f9f8ac23c3fb1cffd225d13f2d09722867dd28c6d092ce8e6b",
-        "9c9a899b45710139d5f0561dfddfc41089a9e7172851ca6e2f6239a09e0033bb",
+        "a9a381a911b2cb4320ef645fa3dbfa21732ced3e7676a9e73f6235a93ea6a4e8",
+        "d070731eb2d963ad8d8704081a3d2aac9146cbf5423bc5d7922724039bd5ccbd",
         "",
     ),
     "max_iter_1": (
         ["--max-iter", "1"],
-        "22ec6644a69bfa48415eae341332d1ed3acd75842e0fc2510be540f633f4ac07",
-        "9dac08c49aa96f26ea36ab58650ea98d1e62aa57c04f15f82aef29b0707e7cd8",
-        '{"warning": "NotConverged", "iterations": 1, "theta": 1.3386120595790618}\n',
+        "135980f1b03a6f554710d285a9987ac8c2d0582c30b7d06057fbaff70e4d3775",
+        "6488a27f6b79e1c81ba2118aca12cc401ade05b76370d7e72f843b8bb52bafa0",
+        '{"warning": "NotConverged", "iterations": 1, "theta": 1.4400941479722573}\n',
     ),
 }
 

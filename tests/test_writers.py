@@ -80,9 +80,16 @@ WEIGHTS = st.one_of(
 )
 NODE_TEXT = st.text(min_size=1, max_size=5)
 SPACELESS = NODE_TEXT.filter(lambda s: not any(ch.isspace() for ch in s))
-# labels that the CSV reader gives back unchanged: no line break, no edge space
-CSV_SAFE = st.text(st.sampled_from('ab,"# é中'), min_size=1, max_size=4).filter(
-    lambda s: s == s.strip())
+# labels without line breaks; the CSV writer rejects those the reader would strip
+CSV_LABELS = st.text(st.sampled_from('ab,"# é中\t'), min_size=1, max_size=4)
+PADDED = "node labels must not start or end with whitespace"
+
+
+def _writes_padded_label(layer):
+    """Whether a row of the layer names a label with whitespace at an edge."""
+    i, j = pair_indices(layer.codes, layer.universe.size)
+    written = {layer.universe.labels[n] for n in [*i.tolist(), *j.tolist()]}
+    return any(label != label.strip() for label in written)
 
 
 def _column(draw, values, size):
@@ -162,6 +169,10 @@ class TestSameBytes:
     @settings(max_examples=150, deadline=None)
     @given(layer=layers(), chunk=CHUNKS, name=st.sampled_from(["weight", "lambda"]))
     def test_layer_csv(self, layer, chunk, name):
+        if _writes_padded_label(layer):
+            with pytest.raises(ValueError, match=PADDED):
+                serialize_layer_csv(layer, name)
+            return
         assert _chunked(chunk, serialize_layer_csv, layer, name) == _layer_csv_oracle(layer, name)
 
     @settings(max_examples=150, deadline=None)
@@ -221,6 +232,16 @@ class TestSameBytes:
         with pytest.raises(ValueError, match="node labels must not contain whitespace"):
             serialize_multiplex_edgelist(MultilayerNetwork(universe, (spaced, clean), ("L1", "L 2")))
 
+    @pytest.mark.parametrize("labels", [(" x", "b"), ("a", "a "), ("a\t", "b")])
+    def test_layer_csv_rejects_labels_the_reader_strips(self, labels):
+        # ' x,b,1.0' reads back over ('b', 'x'), and 'a,a ,1.0' as a self-loop on 'a'
+        with pytest.raises(ValueError, match=PADDED):
+            serialize_layer_csv(LayerGraph(NodeUniverse(labels), [1], [1.0]))
+        # such a label is fine while no written row uses it
+        n = len(labels) + 2
+        layer = LayerGraph(NodeUniverse((*labels, "y", "z")), [(n - 2) * n + n - 1], [1.0])
+        assert serialize_layer_csv(layer) == "node_u,node_v,weight\ny,z,1.0\n"
+
     @pytest.mark.parametrize("names", [("#A", "B"), ("#", "B"), ("A", "#B"), ("", "B")])
     def test_layer_names_read_as_comments_or_fields_are_rejected(self, names):
         # '#A a b 1.0' is a comment to the reader, and ' a b 1.0' a layer 'a'
@@ -255,8 +276,12 @@ class TestRoundTrip:
         assert [reindexed(layer, net.universe) for layer in again.layers] == list(net.layers)
 
     @settings(max_examples=100, deadline=None)
-    @given(layer=layers(CSV_SAFE, min_pairs=1), chunk=CHUNKS)
+    @given(layer=layers(CSV_LABELS, min_pairs=1), chunk=CHUNKS)
     def test_layer_csv(self, layer, chunk):
+        if _writes_padded_label(layer):
+            with pytest.raises(ValueError, match=PADDED):
+                serialize_layer_csv(layer)
+            return
         again = parse_layer_csv(_chunked(chunk, serialize_layer_csv, layer))
         assert reindexed(again, layer.universe) == layer
 
@@ -270,7 +295,7 @@ def test_cli_reads_back_labels_that_need_quoting(tmp_path):
     run = lambda *argv: main([str(a) for a in argv])  # noqa: E731
     assert run("aggregate", net, "-o", tmp_path / "agg.csv") == 0
     assert (tmp_path / "agg.csv").read_text(encoding="utf-8").splitlines()[1:3] == [
-        '"""q""",c,1.6310436742716847', '"a,b",c,0.8689563260132107']
+        '"""q""",c,1.631043674065006', '"a,b",c,0.8689563259349942']
     assert run("metrics", tmp_path / "agg.csv", "-o", tmp_path / "m.json") == 0
     assert run("baseline", "ave", net, "-o", tmp_path / "ave.csv") == 0
     assert run("compare", "--map-csv", tmp_path / "agg.csv", "--map-meta", tmp_path / "agg.json",
