@@ -27,18 +27,20 @@ class SubsetResult:
     mean_r2: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonBundle:
     """Plot data for the three-way network comparison.
 
-    Scatter rows are (node_u, node_v, aggregated weight, other weight)
-    with each network's weights normalized by its own maximum; strength
-    CDFs and reports are keyed by network name.
+    A scatter is the columns (i, j, aggregated weight, other weight) over
+    the union of both networks' pairs, where i < j index the shared
+    universe and each network's weights are divided by its own maximum (0
+    where it lacks the pair).  Strength CDFs (``weight_cdf`` arrays) and
+    reports are keyed by network name.
     """
 
-    scatter_con: list[tuple[str, str, float, float]]
-    scatter_ave: list[tuple[str, str, float, float]]
-    strength_cdfs: dict[str, list[tuple[float, float]]]
+    scatter_con: tuple[np.ndarray, ...]
+    scatter_ave: tuple[np.ndarray, ...]
+    strength_cdfs: dict[str, np.ndarray]
     reports: dict[str, NetworkReport]
 
 
@@ -47,21 +49,19 @@ def compare_networks(map_net: AggregatedNetwork, con_net: LayerGraph, ave_net: L
     """Scatter data, strength CDFs, and reports for the three networks."""
     if con_net.universe != map_net.universe or ave_net.universe != map_net.universe:
         raise UniverseMismatch("networks must share one universe")
-    labels = np.array(map_net.universe.labels, dtype=object)
     map_layer = map_net.to_layer()
 
-    def scaled(layer: LayerGraph, codes: np.ndarray) -> list[float]:
+    def scaled(layer: LayerGraph, codes: np.ndarray) -> np.ndarray:
         # codes is sorted and holds all of the layer's codes
         values = np.zeros(codes.size)
         values[np.isin(codes, layer.codes)] = layer.values
         top = layer.values.max(initial=0.0)
-        return (values / top if top > 0 else values).tolist()
+        return values / top if top > 0 else values
 
-    def scatter(other: LayerGraph) -> list[tuple[str, str, float, float]]:
+    def scatter(other: LayerGraph) -> tuple[np.ndarray, ...]:
         codes = np.union1d(map_layer.codes, other.codes)
-        i, j = pair_indices(codes, labels.size)
-        pairs = labels[i].tolist(), labels[j].tolist()
-        return list(zip(*pairs, scaled(map_layer, codes), scaled(other, codes)))
+        i, j = pair_indices(codes, map_net.universe.size)
+        return i, j, scaled(map_layer, codes), scaled(other, codes)
 
     networks = {"map": map_layer, "con": con_net, "ave": ave_net}
     return ComparisonBundle(

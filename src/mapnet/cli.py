@@ -38,7 +38,7 @@ from .metrics import network_report, weight_cdf
 from .synth import generate_synthetic, recovery_metrics, truth_from_csv, truth_meta, truth_to_csv
 
 _LOG_BASES = {"e": "natural", "2": "base2"}
-_COUNT_MODES = {"measurable": "measurable", "nonzero": "nonzero_only"}
+_COUNT_MODES = {"measurable": "measurable", "nonzero": "nonzero_only", "presence": "presence"}
 _PAIR_COUNT_MODES = {"unordered": "unordered", "paper": "paper_n_squared"}
 
 
@@ -55,21 +55,6 @@ def _write(path: str, text: str) -> None:
 
 def _write_json(path: str, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _table_csv(header: str, rows) -> str:
-    """Header plus comma-joined rows.  A column holds only strings (quoted
-    where CSV needs it), only ints or only floats (written by repr)."""
-    columns = []
-    for column in zip(*rows):
-        if isinstance(column[0], str):
-            labels = list(dict.fromkeys(column))
-            position = dict(zip(labels, range(len(labels))))
-            index = np.fromiter(map(position.__getitem__, column), np.int64, len(column))
-            columns.append((labels, index))
-        else:
-            columns.append(np.array(column))
-    return _write_rows(header, columns, ",")
 
 
 def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
@@ -96,10 +81,10 @@ def _cmd_build_layers(args) -> None:
 
 def _cmd_aggregate(args) -> None:
     net = parse_multiplex_edgelist(_read(args.network))
-    count_mode = _COUNT_MODES[args.count_mode]
+    count_mode = _COUNT_MODES[args.count_mode or "measurable"]
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-    agg = aggregate_network(net, em, "presence" if args.unweighted else count_mode, pair_count_mode)
+    agg = aggregate_network(net, em, count_mode, pair_count_mode)
     _write(args.output, serialize_layer_csv(agg.to_layer(), "lambda"))
     sidecar = args.sidecar or str(Path(args.output).with_suffix(".json"))
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
@@ -129,7 +114,7 @@ def _cmd_metrics(args) -> None:
     report = network_report(layer, _LOG_BASES[args.log_base])
     _write_json(args.output, report.to_dict())
     if args.cdf:
-        _write(args.cdf, _table_csv("value,fraction", weight_cdf(layer.values)))
+        _write(args.cdf, _write_rows("value,fraction", [*weight_cdf(layer.values).T], ","))
 
 
 def _cmd_compare(args) -> None:
@@ -143,11 +128,12 @@ def _cmd_compare(args) -> None:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, rows in (("con", bundle.scatter_con), ("ave", bundle.scatter_ave)):
+    for name, (i, j, *weights) in (("con", bundle.scatter_con), ("ave", bundle.scatter_ave)):
         header = f"node_u,node_v,map_weight,{name}_weight"
-        _write(str(out / f"scatter_map_vs_{name}.csv"), _table_csv(header, rows))
+        columns = [(universe.labels, i), (universe.labels, j), *weights]
+        _write(str(out / f"scatter_map_vs_{name}.csv"), _write_rows(header, columns, ","))
     for name, cdf in bundle.strength_cdfs.items():
-        _write(str(out / f"strength_cdf_{name}.csv"), _table_csv("strength,fraction", cdf))
+        _write(str(out / f"strength_cdf_{name}.csv"), _write_rows("strength,fraction", [*cdf.T], ","))
     reports = {name: report.to_dict() for name, report in bundle.reports.items()}
     _write_json(str(out / "reports.json"), reports)
 
@@ -158,8 +144,12 @@ def _cmd_experiment(args) -> None:
     rows = run_subset_experiment(
         datasets, sizes, args.reps, args.seed, _corr_config(args), EmConfig(tol=args.tol, max_iter=args.max_iter)
     )
-    table = [(r.size, r.mean_theta, r.mean_r2) for r in rows]
-    _write(args.output, _table_csv("size,mean_theta,mean_r2", table))
+    columns = [
+        np.array([r.size for r in rows], dtype=np.int64),
+        np.array([r.mean_theta for r in rows]),
+        np.array([r.mean_r2 for r in rows]),
+    ]
+    _write(args.output, _write_rows("size,mean_theta,mean_r2", columns, ","))
 
 
 def _cmd_synth_gen(args) -> None:
@@ -212,10 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--sidecar", help="metadata JSON path (default: output with .json)")
-    p.add_argument("--count-mode", choices=sorted(_COUNT_MODES), default="measurable")
+    mode = p.add_mutually_exclusive_group()
+    # no default here: argparse lets a flag equal to its default pass the exclusion check
+    mode.add_argument("--count-mode", choices=sorted(_COUNT_MODES), help="default: measurable")
+    mode.add_argument("--unweighted", action="store_const", const="presence", dest="count_mode",
+                      help="presence/absence mode, the same as --count-mode presence")
     p.add_argument("--pair-count", choices=sorted(_PAIR_COUNT_MODES), default="unordered")
     p.add_argument("--seed", type=int, default=None, help="random-init seed (default: deterministic init)")
-    p.add_argument("--unweighted", action="store_true", help="presence/absence mode")
     _add_em_flags(p)
     p.set_defaults(func=_cmd_aggregate)
 

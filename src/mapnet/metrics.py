@@ -148,15 +148,14 @@ def network_report(g: LayerGraph, log_base: str = "natural") -> NetworkReport:
     )
 
 
-def weight_cdf(values) -> list[tuple[float, float]]:
-    """Empirical CDF points (value, fraction of samples <= value),
-    one per distinct value, ascending."""
-    arr = np.asarray(list(values), dtype=float)
+def weight_cdf(values) -> np.ndarray:
+    """Empirical CDF as a float64 (M, 2) array of rows (value, fraction of
+    samples <= value), one per distinct value, ascending."""
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one value")
     uniq, counts = np.unique(arr, return_counts=True)
-    fractions = np.cumsum(counts) / arr.size
-    return [(float(v), float(f)) for v, f in zip(uniq, fractions)]
+    return np.column_stack((uniq, np.cumsum(counts) / arr.size))
 
 
 def exponential_fit_r2(values, theta: float) -> float:
@@ -168,14 +167,13 @@ def exponential_fit_r2(values, theta: float) -> float:
     """
     if theta <= 0:
         raise DomainError("theta must be positive")
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0 or np.unique(arr).size < 2:
         raise DegenerateValues("need at least two distinct values")
     if arr.min() <= 0:
         raise DomainError("values must be positive")
-    points = weight_cdf(arr)
-    empirical = np.array([f for _, f in points])
-    model = 1.0 - np.exp(-theta * np.array([v for v, _ in points]))
+    points, empirical = weight_cdf(arr).T
+    model = 1.0 - np.exp(-theta * points)
     ss_res = float(((empirical - model) ** 2).sum())
     ss_tot = float(((empirical - empirical.mean()) ** 2).sum())
     return 1.0 - ss_res / ss_tot

@@ -99,7 +99,8 @@ def test_c03_hand_solvable_instance():
     assert abs(agg.theta - 2.0 / 7.0) < 1e-10
 
 
-@criterion(4, "log-posterior non-decreasing at every iteration (slack -1e-12)")
+@criterion(4, "log-posterior non-decreasing at every iteration "
+              "(slack max(1e-12, 16 ulps of the objective))")
 def test_c04_em_monotonicity(expression_collection, aarhus_style_text):
     inputs = []
     net = build_correlation_network(expression_collection, CorrelationConfig())
@@ -108,15 +109,20 @@ def test_c04_em_monotonicity(expression_collection, aarhus_style_text):
     for seed in range(3):
         synth_net, _ = generate_synthetic(n=40, d=6, coverage=0.7, seed=seed)
         inputs.append(observation_summaries(synth_net))
-    configs = [
-        EmConfig(track_objective=True),
-        EmConfig(seed=1, track_objective=True),
-        EmConfig(seed=2, track_objective=True),
-    ]
+    # N=300, k uniform on 1..11, float S scaled to sum(S) = P + 100: the
+    # trace's last steps dip by 8 ulps (5.8e-11) under seeds 1, 6 and 9
+    rng = np.random.default_rng(0)
+    universe = NodeUniverse(tuple(f"v{i:03d}" for i in range(300)))
+    codes = np.flatnonzero(np.triu(np.ones((300, 300), dtype=bool), 1))
+    counts, sums = rng.integers(1, 12, codes.size), rng.random(codes.size)
+    sums *= (codes.size + 100) / sums.sum()
+    inputs.append(AggregationInput(universe, codes, counts, sums, codes.size))
+    configs = [EmConfig(seed=seed, track_objective=True) for seed in (None, 1, 2, 6, 9)]
     for inp in inputs:
         for cfg in configs:
             trace = np.array(em_aggregate(inp, cfg).objective_trace)
-            assert np.all(np.diff(trace) >= -1e-12)
+            slack = np.maximum(1e-12, 16 * np.spacing(np.abs(trace[1:])))
+            assert np.all(np.diff(trace) >= -slack)
 
 
 @criterion(5, "deterministic init and 3 random seeds agree on theta within 1e-6 relative")

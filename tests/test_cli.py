@@ -23,10 +23,11 @@ from mapnet import (
     parse_layer_csv,
     parse_multiplex_edgelist,
     run_subset_experiment,
+    weight_cdf,
 )
 from mapnet.cli import main
 from mapnet.errors import BracketingFailure, UniverseMismatch
-from conftest import coded, expression_csv, make_expression_dataset
+from conftest import coded, expression_csv, make_expression_dataset, pair_dict
 
 
 @pytest.fixture()
@@ -146,6 +147,28 @@ class TestAggregate:
         )
         assert len({round(v, 12) for v in agg.values.tolist() if v > 0}) == 5
 
+    def test_count_mode_presence_is_unweighted(self, tmp_path, aarhus_style_text):
+        net_path = tmp_path / "friend.txt"
+        net_path.write_text(aarhus_style_text, encoding="utf-8")
+        for name, flags in (("u", ["--unweighted"]), ("p", ["--count-mode", "presence"])):
+            assert main(["aggregate", str(net_path), "-o", str(tmp_path / f"{name}.csv"), *flags]) == 0
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"u.{ext}").read_bytes() == (tmp_path / f"p.{ext}").read_bytes()
+        assert json.loads((tmp_path / "u.json").read_text(encoding="utf-8"))["count_mode"] == "presence"
+
+    @pytest.mark.parametrize("unweighted_first", [True, False])
+    @pytest.mark.parametrize("mode", ["measurable", "nonzero", "presence"])
+    def test_unweighted_with_count_mode_is_a_usage_error(self, multiplex_file, tmp_path, capsys,
+                                                         mode, unweighted_first):
+        out = tmp_path / "agg.csv"
+        flags = ["--count-mode", mode]
+        flags = ["--unweighted", *flags] if unweighted_first else [*flags, "--unweighted"]
+        with pytest.raises(SystemExit) as exc:
+            main(["aggregate", multiplex_file, "-o", str(out), *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "agg.json").exists()
+
 
 class TestBaseline:
     def test_connet(self, dataset_files, tmp_path):
@@ -219,6 +242,34 @@ class TestCompareCommand:
         reports = json.loads((out_dir / "reports.json").read_text(encoding="utf-8"))
         assert set(reports) == {"map", "con", "ave"}
         assert (out_dir / "strength_cdf_map.csv").exists()
+
+    def test_scatter_columns_match_pair_oracle(self):
+        rng = np.random.default_rng(5)
+        uni = NodeUniverse(tuple(f"n{i}" for i in range(9)))
+        pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+
+        def draw():
+            # about half of the pairs, a quarter of them measured zeros
+            return {p: float(rng.integers(0, 4)) * rng.uniform(0.5, 2.0)
+                    for p in pairs if rng.uniform() < 0.5}
+
+        agg = AggregatedNetwork(uni, *coded(uni, draw()), 0.7, 5, True, 0.0)
+        con, ave = LayerGraph(uni, *coded(uni, draw())), LayerGraph(uni, *coded(uni, draw()))
+        bundle = compare_networks(agg, con, ave)
+        mine = pair_dict(agg)
+        for other, (i, j, x, y) in ((con, bundle.scatter_con), (ave, bundle.scatter_ave)):
+            theirs = pair_dict(other)
+            union = sorted(mine.keys() | theirs.keys())
+            assert len(union) > max(len(mine), len(theirs))
+            assert (i.dtype, j.dtype) == (np.int64, np.int64)
+            assert list(zip(i.tolist(), j.tolist())) == union
+            assert x.tolist() == [mine.get(p, 0.0) / max(mine.values()) for p in union]
+            assert y.tolist() == [theirs.get(p, 0.0) / max(theirs.values()) for p in union]
+        for name, g in (("map", agg), ("con", con), ("ave", ave)):
+            strengths = np.zeros(9)
+            for (u, v), w in pair_dict(g).items():
+                strengths[[u, v]] += w
+            np.testing.assert_allclose(bundle.strength_cdfs[name], weight_cdf(strengths), rtol=1e-15)
 
     def test_universe_mismatch_in_library(self):
         uni1 = NodeUniverse(("a", "b"))

@@ -161,15 +161,21 @@ class TestNetworkReport:
 
 class TestWeightCdf:
     def test_counting(self):
-        assert weight_cdf([1, 1, 2]) == [(1.0, pytest.approx(2 / 3)), (2.0, 1.0)]
+        cdf = weight_cdf([1, 1, 2])
+        assert (cdf.dtype, cdf.shape) == (np.float64, (2, 2))
+        assert cdf.tolist() == [[1.0, pytest.approx(2 / 3)], [2.0, 1.0]]
 
     def test_degenerate_all_equal(self):
-        assert weight_cdf([0, 0, 0]) == [(0.0, 1.0)]
+        assert weight_cdf([0, 0, 0]).tolist() == [[0.0, 1.0]]
 
     def test_measured_zeros_included(self):
         uni = NodeUniverse(("a", "b", "c"))
         layer = LayerGraph(uni, *coded(uni, {(0, 1): 2.0, (0, 2): 0.0}))
-        assert weight_cdf(layer.values) == [(0.0, 0.5), (2.0, 1.0)]
+        assert weight_cdf(layer.values).tolist() == [[0.0, 0.5], [2.0, 1.0]]
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="need at least one value"):
+            weight_cdf(np.array([]))
 
 
 class TestExponentialFitR2:

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import mapnet
 from mapnet import LayerGraph, MultilayerNetwork, NodeUniverse, generate_synthetic
 from mapnet import ingest, parse_layer_csv, parse_multiplex_edgelist, serialize_multiplex_edgelist
-from mapnet.cli import _table_csv, main
+from mapnet.cli import main
 from mapnet.core import pair_indices, reindexed
-from mapnet.ingest import serialize_layer_csv
+from mapnet.ingest import _write_rows, serialize_layer_csv
 from mapnet.synth import SyntheticTruth, truth_meta, truth_to_csv
 
 
@@ -142,10 +142,24 @@ TABLE_KINDS = {
 
 @st.composite
 def tables(draw):
+    """Columns as ``_write_rows`` takes them, and the same table as rows.
+
+    A label column indexes a drawn label list, which may hold repeated and
+    unused labels, as a universe's labels hold unused ones."""
     kinds = draw(st.lists(st.sampled_from(sorted(TABLE_KINDS)), min_size=1, max_size=4))
     size = draw(st.integers(0, 12))
-    columns = [_column(draw, TABLE_KINDS[kind], size) for kind in kinds]
-    return list(zip(*columns)) if size else []
+    columns, cells = [], []
+    for kind in kinds:
+        if kind == "str":
+            labels = draw(st.lists(NODE_TEXT, min_size=1, max_size=6))
+            index = draw(st.lists(st.integers(0, len(labels) - 1), min_size=size, max_size=size))
+            columns.append((labels, np.array(index, dtype=np.int64)))
+            cells.append([labels[i] for i in index])
+        else:
+            values = _column(draw, TABLE_KINDS[kind], size)
+            columns.append(np.array(values, dtype=np.int64 if kind == "int" else float))
+            cells.append(values)
+    return columns, list(zip(*cells))
 
 
 CHUNKS = st.sampled_from([1, 2, 7, ingest._WRITE_ROWS])
@@ -176,24 +190,29 @@ class TestSameBytes:
         assert _chunked(chunk, serialize_layer_csv, layer, name) == _layer_csv_oracle(layer, name)
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=tables(), chunk=CHUNKS)
-    def test_table(self, rows, chunk):
+    @given(table=tables(), chunk=CHUNKS)
+    def test_table(self, table, chunk):
+        columns, rows = table
         header = "a,b,c,d"
-        assert _chunked(chunk, _table_csv, header, rows) == _table_oracle(header, rows)
+        assert _chunked(chunk, _write_rows, header, columns, ",") == _table_oracle(header, rows)
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_chunk_boundaries(self, chunk, monkeypatch):
         net, truth = generate_synthetic(n=9, d=3, coverage=0.7, seed=2)
         rows = [(f"n{k}", k % 3, k / 3, -0.0 if k % 2 else 0.0) for k in range(23)]
+        row = np.arange(23)
+        labels = [f"n{k}" for k in range(23)]
+        columns = [(labels, row), row % 3, row / 3, np.where(row % 2, -0.0, 0.0)]
         expected = (_edgelist_oracle(net), _layer_csv_oracle(truth.rates, "lambda_star"),
                     _table_oracle("h", rows))
         monkeypatch.setattr(ingest, "_WRITE_ROWS", chunk)
         assert (serialize_multiplex_edgelist(net), truth_to_csv(truth),
-                _table_csv("h", rows)) == expected
+                _write_rows("h", columns, ",")) == expected
 
     def test_zero_signs_and_nan_keep_their_text(self):
         rows = [(0.0, 1), (-0.0, 2), (math.nan, 3), (0.0, 4), (-0.0, 5), (-math.nan, 6)]
-        text = _table_csv("x,k", rows)
+        x = np.array([0.0, -0.0, math.nan, 0.0, -0.0, -math.nan])
+        text = _write_rows("x,k", [x, np.arange(1, 7)], ",")
         assert text == "x,k\n0.0,1\n-0.0,2\nnan,3\n0.0,4\n-0.0,5\nnan,6\n"
         assert text == _table_oracle("x,k", rows)
 
@@ -202,7 +221,8 @@ class TestSameBytes:
         assert serialize_layer_csv(layer) == "node_u,node_v,weight\n"
         empty = MultilayerNetwork(layer.universe, (layer,), ("L1",))
         assert serialize_multiplex_edgelist(empty) == "# layer node_u node_v weight\n"
-        assert _table_csv("size,mean_theta,mean_r2", []) == "size,mean_theta,mean_r2\n"
+        columns = [np.array([], dtype=np.int64), np.array([]), np.array([])]
+        assert _write_rows("size,mean_theta,mean_r2", columns, ",") == "size,mean_theta,mean_r2\n"
 
     def test_non_ascii_and_quoted_labels(self):
         universe = NodeUniverse(("é", "中文", "a,b", 'say "hi"', "x\ny"))
