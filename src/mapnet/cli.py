@@ -15,6 +15,7 @@ import json
 import sys
 import warnings
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -26,13 +27,13 @@ from .correlation import CorrelationConfig, build_correlation_network
 from .errors import MapnetError, MapnetWarning, UniverseMismatch
 from .ingest import (
     ExpressionDataset,
+    _edgelist_chunks,
+    _layer_csv_chunks,
     _write_rows,
     parse_aggregated_csv,
     parse_expression_csv,
     parse_layer_csv,
     parse_multiplex_edgelist,
-    serialize_layer_csv,
-    serialize_multiplex_edgelist,
 )
 from .metrics import network_report, weight_cdf
 from .synth import generate_synthetic, recovery_metrics, truth_from_csv, truth_meta, truth_to_csv
@@ -49,12 +50,15 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``path`` one at a time, so the whole text is never
+    held; callers raise on bad content before the file is opened."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(chunks)
 
 
 def _write_json(path: str, obj) -> None:
-    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
 def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
@@ -76,7 +80,7 @@ def _corr_config(args) -> CorrelationConfig:
 def _cmd_build_layers(args) -> None:
     datasets = _load_datasets(args.datasets)
     net = build_correlation_network(datasets, _corr_config(args))
-    _write(args.output, serialize_multiplex_edgelist(net))
+    _write(args.output, _edgelist_chunks(net))
 
 
 def _cmd_aggregate(args) -> None:
@@ -85,7 +89,7 @@ def _cmd_aggregate(args) -> None:
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     agg = aggregate_network(net, em, count_mode, pair_count_mode)
-    _write(args.output, serialize_layer_csv(agg.to_layer(), "lambda"))
+    _write(args.output, _layer_csv_chunks(agg.to_layer(), "lambda"))
     sidecar = args.sidecar or str(Path(args.output).with_suffix(".json"))
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
             "pair_count_mode": pair_count_mode, "count_mode": count_mode,
@@ -106,7 +110,7 @@ def _cmd_baseline(args) -> None:
         net = parse_multiplex_edgelist(_read(args.inputs[0]))
         denominator = "measurable_layers" if args.denominator == "measurable" else "all_layers"
         layer = build_avenet(net, denominator)
-    _write(args.output, serialize_layer_csv(layer))
+    _write(args.output, _layer_csv_chunks(layer))
 
 
 def _cmd_metrics(args) -> None:
@@ -156,8 +160,8 @@ def _cmd_synth_gen(args) -> None:
     net, truth = generate_synthetic(
         n=args.nodes, d=args.layers, theta_star=args.theta, coverage=args.coverage, seed=args.seed
     )
-    _write(args.output, serialize_multiplex_edgelist(net))
-    _write(args.truth, truth_to_csv(truth))
+    _write(args.output, _edgelist_chunks(net))
+    _write(args.truth, [truth_to_csv(truth)])
     meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
     _write_json(meta_path, truth_meta(truth))
 

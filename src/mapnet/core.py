@@ -261,7 +261,10 @@ def observation_summaries(
 ) -> AggregationInput:
     """Derive per-pair observation counts and weight sums from a network.
 
-    S adds each pair's weights in layer order, as a loop over the layers would.
+    The layers are folded in one at a time, first into the sorted union of
+    their pair codes and then into k and S, so S adds each pair's weights
+    in layer order, and nothing is allocated per cell of the N x N grid or
+    per observation of all layers at once.
 
     Parameters
     ----------
@@ -283,15 +286,27 @@ def observation_summaries(
         raise ValueError(f"unknown count_mode {count_mode!r}")
     pair_count = prior_pair_count(net.universe.size, pair_count_mode)
 
-    codes = np.concatenate([layer.codes for layer in net.layers])
-    values = np.concatenate([layer.values for layer in net.layers])
-    if count_mode == "nonzero_only":
-        codes, values = codes[values > 0], values[values > 0]
-    if codes.size == 0:
+    nonzero = count_mode == "nonzero_only"
+    # the union of the layers' sorted codes, merged in one layer at a time
+    pairs = np.zeros(0, dtype=np.int64)
+    for layer in net.layers:
+        merged = np.concatenate([pairs, layer.codes[layer.values > 0] if nonzero else layer.codes])
+        merged.sort(kind="stable")  # two sorted runs, merged in one pass
+        first = np.ones(merged.size, dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        pairs = merged[first]
+    if pairs.size == 0:
         raise EmptyNetwork("no pair is observed in any layer")
-    pairs, slot = np.unique(codes, return_inverse=True)
-    k = np.bincount(slot, minlength=pairs.size)
-    s = np.bincount(slot, weights=values, minlength=pairs.size)
+    # a layer's codes are unique, so they fill distinct slots of the union
+    k = np.zeros(pairs.size, dtype=np.int64)
+    s = np.zeros(pairs.size)
+    for layer in net.layers:
+        codes, values = layer.codes, layer.values
+        if nonzero:
+            codes, values = codes[values > 0], values[values > 0]
+        slot = np.searchsorted(pairs, codes)
+        k[slot] += 1
+        s[slot] += values
     return AggregationInput(net.universe, pairs, k, s, pair_count)
 
 

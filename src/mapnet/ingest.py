@@ -12,12 +12,17 @@ Edge lists and ``node_u,node_v,weight`` layer CSVs with a regular body (see
 ``_regular_rows``) are read whole with numpy, each distinct weight token of
 a chunk by float() once.  Any other text falls back to the per-line
 reader, the only source of errors; both paths end in the same step that
-sorts labels, keeps the last of repeated rows and splits the layers.
+sorts labels, turns each row into one int64 key (layer, pair), keeps the
+last of repeated rows and splits the layers, holding the rows only once.
 
 One column writer, ``_write_rows``, writes every text output, the CLI's
 tables included: each label is formatted once, each distinct number of a
-chunk of rows once by repr, and each chunk is joined at once.  CSV labels
-holding a comma, quote, CR or LF are quoted as csv.QUOTE_MINIMAL does.
+chunk of rows once by repr, and each chunk is joined at once and yielded.
+The CLI writes the chunks to the open file one at a time, so no output is
+held whole; ``serialize_*`` join them.  Their ``_*_chunks`` forms raise on
+a name the reader would misread before the first chunk, so before the CLI
+opens the file.  CSV labels holding a comma, quote, CR or LF are quoted as
+csv.QUOTE_MINIMAL does.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -146,12 +152,13 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
     return ExpressionDataset(tuple(genes), tuple(conditions), data, name=name)
 
 
-# (group names, node labels, both sorted; per row the group and the two
-# endpoints as positions in them, and the weight), in input order
-Rows = tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# (group names, node labels, both sorted; per row its key g·N² + i·N + j,
+# for group g and pair code i·N + j over those positions, and its weight),
+# rows in input order
+Rows = tuple[list[str], list[str], np.ndarray, np.ndarray]
 
 _CHUNK_BYTES = 1 << 18
-_WRITE_ROWS = 1 << 16
+_WRITE_ROWS = 1 << 14
 _KEY_BYTES = 8
 # Bytes that make a body irregular: NUL (the key padding), quote, '#', and
 # every ASCII byte other than space and newline that str.split treats as
@@ -169,13 +176,20 @@ def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
 
 
 def _ranked_rows(groups: dict[str, int], nodes: dict[str, int], ids, weights) -> Rows:
-    """Rows from ``(group, u, v)`` id triples, one per line (an int64 array or
-    buffer, flat or ``(rows, 3)``), with ids interned in first-seen order."""
+    """Rows from ``(group, u, v)`` id triples, one per line (an int32 array or
+    int64 buffer, flat or ``(rows, 3)``), with ids interned in first-seen
+    order.  Keys are formed ``_WRITE_ROWS`` rows at a time, so no temporary
+    as long as the rows is held beside them."""
     ids = np.asarray(ids).reshape(-1, 3)
     names, group_rank = _ranked(groups)
     labels, node_rank = _ranked(nodes)
-    return (names, labels, group_rank[ids[:, 0]], node_rank[ids[:, 1]],
-            node_rank[ids[:, 2]], np.asarray(weights))
+    n = len(labels)
+    keys = np.empty(len(ids), dtype=np.int64)
+    for start in range(0, len(ids), _WRITE_ROWS):
+        block = ids[start:start + _WRITE_ROWS]
+        codes = pair_codes(node_rank[block[:, 1]], node_rank[block[:, 2]], n)
+        keys[start:start + _WRITE_ROWS] = group_rank[block[:, 0]] * (n * n) + codes
+    return names, labels, keys, np.asarray(weights)
 
 
 def _interned(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
@@ -232,8 +246,8 @@ def _regular_rows(text: str, sep: str) -> Rows | None:
     self-loop or has a weight that is malformed, non-finite or negative.
     """
     is_csv = sep == ","
-    if not (text.isascii() and text.endswith("\n")):
-        return None
+    if not (text.isascii() and text.endswith("\n")) or len(text) >= 1 << 32:
+        return None  # ids are int32: under 4 GB, a text holds fewer than 2**31 labels
     start = 0
     if is_csv:
         start = text.find("\n") + 1
@@ -250,7 +264,7 @@ def _regular_rows(text: str, sep: str) -> Rows | None:
     nodes: dict[str, int] = {}
     # the id column each label field fills, and the labels it interns
     targets = [(1, nodes), (2, nodes)] if is_csv else [(0, groups), (1, nodes), (2, nodes)]
-    ids = np.zeros((text.count("\n", start), 3), dtype=np.int64)
+    ids = np.zeros((text.count("\n", start), 3), dtype=np.int32)
     weights = np.ones(len(ids))
     irregular = _IRREGULAR + (b" " if is_csv else b"")
     row = 0
@@ -294,30 +308,25 @@ def _regular_rows(text: str, sep: str) -> Rows | None:
     return _ranked_rows(groups, nodes, ids, weights)
 
 
-def _keep_last(keys: np.ndarray) -> np.ndarray:
-    """Indices of the last occurrence of each key, in key order."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    return order[np.append(ordered[1:] != ordered[:-1], True)]
-
-
-def _layers_from_rows(
-    names: list[str], labels: list[str], group: np.ndarray, u: np.ndarray, v: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[NodeUniverse, list[LayerGraph]]:
+def _layers_from_rows(names: list[str], labels: list[str], keys: np.ndarray,
+                      weights: np.ndarray) -> tuple[NodeUniverse, list[LayerGraph]]:
     """One layer per group over the universe of ``labels``; a repeated (group,
     pair) keeps its last row and raises one DuplicateEdgeWarning carrying the
-    count."""
+    count.  Sorts ``keys`` and ``weights`` in place, so the rows are never
+    held twice."""
     universe = NodeUniverse(tuple(labels))
-    n = universe.size
-    codes = pair_codes(u, v, n)
-    keep = _keep_last(group * (n * n) + codes)
-    if keep.size < codes.size:
-        warnings.warn(DuplicateEdgeWarning(codes.size - keep.size), stacklevel=3)
-    codes, values = codes[keep], weights[keep]
-    bounds = np.searchsorted(group[keep], np.arange(len(names) + 1))
-    layers = [LayerGraph(universe, codes[a:b], values[a:b])
-              for a, b in zip(bounds[:-1], bounds[1:])]
+    cells = universe.size ** 2
+    order = np.argsort(keys, kind="stable")
+    keys[:] = keys[order]
+    weights[:] = weights[order]
+    del order
+    last = np.append(keys[1:] != keys[:-1], True)  # the last row of each key
+    if not last.all():
+        keys, weights = keys[last], weights[last]
+        warnings.warn(DuplicateEdgeWarning(last.size - keys.size), stacklevel=3)
+    bounds = np.searchsorted(keys, np.arange(len(names) + 1) * cells)
+    layers = [LayerGraph(universe, keys[a:b] - g * cells, weights[a:b])
+              for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
     return universe, layers
 
 
@@ -364,8 +373,9 @@ def _quoted(label: str) -> str:
     return '"' + label.replace('"', '""') + '"' if any(c in label for c in ',"\r\n') else label
 
 
-def _write_rows(header: str, columns: list, sep: str) -> str:
-    """``header`` and one line per row, fields ``sep`` apart.
+def _write_rows(header: str, columns: list, sep: str) -> Iterator[str]:
+    """``header`` and one line per row, fields ``sep`` apart, yielded a chunk
+    of rows at a time.
 
     A column is ``(labels, index)``, row r holding ``labels[index[r]]``, or
     an int64 or float64 array.  Labels, and the distinct numbers of a chunk
@@ -379,7 +389,7 @@ def _write_rows(header: str, columns: list, sep: str) -> str:
     first = columns[0] if columns else []
     rows = len(first[1] if isinstance(first, tuple) else first)
     grid = np.empty((min(rows, _WRITE_ROWS), len(columns)), dtype=object)
-    chunks = [header + "\n"]
+    yield header + "\n"
     for start in range(0, rows, _WRITE_ROWS):
         part, chunk = grid[:rows - start], slice(start, start + _WRITE_ROWS)
         for c, (column, tail, texts) in enumerate(zip(columns, tails, labels)):
@@ -391,8 +401,31 @@ def _write_rows(header: str, columns: list, sep: str) -> str:
                 texts = np.array([repr(value) + tail for value in
                                   distinct.view(values.dtype).tolist()], dtype=object)
             part[:, c] = texts[index.reshape(-1)]
-        chunks.append("".join(part.ravel().tolist()))
-    return "".join(chunks)
+        yield "".join(part.ravel().tolist())
+
+
+def _edgelist_chunks(net: MultilayerNetwork) -> Iterator[str]:
+    """The chunks of serialize_multiplex_edgelist; raises before the first."""
+    labels = net.universe.labels
+    spaced = np.array([any(ch.isspace() for ch in label) for label in labels], dtype=bool)
+    sizes = [layer.codes.size for layer in net.layers]
+    stops = np.cumsum(sizes)
+    i, j = np.empty((2, sum(sizes)), dtype=np.int32)  # label positions, half the bytes
+    for layer_id, layer, start, stop in zip(net.layer_names, net.layers, stops - sizes, stops):
+        if not layer_id or layer_id.startswith("#"):
+            raise ValueError(f"layer name {layer_id!r} is empty or starts with '#'")
+        if any(ch.isspace() for ch in layer_id):
+            raise ValueError(f"layer name {layer_id!r} contains whitespace")
+        i[start:stop], j[start:stop] = pair_indices(layer.codes, net.universe.size)
+        if spaced[i[start:stop]].any() or spaced[j[start:stop]].any():
+            raise ValueError("node labels must not contain whitespace")
+    empty = labels.index("") if "" in labels else -1
+    if empty in i or empty in j:
+        raise ValueError("node labels must not be empty")
+    group = np.repeat(np.arange(net.depth, dtype=np.int32), sizes)
+    values = np.concatenate([layer.values for layer in net.layers])
+    columns = [(net.layer_names, group), (labels, i), (labels, j), values]
+    return _write_rows("# layer node_u node_v weight", columns, " ")
 
 
 def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
@@ -404,37 +437,24 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     holds whitespace, and a written node label that is empty or holds
     whitespace.
     """
-    labels = net.universe.labels
-    spaced = np.array([any(ch.isspace() for ch in label) for label in labels], dtype=bool)
-    sizes = [layer.codes.size for layer in net.layers]
-    i, j = pair_indices(np.concatenate([layer.codes for layer in net.layers]), net.universe.size)
-    stops = np.cumsum(sizes)
-    for layer_id, start, stop in zip(net.layer_names, stops - sizes, stops):
-        if not layer_id or layer_id.startswith("#"):
-            raise ValueError(f"layer name {layer_id!r} is empty or starts with '#'")
-        if any(ch.isspace() for ch in layer_id):
-            raise ValueError(f"layer name {layer_id!r} contains whitespace")
-        if spaced[i[start:stop]].any() or spaced[j[start:stop]].any():
-            raise ValueError("node labels must not contain whitespace")
-    empty = labels.index("") if "" in labels else -1
-    if empty in i or empty in j:
-        raise ValueError("node labels must not be empty")
-    group = np.repeat(np.arange(net.depth), sizes)
-    values = np.concatenate([layer.values for layer in net.layers])
-    columns = [(net.layer_names, group), (labels, i), (labels, j), values]
-    return _write_rows("# layer node_u node_v weight", columns, " ")
+    return "".join(_edgelist_chunks(net))
 
 
-def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
-    """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros
-    included.  ValueError for a written node label with leading or trailing
-    whitespace, which the reader would strip."""
+def _layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator[str]:
+    """The chunks of serialize_layer_csv; raises before the first."""
     labels = layer.universe.labels
     i, j = pair_indices(layer.codes, layer.universe.size)
     padded = np.array([label != label.strip() for label in labels], dtype=bool)
     if padded[i].any() or padded[j].any():
         raise ValueError("node labels must not start or end with whitespace")
     return _write_rows(f"node_u,node_v,{value_name}", [(labels, i), (labels, j), layer.values], ",")
+
+
+def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
+    """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros
+    included.  ValueError for a written node label with leading or trailing
+    whitespace, which the reader would strip."""
+    return "".join(_layer_csv_chunks(layer, value_name))
 
 
 def _layer_csv_rows(text: str) -> Rows:

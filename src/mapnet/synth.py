@@ -73,16 +73,10 @@ def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     return counts.reshape(shape)
 
 
-def _poisson(lam: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inversion below rate 30, rounded normal approximation above."""
-    small = lam < _POISSON_INVERSION_MAX
-    out = np.zeros(lam.shape, dtype=np.int64)
-    out[small] = _poisson_from_uniform(lam[small], u[small])
-    large = ~small
-    if large.any():
-        approx = np.rint(lam[large] + np.sqrt(lam[large]) * z[large])
-        out[large] = np.maximum(approx, 0.0).astype(np.int64)
-    return out
+def _rounded_normal(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Poisson draws for rates of 30 and above: the normal approximation
+    lam + sqrt(lam)·z, rounded and clipped at zero."""
+    return np.maximum(np.rint(lam + np.sqrt(lam) * z), 0.0).astype(np.int64)
 
 
 def generate_synthetic(
@@ -94,10 +88,11 @@ def generate_synthetic(
 ) -> tuple[MultilayerNetwork, SyntheticTruth]:
     """Draw a multilayer network from the generative model.
 
-    Reproducible from the seed: a PCG64 generator supplies, in order,
-    one uniform per pair (inverted to the exponential rate), then per
-    layer-pair cell one coverage uniform, one Poisson uniform, and one
-    standard normal for the large-rate fallback.
+    Reproducible from the seed: a PCG64 generator supplies, in order, one
+    uniform per pair (inverted to the exponential rate), then one coverage
+    uniform per layer-pair cell, then one Poisson uniform per cell, then,
+    when some rate is 30 or above, one standard normal per cell for the
+    large-rate fallback; each block is drawn layer by layer.
 
     Zero-weight observations are kept in the measurable sets, so the
     derived observation counts see them as evidence.
@@ -116,17 +111,25 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     lam_star = -np.log1p(-rng.random(m)) / theta_star
-    measured = rng.random((d, m)) < coverage
-    u_pois = rng.random((d, m))
-    z_norm = rng.standard_normal((d, m))
+    # PCG64 fills a (d, m) draw row by row, so one row per layer gives the
+    # stream of the whole grids: d rows of coverage uniforms, d rows of
+    # Poisson uniforms, d rows of normals.  Only observed cells are kept.
+    observed = [np.flatnonzero(rng.random(m) < coverage) for _ in range(d)]
+    large = lam_star >= _POISSON_INVERSION_MAX
+    counts = []
+    for idx in observed:
+        u = rng.random(m)[idx]
+        small = ~large[idx]
+        xi = np.zeros(idx.size, dtype=np.int64)
+        xi[small] = _poisson_from_uniform(lam_star[idx][small], u[small])
+        counts.append(xi)
+    if large.any():
+        for idx, xi in zip(observed, counts):
+            big = large[idx]
+            xi[big] = _rounded_normal(lam_star[idx][big], rng.standard_normal(m)[idx][big])
 
-    lam_grid = np.broadcast_to(lam_star, (d, m))
-    xi = _poisson(np.ascontiguousarray(lam_grid), u_pois, z_norm)
-
-    layers = []
-    for alpha in range(d):
-        idx = np.nonzero(measured[alpha])[0]
-        layers.append(LayerGraph(universe, codes[idx], xi[alpha, idx]))
+    # built from the last layer back, each layer's draws dropped once its graph holds them
+    layers = [LayerGraph(universe, codes[observed.pop()], counts.pop()) for _ in range(d)][::-1]
     name_width = len(str(d))
     names = tuple(f"layer{alpha + 1:0{name_width}d}" for alpha in range(d))
     net = MultilayerNetwork(universe, tuple(layers), names)

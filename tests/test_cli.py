@@ -307,7 +307,7 @@ class TestExperimentCommand:
 
     def test_full_size_is_single_deterministic_combination(self, dataset_files):
         datasets = [
-            parse_expression_csv(open(p, encoding="utf-8").read(), name=f"d{i}")
+            parse_expression_csv(Path(p).read_text(encoding="utf-8"), name=f"d{i}")
             for i, p in enumerate(dataset_files)
         ]
         few = run_subset_experiment(datasets, [3], reps=2, seed=1)
@@ -316,7 +316,7 @@ class TestExperimentCommand:
 
     def test_seed_determinism_in_library(self, dataset_files):
         datasets = [
-            parse_expression_csv(open(p, encoding="utf-8").read(), name=f"d{i}")
+            parse_expression_csv(Path(p).read_text(encoding="utf-8"), name=f"d{i}")
             for i, p in enumerate(dataset_files)
         ]
         cfg = CorrelationConfig(min_pairs=4)
@@ -440,6 +440,22 @@ class TestErrorHandling:
         assert err == {"error": "ValueError",
                        "message": "layer name '#A' is empty or starts with '#'"}
         assert not out.exists()
+
+    def test_writer_error_leaves_the_output_untouched(self, tmp_path, capsys):
+        # the writer raises before it opens the file: gene 'g 1' would be read back as two fields
+        rng = np.random.default_rng(5)
+        genes = ["g 1", *(f"g{i}" for i in range(2, 9))]
+        paths = []
+        for name in ("one", "two"):
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text(expression_csv(make_expression_dataset(rng, genes, 10, name)),
+                                 encoding="utf-8")
+        out = tmp_path / "layers.txt"
+        out.write_bytes(b"earlier bytes\n")
+        assert main(["build-layers", *map(str, paths), "-o", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "node labels must not contain whitespace"}
+        assert out.read_bytes() == b"earlier bytes\n"
 
     def test_module_entry_point(self, tmp_path):
         # the child imports the same mapnet as this process

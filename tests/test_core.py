@@ -189,6 +189,31 @@ class TestObservationSummaries:
         inp = observation_summaries(net)
         assert sum(pair_dict(inp, inp.sums).values()) == pytest.approx(total, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("count_mode", ["measurable", "nonzero_only"])
+    def test_fold_matches_concatenated_unique(self, seed, count_mode):
+        # the summaries' earlier form, all layers at once, as an oracle for every bit
+        rng = np.random.default_rng(seed)
+        n = 30
+        uni = NodeUniverse(tuple(f"n{i:02d}" for i in range(n)))
+        every = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+        layers = []
+        for keep in rng.uniform(0.0, 0.6, 7):  # later layers bring pairs before, between, after
+            codes = every[rng.random(every.size) < keep]
+            weights = rng.exponential(1.0, codes.size) * (rng.random(codes.size) < 0.8)
+            layers.append(LayerGraph(uni, codes, weights))
+        layers.insert(3, LayerGraph(uni, [], []))
+        net = MultilayerNetwork(uni, tuple(layers), tuple("abcdefgh"))
+        codes = np.concatenate([layer.codes for layer in layers])
+        values = np.concatenate([layer.values for layer in layers])
+        if count_mode == "nonzero_only":
+            codes, values = codes[values > 0], values[values > 0]
+        pairs, slot = np.unique(codes, return_inverse=True)
+        inp = observation_summaries(net, count_mode)
+        np.testing.assert_array_equal(inp.codes, pairs)
+        np.testing.assert_array_equal(inp.counts, np.bincount(slot))
+        assert inp.sums.tobytes() == np.bincount(slot, weights=values).tobytes()
+
     def test_permutation_equivariance(self):
         net = two_layer_net()
         mapping = {"a": "zz", "b": "aa", "c": "mm"}

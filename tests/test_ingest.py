@@ -131,6 +131,50 @@ class TestParseMultiplexEdgelist:
             parse_multiplex_edgelist("# nothing here\n")
 
 
+def dict_parse(text):
+    """Per-line, dict-based edge-list reading (an oracle for the shared last
+    step): the last line of a (layer, pair) wins, layers and labels sorted."""
+    layers, labels, lines = {}, set(), 0
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            pair = tuple(sorted(fields[1:3]))
+            layers.setdefault(fields[0], {})[pair] = float(fields[3]) if len(fields) == 4 else 1.0
+            labels.update(pair)
+            lines += 1
+    order = sorted(labels)
+    n = len(order)
+    coded = [sorted((order.index(u) * n + order.index(v), w) for (u, v), w in layer.items())
+             for _, layer in sorted(layers.items())]
+    return order, sorted(layers), coded, lines - sum(map(len, coded))
+
+
+class TestSharedLastStep:
+    @pytest.mark.parametrize("block", [1, 7, ingest._WRITE_ROWS])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_repeated_rows_match_dict_oracle(self, seed, block, monkeypatch):
+        rng = np.random.default_rng(seed)
+        labels = [f"v{i}" for i in rng.permutation(40)]
+        rows = []
+        for _ in range(600):
+            u, v = rng.choice(labels, 2, replace=False)
+            rows.append(f"L{rng.integers(1, 5)} {u} {v} {rng.integers(0, 4) / 4}\n")
+        # pairs recur within and across layers, in both endpoint orders
+        text = "".join(rows + rows[:50][::-1])
+        monkeypatch.setattr(ingest, "_WRITE_ROWS", block)
+        for fast in (True, False):
+            if not fast:
+                monkeypatch.setattr(ingest, "_regular_rows", lambda text, sep: None)
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                net = parse_multiplex_edgelist(text)
+            order, names, coded, repeated = dict_parse(text)
+            assert list(net.universe.labels) == order and list(net.layer_names) == names
+            assert [list(zip(layer.codes.tolist(), layer.values.tolist()))
+                    for layer in net.layers] == coded
+            assert [r.message.count for r in records] == [repeated] and repeated > 50
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self):
         text = "1 u v 2.0\n1 u w 0\n2 v w 1.5\n"

@@ -6,13 +6,18 @@ import pytest
 from mapnet import (
     AggregatedNetwork,
     EmConfig,
+    LayerGraph,
+    MultilayerNetwork,
+    NodeUniverse,
     em_aggregate,
     generate_synthetic,
     observation_summaries,
     recovery_metrics,
 )
 from mapnet.errors import NegativeWeight, ParseError, UniverseMismatch
-from mapnet.synth import _poisson, _poisson_from_uniform, truth_from_csv, truth_meta, truth_to_csv
+from mapnet.core import pair_codes
+from mapnet.synth import _poisson_from_uniform, _rounded_normal
+from mapnet.synth import truth_from_csv, truth_meta, truth_to_csv
 from conftest import coded, pair_dict
 
 
@@ -69,7 +74,7 @@ class TestPoissonSampler:
     def test_inversion_moments(self):
         rng = np.random.default_rng(55)
         lam = np.full(40000, 3.0)
-        draws = _poisson(lam, rng.random(lam.shape), rng.standard_normal(lam.shape))
+        draws = _poisson_from_uniform(lam, rng.random(lam.shape))
         stderr = np.sqrt(3.0 / lam.size)
         assert abs(draws.mean() - 3.0) < 4 * stderr
         assert abs(draws.var() - 3.0) < 0.15
@@ -77,7 +82,7 @@ class TestPoissonSampler:
     def test_normal_branch_moments(self):
         rng = np.random.default_rng(56)
         lam = np.full(40000, 80.0)
-        draws = _poisson(lam, rng.random(lam.shape), rng.standard_normal(lam.shape))
+        draws = _rounded_normal(lam, rng.standard_normal(lam.shape))
         assert abs(draws.mean() - 80.0) < 0.3
         assert abs(draws.var() - 80.0) < 3.0
         assert draws.min() >= 0
@@ -85,7 +90,7 @@ class TestPoissonSampler:
     def test_zero_rate(self):
         rng = np.random.default_rng(57)
         lam = np.zeros(100)
-        draws = _poisson(lam, rng.random(100), rng.standard_normal(100))
+        draws = _poisson_from_uniform(lam, rng.random(100))
         assert not draws.any()
 
 
@@ -133,6 +138,45 @@ class TestCompactedInversion:
 
     def test_empty_input(self):
         assert _poisson_from_uniform(np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def whole_grid_synthetic(n, d, theta_star, coverage, seed):
+    """generate_synthetic as it drew before: whole (d, pairs) grids of coverage
+    uniforms, Poisson uniforms and normals (kept as an oracle for its stream)."""
+    width = len(str(n - 1))
+    universe = NodeUniverse(tuple(f"n{i:0{width}d}" for i in range(n)))
+    codes = pair_codes(*np.triu_indices(n, 1), n)
+    m = codes.size
+    rng = np.random.default_rng(seed)
+    lam_star = -np.log1p(-rng.random(m)) / theta_star
+    measured = rng.random((d, m)) < coverage
+    u_pois = rng.random((d, m))
+    z_norm = rng.standard_normal((d, m))
+    lam = np.ascontiguousarray(np.broadcast_to(lam_star, (d, m)))
+    small = lam < 30.0
+    xi = np.zeros(lam.shape, dtype=np.int64)
+    xi[small] = _poisson_from_uniform(lam[small], u_pois[small])
+    large = ~small
+    approx = np.rint(lam[large] + np.sqrt(lam[large]) * z_norm[large])
+    xi[large] = np.maximum(approx, 0.0).astype(np.int64)
+    layers = [LayerGraph(universe, codes[measured[a]], xi[a, measured[a]]) for a in range(d)]
+    names = tuple(f"layer{a + 1:0{len(str(d))}d}" for a in range(d))
+    net = MultilayerNetwork(universe, tuple(layers), names)
+    return net, LayerGraph(universe, codes, lam_star), large.sum()
+
+
+class TestLayerByLayerDraws:
+    @pytest.mark.parametrize("case", [
+        (300, 11, 1.0, 0.8, 1),
+        (50, 4, 0.02, 0.5, 3),   # rates mostly 30 and above: the normal branch
+        (80, 7, 0.05, 1.0, 9),   # the same at full coverage
+        (2, 1, 1.0, 1.0, 0),
+    ])
+    def test_bit_identical_to_whole_grids(self, case):
+        net, truth = generate_synthetic(*case)
+        expected, rates, normal_cells = whole_grid_synthetic(*case)
+        assert net == expected and truth.rates == rates
+        assert (normal_cells > 0) == (case[2] < 1.0)
 
 
 class TestRecoveryMetrics:

@@ -171,6 +171,11 @@ def _chunked(chunk, write, *args):
         return write(*args)
 
 
+def _table_text(header, columns, sep):
+    """The chunks ``_write_rows`` yields, joined."""
+    return "".join(_write_rows(header, columns, sep))
+
+
 # -- byte equality with the per-row writers -----------------------------------
 
 
@@ -194,7 +199,7 @@ class TestSameBytes:
     def test_table(self, table, chunk):
         columns, rows = table
         header = "a,b,c,d"
-        assert _chunked(chunk, _write_rows, header, columns, ",") == _table_oracle(header, rows)
+        assert _chunked(chunk, _table_text, header, columns, ",") == _table_oracle(header, rows)
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_chunk_boundaries(self, chunk, monkeypatch):
@@ -207,12 +212,12 @@ class TestSameBytes:
                     _table_oracle("h", rows))
         monkeypatch.setattr(ingest, "_WRITE_ROWS", chunk)
         assert (serialize_multiplex_edgelist(net), truth_to_csv(truth),
-                _write_rows("h", columns, ",")) == expected
+                _table_text("h", columns, ",")) == expected
 
     def test_zero_signs_and_nan_keep_their_text(self):
         rows = [(0.0, 1), (-0.0, 2), (math.nan, 3), (0.0, 4), (-0.0, 5), (-math.nan, 6)]
         x = np.array([0.0, -0.0, math.nan, 0.0, -0.0, -math.nan])
-        text = _write_rows("x,k", [x, np.arange(1, 7)], ",")
+        text = _table_text("x,k", [x, np.arange(1, 7)], ",")
         assert text == "x,k\n0.0,1\n-0.0,2\nnan,3\n0.0,4\n-0.0,5\nnan,6\n"
         assert text == _table_oracle("x,k", rows)
 
@@ -222,7 +227,7 @@ class TestSameBytes:
         empty = MultilayerNetwork(layer.universe, (layer,), ("L1",))
         assert serialize_multiplex_edgelist(empty) == "# layer node_u node_v weight\n"
         columns = [np.array([], dtype=np.int64), np.array([]), np.array([])]
-        assert _write_rows("size,mean_theta,mean_r2", columns, ",") == "size,mean_theta,mean_r2\n"
+        assert _table_text("size,mean_theta,mean_r2", columns, ",") == "size,mean_theta,mean_r2\n"
 
     def test_non_ascii_and_quoted_labels(self):
         universe = NodeUniverse(("é", "中文", "a,b", 'say "hi"', "x\ny"))
