@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .aggregate import EmConfig, aggregate_network
-from .core import AggregatedNetwork, LayerGraph, pair_indices
+from .core import AggregatedNetwork, LayerGraph, pair_indices, sorted_distinct
 from .correlation import CorrelationConfig, build_correlation_network
 from .errors import BracketingFailure, UniverseMismatch
 from .ingest import ExpressionDataset
@@ -59,7 +59,7 @@ def compare_networks(map_net: AggregatedNetwork, con_net: LayerGraph, ave_net: L
         return values / top if top > 0 else values
 
     def scatter(other: LayerGraph) -> tuple[np.ndarray, ...]:
-        codes = np.union1d(map_layer.codes, other.codes)
+        codes = sorted_distinct(np.concatenate([map_layer.codes, other.codes]))
         i, j = pair_indices(codes, map_net.universe.size)
         return i, j, scaled(map_layer, codes), scaled(other, codes)
 
@@ -113,7 +113,7 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
                 continue
             thetas.append(agg.theta)
             positive = agg.values[agg.values > 0]
-            fits = np.unique(positive).size >= 2
+            fits = positive.size > 0 and positive.min() < positive.max()
             r2s.append(exponential_fit_r2(positive, agg.theta) if fits else float("nan"))
         results.append(SubsetResult(size, float(np.mean(thetas)), float(np.mean(r2s))))
     return results

@@ -22,21 +22,21 @@ import numpy as np
 from .aggregate import EmConfig, aggregate_network
 from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
-from .core import NodeUniverse, reindexed
+from .core import MultilayerNetwork, NodeUniverse, reindexed
 from .correlation import CorrelationConfig, build_correlation_network
 from .errors import MapnetError, MapnetWarning, UniverseMismatch
 from .ingest import (
     ExpressionDataset,
     _edgelist_chunks,
     _layer_csv_chunks,
+    _read_multiplex_edgelist,
     _write_rows,
     parse_aggregated_csv,
     parse_expression_csv,
     parse_layer_csv,
-    parse_multiplex_edgelist,
 )
 from .metrics import network_report, weight_cdf
-from .synth import generate_synthetic, recovery_metrics, truth_from_csv, truth_meta, truth_to_csv
+from .synth import generate_synthetic, recovery_metrics, truth_from_csv, truth_meta
 
 _LOG_BASES = {"e": "natural", "2": "base2"}
 _COUNT_MODES = {"measurable": "measurable", "nonzero": "nonzero_only", "presence": "presence"}
@@ -48,6 +48,12 @@ _PAIR_COUNT_MODES = {"unordered": "unordered", "paper": "paper_n_squared"}
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _read_edgelist(path: str) -> MultilayerNetwork:
+    """The multiplex edge list at ``path``, read in chunks (see ingest)."""
+    with open(path, "rb") as file:
+        return _read_multiplex_edgelist(file)
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
@@ -84,7 +90,7 @@ def _cmd_build_layers(args) -> None:
 
 
 def _cmd_aggregate(args) -> None:
-    net = parse_multiplex_edgelist(_read(args.network))
+    net = _read_edgelist(args.network)
     count_mode = _COUNT_MODES[args.count_mode or "measurable"]
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
@@ -107,7 +113,7 @@ def _cmd_baseline(args) -> None:
     else:
         if len(args.inputs) != 1:
             raise MapnetError("baseline ave takes exactly one multiplex edge list")
-        net = parse_multiplex_edgelist(_read(args.inputs[0]))
+        net = _read_edgelist(args.inputs[0])
         denominator = "measurable_layers" if args.denominator == "measurable" else "all_layers"
         layer = build_avenet(net, denominator)
     _write(args.output, _layer_csv_chunks(layer))
@@ -161,7 +167,7 @@ def _cmd_synth_gen(args) -> None:
         n=args.nodes, d=args.layers, theta_star=args.theta, coverage=args.coverage, seed=args.seed
     )
     _write(args.output, _edgelist_chunks(net))
-    _write(args.truth, [truth_to_csv(truth)])
+    _write(args.truth, _layer_csv_chunks(truth.rates, "lambda_star"))
     meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
     _write_json(meta_path, truth_meta(truth))
 

@@ -58,6 +58,19 @@ def pair_indices(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(codes, max(n, 1))
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, sorted; sorts ``values`` in place.
+
+    Two sorted runs, such as two code arrays put end to end, merge in one
+    pass.  np.unique without flags does the same, but numpy >= 2.3 imports
+    numpy.ma for it.
+    """
+    values.sort(kind="stable")
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def _decode(codes: np.ndarray, n: int) -> list[Pair]:
     i, j = pair_indices(codes, n)
     return list(zip(i.tolist(), j.tolist()))
@@ -290,11 +303,8 @@ def observation_summaries(
     # the union of the layers' sorted codes, merged in one layer at a time
     pairs = np.zeros(0, dtype=np.int64)
     for layer in net.layers:
-        merged = np.concatenate([pairs, layer.codes[layer.values > 0] if nonzero else layer.codes])
-        merged.sort(kind="stable")  # two sorted runs, merged in one pass
-        first = np.ones(merged.size, dtype=bool)
-        first[1:] = merged[1:] != merged[:-1]
-        pairs = merged[first]
+        codes = layer.codes[layer.values > 0] if nonzero else layer.codes
+        pairs = sorted_distinct(np.concatenate([pairs, codes]))
     if pairs.size == 0:
         raise EmptyNetwork("no pair is observed in any layer")
     # a layer's codes are unique, so they fill distinct slots of the union

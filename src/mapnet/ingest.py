@@ -9,25 +9,32 @@ weight defaults to 1, an explicit weight of 0 records a measured-but-zero
 observation, and a non-finite weight is rejected.
 
 Edge lists and ``node_u,node_v,weight`` layer CSVs with a regular body (see
-``_regular_rows``) are read whole with numpy, each distinct weight token of
-a chunk by float() once.  Any other text falls back to the per-line
-reader, the only source of errors; both paths end in the same step that
-sorts labels, turns each row into one int64 key (layer, pair), keeps the
-last of repeated rows and splits the layers, holding the rows only once.
+``_chunk_rows``) are read by numpy in chunks of about 256 KB of whole
+lines, from a text or, for the CLI's edge lists, straight from the binary
+file, so the file's text is never held.  Labels, and weight tokens of up
+to 8 bytes, are looked up among those already seen, and only new ones are
+decoded (longer tokens: each distinct one of a chunk by float() once).
+Any other input falls back to the per-line reader, the only source of
+errors; a file is then read again whole.  Both paths end in the same step
+that sorts labels, turns each row into one int64 key (layer, pair),
+keeps the last of repeated rows and splits the layers; keys that already
+rise, as in every file mapnet writes, are not sorted again.
 
 One column writer, ``_write_rows``, writes every text output, the CLI's
 tables included: each label is formatted once, each distinct number of a
 chunk of rows once by repr, and each chunk is joined at once and yielded.
-The CLI writes the chunks to the open file one at a time, so no output is
-held whole; ``serialize_*`` join them.  Their ``_*_chunks`` forms raise on
-a name the reader would misread before the first chunk, so before the CLI
-opens the file.  CSV labels holding a comma, quote, CR or LF are quoted as
+The edge-list writer formats one layer at a time.  The CLI writes the
+chunks to the open file one at a time, so no output is held whole;
+``serialize_*`` join them.  Their ``_*_chunks`` forms raise on a name the
+reader would misread before the first chunk, so before the CLI opens the
+file.  CSV labels holding a comma, quote, CR or LF are quoted as
 csv.QUOTE_MINIMAL does.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from array import array
@@ -37,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse
-from .core import equal_fields, pair_codes, pair_indices
+from .core import equal_fields, pair_codes, pair_indices, sorted_distinct
 from .errors import (
     DuplicateEdgeWarning,
     DuplicateLabel,
@@ -158,7 +165,7 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
 Rows = tuple[list[str], list[str], np.ndarray, np.ndarray]
 
 _CHUNK_BYTES = 1 << 18
-_WRITE_ROWS = 1 << 14
+_WRITE_ROWS = 1 << 12
 _KEY_BYTES = 8
 # Bytes that make a body irregular: NUL (the key padding), quote, '#', and
 # every ASCII byte other than space and newline that str.split treats as
@@ -175,38 +182,88 @@ def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return labels, np.argsort(np.array([ids[label] for label in labels], dtype=np.int64))
 
 
-def _ranked_rows(groups: dict[str, int], nodes: dict[str, int], ids, weights) -> Rows:
-    """Rows from ``(group, u, v)`` id triples, one per line (an int32 array or
-    int64 buffer, flat or ``(rows, 3)``), with ids interned in first-seen
-    order.  Keys are formed ``_WRITE_ROWS`` rows at a time, so no temporary
-    as long as the rows is held beside them."""
-    ids = np.asarray(ids).reshape(-1, 3)
-    names, group_rank = _ranked(groups)
-    labels, node_rank = _ranked(nodes)
+def _ranked_rows(groups: tuple[list[str], np.ndarray], nodes: tuple[list[str], np.ndarray],
+                 blocks: list[np.ndarray], weights: np.ndarray) -> Rows:
+    """Rows from blocks of ``(group, u, v)`` id triples, (rows, 3) int arrays
+    in row order, and the rows' weights; ``groups`` and ``nodes`` are the
+    sorted labels and each id's position, as ``_ranked`` gives them.  Keys
+    are formed ``_WRITE_ROWS`` rows at a time, so no temporary is as long
+    as the rows."""
+    (names, group_rank), (labels, node_rank) = groups, nodes
     n = len(labels)
-    keys = np.empty(len(ids), dtype=np.int64)
-    for start in range(0, len(ids), _WRITE_ROWS):
-        block = ids[start:start + _WRITE_ROWS]
-        codes = pair_codes(node_rank[block[:, 1]], node_rank[block[:, 2]], n)
-        keys[start:start + _WRITE_ROWS] = group_rank[block[:, 0]] * (n * n) + codes
-    return names, labels, keys, np.asarray(weights)
+    keys = np.empty(len(weights), dtype=np.int64)
+    start = 0
+    for ids in blocks:
+        for at in range(0, len(ids), _WRITE_ROWS):
+            part = ids[at:at + _WRITE_ROWS]
+            codes = pair_codes(node_rank[part[:, 1]], node_rank[part[:, 2]], n)
+            keys[start + at:start + at + len(part)] = group_rank[part[:, 0]] * (n * n) + codes
+        start += len(ids)
+    return names, labels, keys, weights
 
 
-def _interned(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-              ids: dict[str, int]) -> np.ndarray | None:
-    """Ids of the labels ``bytes[starts:stops]``, new labels added to ``ids``;
-    None if a label is longer than 8 bytes.  ``words[k]`` holds the 8 bytes
-    from ``k`` as a big-endian uint64; a label's key keeps its own bytes and
-    zeros the rest, so equal keys are equal labels."""
+def _field_keys(words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
+    """One key per field ``bytes[starts:stops]``, or None if a field is longer
+    than 8 bytes.  ``words[k]`` holds the 8 bytes from ``k`` as a big-endian
+    uint64; a key keeps its field's bytes and zeros the rest, so equal keys
+    are equal fields, and keys sort as the fields do (none holds NUL)."""
     width = stops - starts
     if width.max() > _KEY_BYTES:
         return None
     pad = (_KEY_BYTES - width).astype(np.uint64) * np.uint64(8)
-    keys = (words[starts].astype(np.uint64) >> pad) << pad
-    unique, inverse = np.unique(keys, return_inverse=True)
-    labels = unique.astype(">u8").view("S8").astype("U8").tolist()  # drops the zero bytes
-    known = np.array([ids.setdefault(label, len(ids)) for label in labels], dtype=np.int64)
-    return known[inverse.reshape(-1)]
+    return (words[starts].astype(np.uint64) >> pad) << pad
+
+
+def _key_bytes(keys: np.ndarray) -> np.ndarray:
+    """The fields of ``keys`` as an S8 array, the zero bytes dropped."""
+    return keys.astype(">u8").view("S8")
+
+
+class _Lookup:
+    """The value of each field key, made once per distinct key.
+
+    ``keys`` is sorted and starts with the key 0, which no field has, so a
+    key's slot is always found; ``values`` is in the same order.  ``make``
+    turns sorted distinct keys not seen before into their values, or None
+    when one of them is invalid.
+    """
+
+    def __init__(self, make, dtype):
+        self.keys = np.zeros(1, dtype=np.uint64)
+        self.values = np.zeros(1, dtype=dtype)
+        self.make = make
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray | None:
+        slots = np.searchsorted(self.keys, keys)
+        seen = self.keys.take(slots, mode="clip") == keys
+        if not seen.all():
+            fresh = sorted_distinct(keys[~seen])
+            values = self.make(self, fresh)
+            if values is None:
+                return None
+            at = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, at, fresh)
+            self.values = np.insert(self.values, at, values)
+            slots = np.searchsorted(self.keys, keys)
+        return self.values[slots]
+
+    def ranked(self) -> tuple[list[str], np.ndarray]:
+        """The labels seen, sorted, and each id's position, as ``_ranked`` gives them."""
+        return _key_bytes(self.keys[1:]).astype("U8").tolist(), np.argsort(self.values[1:])
+
+
+def _new_ids(table: _Lookup, fresh: np.ndarray) -> np.ndarray:
+    """The ids that follow those of ``table``, one per new label."""
+    return np.arange(table.keys.size - 1, table.keys.size - 1 + fresh.size)
+
+
+def _new_weights(table: _Lookup, fresh: np.ndarray) -> np.ndarray | None:
+    """float() of each weight token; None if one is malformed, non-finite or negative."""
+    try:
+        values = np.array(list(map(float, _key_bytes(fresh).tolist())), dtype=np.float64)
+    except ValueError:
+        return None
+    return values if np.all(np.isfinite(values) & (values >= 0)) else None
 
 
 def _weight_values(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
@@ -232,10 +289,66 @@ def _weight_values(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np
     return np.fromiter(map(lookup.__getitem__, tokens), np.float64, len(tokens))
 
 
-def _regular_rows(text: str, sep: str) -> Rows | None:
+def _text_chunks(text: str) -> Iterator[bytes]:
+    """An ASCII text's bytes in chunks of whole lines: each runs to the first
+    newline at least ``_CHUNK_BYTES`` past its start."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
+        yield text[start:end].encode("ascii")
+        start = end
+
+
+def _file_chunks(file) -> Iterator[bytes]:
+    """The chunks ``_text_chunks`` makes of a binary file's text."""
+    while chunk := file.read(_CHUNK_BYTES):
+        yield chunk + file.readline()
+
+
+def _parse_chunk(chunk: bytes, sep: str, width: int, targets: list,
+                 weights: _Lookup) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids and weights of a chunk of body lines of ``width`` fields, the
+    label fields looked up in ``targets`` and short weight tokens in
+    ``weights``; None if the chunk is not regular (see ``_chunk_rows``)."""
+    if any(byte in chunk for byte in _IRREGULAR + (b" " if sep == "," else b"")):
+        return None
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    seps = np.flatnonzero(buf == ord(sep))
+    if seps.size != ends.size * (width - 1):
+        return None
+    # per line: the byte before it, its separators and its newline;
+    # fields are non-empty (and each line holds its own separators)
+    # exactly when these rise by at least 2 along every row
+    bounds = np.empty((ends.size, width + 1), dtype=np.int64)
+    bounds[0, 0] = -1
+    bounds[1:, 0] = ends[:-1]
+    bounds[:, 1:width] = seps.reshape(-1, width - 1)
+    bounds[:, width] = ends
+    if np.diff(bounds, axis=1).min() < 2:
+        return None
+    words = np.ndarray(buf.shape, dtype=">u8", buffer=chunk + bytes(_KEY_BYTES - 1),
+                       strides=(1,))
+    ids = np.zeros((ends.size, 3), dtype=np.int32)
+    for field, (column, labels) in enumerate(targets):
+        keys = _field_keys(words, bounds[:, field] + 1, bounds[:, field + 1])
+        if keys is None:
+            return None
+        ids[:, column] = labels(keys)
+    if np.any(ids[:, 1] == ids[:, 2]):
+        return None  # a self-loop
+    if width == len(targets):
+        return ids, np.ones(ends.size)
+    starts = bounds[:, width - 1] + 1
+    keys = _field_keys(words, starts, ends)
+    values = _weight_values(buf, starts, ends) if keys is None else weights(keys)
+    return None if values is None else (ids, values)
+
+
+def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
     """Rows of a regular edge list (``sep=" "``) or layer CSV (``sep=","``)
-    read from chunks of about 256 KB of whole lines, or None to leave the
-    text to the per-line reader.
+    of ``size`` bytes, read from chunks of whole lines, or None to leave the
+    input to the per-line reader.
 
     The head (leading ``#`` lines of an edge list, the header line of a CSV)
     is skipped.  The body after it is regular when it is ASCII and ends with a
@@ -244,86 +357,89 @@ def _regular_rows(text: str, sep: str) -> Rows | None:
     NUL, quote, tab or CR, no other byte that str.split treats as whitespace
     (nor a space in a CSV); no label is longer than 8 bytes; and no line is a
     self-loop or has a weight that is malformed, non-finite or negative.
+    Labels, and weight tokens of up to 8 bytes, are looked up among those
+    already seen; only new ones are decoded.
+
+    The rows go into slabs, each sized for the bytes left at 5% more rows
+    per byte than so far, so one slab usually holds them all.  A slab is
+    one large allocation, which the allocator returns to the system when
+    it is freed; many chunk-sized blocks would stay on its heap.
     """
     is_csv = sep == ","
-    if not (text.isascii() and text.endswith("\n")) or len(text) >= 1 << 32:
-        return None  # ids are int32: under 4 GB, a text holds fewer than 2**31 labels
-    start = 0
-    if is_csv:
-        start = text.find("\n") + 1
-        if not any(cell.strip() for cell in text[:start].split(",")):
-            return None  # csv.reader would skip a blank first line
-    while not is_csv and text.startswith("#", start):
-        start = text.find("\n", start) + 1
-    if start == len(text) or any(c in text[:start] for c in _HEAD_IRREGULAR):
-        return None
-    width = text.count(sep, start, text.find("\n", start)) + 1
-    if width not in ((3,) if is_csv else (3, 4)):
-        return None
-    groups: dict[str, int] = {"": 0} if is_csv else {}
-    nodes: dict[str, int] = {}
-    # the id column each label field fills, and the labels it interns
+    groups, nodes = _Lookup(_new_ids, np.int64), _Lookup(_new_ids, np.int64)
+    weights = _Lookup(_new_weights, np.float64)
+    # the id column each label field fills, and the labels it looks up
     targets = [(1, nodes), (2, nodes)] if is_csv else [(0, groups), (1, nodes), (2, nodes)]
-    ids = np.zeros((text.count("\n", start), 3), dtype=np.int32)
-    weights = np.ones(len(ids))
-    irregular = _IRREGULAR + (b" " if is_csv else b"")
-    row = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
-        chunk = text[start:end].encode("ascii")
-        start = end
-        if any(byte in chunk for byte in irregular):
-            return None
-        buf = np.frombuffer(chunk, dtype=np.uint8)
-        ends = np.flatnonzero(buf == 10)
-        seps = np.flatnonzero(buf == ord(sep))
-        if seps.size != ends.size * (width - 1):
-            return None
-        # per line: the byte before it, its separators and its newline;
-        # fields are non-empty (and each line holds its own separators)
-        # exactly when these rise by at least 2 along every row
-        bounds = np.empty((ends.size, width + 1), dtype=np.int64)
-        bounds[0, 0] = -1
-        bounds[1:, 0] = ends[:-1]
-        bounds[:, 1:width] = seps.reshape(-1, width - 1)
-        bounds[:, width] = ends
-        if np.diff(bounds, axis=1).min() < 2:
-            return None
-        rows = slice(row, row + ends.size)
-        row += ends.size
-        words = np.ndarray(buf.shape, dtype=">u8", buffer=chunk + bytes(_KEY_BYTES - 1),
-                           strides=(1,))
-        for field, (column, labels) in enumerate(targets):
-            interned = _interned(words, bounds[:, field] + 1, bounds[:, field + 1], labels)
-            if interned is None:
+    slabs: list[tuple[np.ndarray, np.ndarray]] = []  # ids and weights
+    read = width = filled = 0  # bytes read, fields per line, rows in the last slab
+    head = True
+    for chunk in chunks:
+        read += len(chunk)
+        if read >= 1 << 32 or not (chunk.isascii() and chunk.endswith(b"\n")):
+            return None  # ids are int32: under 4 GB, a text holds fewer than 2**31 labels
+        if head:
+            start = 0
+            if is_csv:
+                start = chunk.find(b"\n") + 1
+                if not any(cell.strip() for cell in chunk[:start].decode().split(",")):
+                    return None  # csv.reader would skip a blank first line
+            while not is_csv and chunk.startswith(b"#", start):
+                start = chunk.find(b"\n", start) + 1
+            if any(c in chunk[:start].decode() for c in _HEAD_IRREGULAR):
                 return None
-            ids[rows, column] = interned
-        if np.any(ids[rows, 1] == ids[rows, 2]):
-            return None  # a self-loop
-        if width > len(targets):
-            chunk_weights = _weight_values(buf, bounds[:, width - 1] + 1, ends)
-            if chunk_weights is None:
+            head = not is_csv and start == len(chunk)  # more '#' lines may follow
+            chunk = chunk[start:]
+            if not chunk:
+                continue
+        if not width:
+            width = chunk.count(sep.encode(), 0, chunk.find(b"\n")) + 1
+            if width not in ((3,) if is_csv else (3, 4)):
                 return None
-            weights[rows] = chunk_weights
-    return _ranked_rows(groups, nodes, ids, weights)
+        block = _parse_chunk(chunk, sep, width, targets, weights)
+        if block is None:
+            return None
+        rows = len(block[0])
+        if not slabs or filled + rows > len(slabs[-1][1]):
+            if slabs:
+                slabs[-1] = slabs[-1][0][:filled], slabs[-1][1][:filled]
+            done = sum(len(slab_weights) for _, slab_weights in slabs) + rows
+            capacity = rows + int(done / read * max(size - read, 0) * 1.05)
+            slabs.append((np.empty((capacity, 3), dtype=np.int32), np.empty(capacity)))
+            filled = 0
+        slabs[-1][0][filled:filled + rows], slabs[-1][1][filled:filled + rows] = block
+        filled += rows
+    if not slabs:
+        return None
+    slabs[-1] = slabs[-1][0][:filled], slabs[-1][1][:filled]
+    values = [slab_weights for _, slab_weights in slabs]
+    return _ranked_rows(([""], np.zeros(1, dtype=np.int64)) if is_csv else groups.ranked(),
+                        nodes.ranked(), [ids for ids, _ in slabs],
+                        values[0] if len(values) == 1 else np.concatenate(values))
+
+
+def _regular_rows(text: str, sep: str) -> Rows | None:
+    """``_chunk_rows`` of a text."""
+    return _chunk_rows(_text_chunks(text), sep, len(text)) if text.isascii() else None
 
 
 def _layers_from_rows(names: list[str], labels: list[str], keys: np.ndarray,
                       weights: np.ndarray) -> tuple[NodeUniverse, list[LayerGraph]]:
     """One layer per group over the universe of ``labels``; a repeated (group,
     pair) keeps its last row and raises one DuplicateEdgeWarning carrying the
-    count.  Sorts ``keys`` and ``weights`` in place, so the rows are never
-    held twice."""
+    count.  Keys that do not rise strictly already (those of every file
+    mapnet writes do) are sorted in place with their weights, so the rows are
+    never held twice."""
     universe = NodeUniverse(tuple(labels))
     cells = universe.size ** 2
-    order = np.argsort(keys, kind="stable")
-    keys[:] = keys[order]
-    weights[:] = weights[order]
-    del order
-    last = np.append(keys[1:] != keys[:-1], True)  # the last row of each key
-    if not last.all():
-        keys, weights = keys[last], weights[last]
-        warnings.warn(DuplicateEdgeWarning(last.size - keys.size), stacklevel=3)
+    if not np.all(keys[1:] > keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        keys[:] = keys[order]
+        weights[:] = weights[order]
+        del order
+        last = np.append(keys[1:] != keys[:-1], True)  # the last row of each key
+        if not last.all():
+            keys, weights = keys[last], weights[last]
+            warnings.warn(DuplicateEdgeWarning(last.size - keys.size), stacklevel=3)
     bounds = np.searchsorted(keys, np.arange(len(names) + 1) * cells)
     layers = [LayerGraph(universe, keys[a:b] - g * cells, weights[a:b])
               for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
@@ -351,7 +467,8 @@ def _edgelist_rows(text: str) -> Rows:
                     nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("no edges found")
-    return _ranked_rows(layer_ids, nodes, ids, weights)
+    blocks = [np.asarray(ids).reshape(-1, 3)]
+    return _ranked_rows(_ranked(layer_ids), _ranked(nodes), blocks, np.asarray(weights))
 
 
 def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
@@ -368,6 +485,27 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
     return MultilayerNetwork(universe, tuple(layers), tuple(rows[0]))
 
 
+def _read_multiplex_edgelist(file) -> MultilayerNetwork:
+    """parse_multiplex_edgelist of a binary file's UTF-8 text.
+
+    A seekable file is read in chunks, so a regular body is never held as
+    text; at the first irregular chunk the file is read again whole, from
+    the start, by the per-line reader.  Other files are read whole.
+    """
+    if file.seekable():
+        size = file.seek(0, io.SEEK_END)
+        file.seek(0)
+        rows = _chunk_rows(_file_chunks(file), " ", size)
+        if rows is None:
+            file.seek(0)
+            rows = _edgelist_rows(file.read().decode("utf-8"))
+    else:
+        text = file.read().decode("utf-8")
+        rows = _regular_rows(text, " ") or _edgelist_rows(text)
+    universe, layers = _layers_from_rows(*rows)
+    return MultilayerNetwork(universe, tuple(layers), tuple(rows[0]))
+
+
 def _quoted(label: str) -> str:
     """``label`` as a CSV field, quoted as csv.QUOTE_MINIMAL does."""
     return '"' + label.replace('"', '""') + '"' if any(c in label for c in ',"\r\n') else label
@@ -375,7 +513,13 @@ def _quoted(label: str) -> str:
 
 def _write_rows(header: str, columns: list, sep: str) -> Iterator[str]:
     """``header`` and one line per row, fields ``sep`` apart, yielded a chunk
-    of rows at a time.
+    of rows at a time (see ``_row_chunks``)."""
+    yield header + "\n"
+    yield from _row_chunks(columns, sep)
+
+
+def _row_chunks(columns: list, sep: str) -> Iterator[str]:
+    """One line per row, fields ``sep`` apart, ``_WRITE_ROWS`` rows a chunk.
 
     A column is ``(labels, index)``, row r holding ``labels[index[r]]``, or
     an int64 or float64 array.  Labels, and the distinct numbers of a chunk
@@ -389,7 +533,6 @@ def _write_rows(header: str, columns: list, sep: str) -> Iterator[str]:
     first = columns[0] if columns else []
     rows = len(first[1] if isinstance(first, tuple) else first)
     grid = np.empty((min(rows, _WRITE_ROWS), len(columns)), dtype=object)
-    yield header + "\n"
     for start in range(0, rows, _WRITE_ROWS):
         part, chunk = grid[:rows - start], slice(start, start + _WRITE_ROWS)
         for c, (column, tail, texts) in enumerate(zip(columns, tails, labels)):
@@ -405,27 +548,30 @@ def _write_rows(header: str, columns: list, sep: str) -> Iterator[str]:
 
 
 def _edgelist_chunks(net: MultilayerNetwork) -> Iterator[str]:
-    """The chunks of serialize_multiplex_edgelist; raises before the first."""
-    labels = net.universe.labels
+    """The chunks of serialize_multiplex_edgelist; every layer is checked
+    before the first, and each is formatted on its own."""
+    labels, n = net.universe.labels, net.universe.size
     spaced = np.array([any(ch.isspace() for ch in label) for label in labels], dtype=bool)
-    sizes = [layer.codes.size for layer in net.layers]
-    stops = np.cumsum(sizes)
-    i, j = np.empty((2, sum(sizes)), dtype=np.int32)  # label positions, half the bytes
-    for layer_id, layer, start, stop in zip(net.layer_names, net.layers, stops - sizes, stops):
+    for layer_id, layer in zip(net.layer_names, net.layers):
         if not layer_id or layer_id.startswith("#"):
             raise ValueError(f"layer name {layer_id!r} is empty or starts with '#'")
         if any(ch.isspace() for ch in layer_id):
             raise ValueError(f"layer name {layer_id!r} contains whitespace")
-        i[start:stop], j[start:stop] = pair_indices(layer.codes, net.universe.size)
-        if spaced[i[start:stop]].any() or spaced[j[start:stop]].any():
+        if spaced.any() and spaced[np.concatenate(pair_indices(layer.codes, n))].any():
             raise ValueError("node labels must not contain whitespace")
-    empty = labels.index("") if "" in labels else -1
-    if empty in i or empty in j:
-        raise ValueError("node labels must not be empty")
-    group = np.repeat(np.arange(net.depth, dtype=np.int32), sizes)
-    values = np.concatenate([layer.values for layer in net.layers])
-    columns = [(net.layer_names, group), (labels, i), (labels, j), values]
-    return _write_rows("# layer node_u node_v weight", columns, " ")
+    if "" in labels:
+        empty = labels.index("")
+        if any(empty in np.concatenate(pair_indices(layer.codes, n)) for layer in net.layers):
+            raise ValueError("node labels must not be empty")
+
+    def chunks():
+        yield "# layer node_u node_v weight\n"
+        for g, layer in enumerate(net.layers):
+            i, j = pair_indices(layer.codes, n)
+            columns = [(net.layer_names, np.broadcast_to(g, i.shape)), (labels, i), (labels, j)]
+            yield from _row_chunks([*columns, layer.values], " ")
+
+    return chunks()
 
 
 def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
@@ -474,7 +620,9 @@ def _layer_csv_rows(text: str) -> Rows:
         ids.extend((0, nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("expected a header and at least one edge row")
-    return _ranked_rows({"": 0}, nodes, ids, weights)
+    blocks = [np.asarray(ids).reshape(-1, 3)]
+    return _ranked_rows(([""], np.zeros(1, dtype=np.int64)), _ranked(nodes), blocks,
+                        np.asarray(weights))
 
 
 def parse_layer_csv(text: str) -> LayerGraph:

@@ -168,7 +168,7 @@ def exponential_fit_r2(values, theta: float) -> float:
     if theta <= 0:
         raise DomainError("theta must be positive")
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or np.unique(arr).size < 2:
+    if arr.size == 0 or not arr.min() < arr.max():
         raise DegenerateValues("need at least two distinct values")
     if arr.min() <= 0:
         raise DomainError("values must be positive")

@@ -458,17 +458,98 @@ class TestErrorHandling:
         assert out.read_bytes() == b"earlier bytes\n"
 
     def test_module_entry_point(self, tmp_path):
-        # the child imports the same mapnet as this process
-        src = str(Path(mapnet.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mapnet", "metrics", str(tmp_path / "nope.csv"), "-o", "x"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 1
         assert json.loads(proc.stderr.strip())["error"] == "FileNotFoundError"
+
+
+def _child_env() -> dict:
+    """The environment of a child that imports the same mapnet as this process."""
+    src = str(Path(mapnet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+class TestEdgeListFiles:
+    """aggregate and baseline ave read the edge list file in chunks."""
+
+    COMMANDS = (["aggregate"], ["baseline", "ave"])
+
+    def run_both(self, net, tmp_path, name):
+        outputs = []
+        for command in self.COMMANDS:
+            out = tmp_path / f"{name}_{command[0]}.csv"
+            assert main([*command, str(net), "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        return outputs
+
+    def test_crlf_lines_read_as_lf(self, multiplex_file, tmp_path):
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(Path(multiplex_file).read_bytes().replace(b"\n", b"\r\n"))
+        lf = self.run_both(multiplex_file, tmp_path, "lf")
+        assert self.run_both(crlf, tmp_path, "crlf") == lf
+
+    def test_non_utf8_file_fails_as_reading_its_text(self, multiplex_file, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(Path(multiplex_file).read_bytes() + b"L1 a \xff 1\n")
+        with pytest.raises(UnicodeDecodeError) as err:
+            bad.read_text(encoding="utf-8")
+        for command in self.COMMANDS:
+            assert main([*command, str(bad), "-o", str(tmp_path / "x.csv")]) == 1
+            line = json.loads(capsys.readouterr().err)
+            assert line == {"error": "UnicodeDecodeError", "message": str(err.value)}
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_piped_stdin(self, multiplex_file, tmp_path):
+        expected = self.run_both(multiplex_file, tmp_path, "file")
+        for command, output in zip(self.COMMANDS, expected):
+            out = tmp_path / "piped.csv"
+            subprocess.run([sys.executable, "-m", "mapnet", *command, "/dev/stdin", "-o", str(out)],
+                           input=Path(multiplex_file).read_bytes(), env=_child_env(), check=True)
+            assert out.read_bytes() == output
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from mapnet.cli import main
+
+datasets, out = sys.argv[1:-1], sys.argv[-1]
+def o(name):
+    return f"{out}/{name}"
+commands = [
+    ["build-layers", *datasets, "-o", o("layers.txt")],
+    ["aggregate", o("layers.txt"), "-o", o("agg.csv")],
+    ["baseline", "con", *datasets, "-o", o("con.csv")],
+    ["baseline", "ave", o("layers.txt"), "-o", o("ave.csv")],
+    ["metrics", o("agg.csv"), "-o", o("metrics.json"), "--cdf", o("cdf.csv")],
+    ["compare", "--map-csv", o("agg.csv"), "--map-meta", o("agg.json"), "--con", o("con.csv"),
+     "--ave", o("ave.csv"), "--out-dir", o("compare")],
+    ["experiment", "subsets", *datasets, "-o", o("experiment.csv"), "--sizes", "1,2",
+     "--reps", "2"],
+    ["synth", "gen", "--nodes", "20", "--layers", "3", "-o", o("net.txt"),
+     "--truth", o("truth.csv")],
+    ["aggregate", o("net.txt"), "-o", o("est.csv")],
+    ["synth", "score", "--est", o("est.csv"), "--est-meta", o("est.json"),
+     "--truth", o("truth.csv"), "--truth-meta", o("truth.json"), "-o", o("score.json")],
+]
+for command in commands:
+    assert main(command) == 0, command
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_pipeline_does_not_import_masked_arrays(dataset_files, tmp_path):
+    """numpy.ma costs each command 10-15 ms and 0.7 MB to import; np.union1d and
+    np.unique without flags import it under numpy >= 2.3."""
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, *dataset_files, str(tmp_path)],
+                          capture_output=True, text=True, env=_child_env(), check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 MAP_META = {"theta": 0.5, "iterations": 3, "converged": True}

@@ -1,3 +1,4 @@
+import io
 import warnings
 
 import numpy as np
@@ -361,6 +362,40 @@ EDGELIST_CASES = [
 ]
 
 
+LAYER_CSV_CASES = [
+    ("node_u,node_v,weight\na,b,1.5\na,c,0\nb,c,2\n", True),
+    ("x\nb,a,1\nc,a,+2\nc,b,1e3\nd,a,1_0\nd,b,-0.0\nd,c,.5\n", True),
+    ("node_u,node_v,weight\nabcdefgh,a,1\nabcdefgh,abcdefgg,2\n", True),
+    ("node_u,node_v,weight\nabcdefghi,a,1\n", False),
+    ('node_u,node_v,weight\n"a",b,1\n', False),
+    ('node_u,node_v,weight\n"a,b",c,1\n', False),
+    ('"node_u,node_v",weight\na,b,1\n', False),
+    ("node_u,node_v,weight\na, b,1\n", False),
+    ("node_u,node_v,weight\n a,a ,1\n", False),
+    ("node_u,node_v,weight\na\t,b,1\n", False),
+    ("node_u,node_v,weight\na,b,1\n\nb,c,2\n", False),
+    ("\nnode_u,node_v,weight\na,b,1\n", False),
+    (",,\nnode_u,node_v,weight\na,b,1\n", False),
+    (" , \nx,y,1\na,b,2\n", False),
+    ("\nx,y,1\na,b,2\n", False),
+    ("\x1f,\x1f\nx,y,1\na,b,2\n", False),
+    ("node_u,node_v,weight\r\na,b,1\r\n", False),
+    ("node_u,node_v,weight\na,b,1,2\n", False),
+    ("node_u,node_v,weight\na,b\n", False),
+    ("node_u,node_v,weight\n,b,1\n", False),
+    ("node_u,node_v,weight\na,b,1\nb,a,2\na,c,3\na,b,4\n", True),
+    ("node_u,node_v,weight\na,b,1\na,c,nan\n", False),
+    ("node_u,node_v,weight\na,b,1\na,c,-inf\n", False),
+    ("node_u,node_v,weight\na,b,1\na,c,-1\n", False),
+    ("node_u,node_v,weight\na,b,1\nc,c,1\n", False),
+    ("node_u,node_v,weight\na#,b,1\n", False),
+    ("node_u,node_v,weight\nà,b,1\n", False),
+    ("node_u,node_v,weight\n", False),
+    ("node_u,node_v,weight\na,b,1", False),
+    ("node_u,node_v,weight\na,b,1\nc", False),
+]
+
+
 class TestWholeTextReader:
     """The whole-text reader gives what the per-line reader gives, or leaves the text to it."""
 
@@ -375,40 +410,7 @@ class TestWholeTextReader:
         )
 
     @pytest.mark.parametrize("chunk", [None, 12])
-    @pytest.mark.parametrize(
-        "text, fast",
-        [
-            ("node_u,node_v,weight\na,b,1.5\na,c,0\nb,c,2\n", True),
-            ("x\nb,a,1\nc,a,+2\nc,b,1e3\nd,a,1_0\nd,b,-0.0\nd,c,.5\n", True),
-            ("node_u,node_v,weight\nabcdefgh,a,1\nabcdefgh,abcdefgg,2\n", True),
-            ("node_u,node_v,weight\nabcdefghi,a,1\n", False),
-            ('node_u,node_v,weight\n"a",b,1\n', False),
-            ('node_u,node_v,weight\n"a,b",c,1\n', False),
-            ('"node_u,node_v",weight\na,b,1\n', False),
-            ("node_u,node_v,weight\na, b,1\n", False),
-            ("node_u,node_v,weight\n a,a ,1\n", False),
-            ("node_u,node_v,weight\na\t,b,1\n", False),
-            ("node_u,node_v,weight\na,b,1\n\nb,c,2\n", False),
-            ("\nnode_u,node_v,weight\na,b,1\n", False),
-            (",,\nnode_u,node_v,weight\na,b,1\n", False),
-            (" , \nx,y,1\na,b,2\n", False),
-            ("\nx,y,1\na,b,2\n", False),
-            ("node_u,node_v,weight\r\na,b,1\r\n", False),
-            ("node_u,node_v,weight\na,b,1,2\n", False),
-            ("node_u,node_v,weight\na,b\n", False),
-            ("node_u,node_v,weight\n,b,1\n", False),
-            ("node_u,node_v,weight\na,b,1\nb,a,2\na,c,3\na,b,4\n", True),
-            ("node_u,node_v,weight\na,b,1\na,c,nan\n", False),
-            ("node_u,node_v,weight\na,b,1\na,c,-inf\n", False),
-            ("node_u,node_v,weight\na,b,1\na,c,-1\n", False),
-            ("node_u,node_v,weight\na,b,1\nc,c,1\n", False),
-            ("node_u,node_v,weight\na#,b,1\n", False),
-            ("node_u,node_v,weight\nà,b,1\n", False),
-            ("node_u,node_v,weight\n", False),
-            ("node_u,node_v,weight\na,b,1", False),
-            ("node_u,node_v,weight\na,b,1\nc", False),
-        ],
-    )
+    @pytest.mark.parametrize("text, fast", LAYER_CSV_CASES)
     def test_layer_csv(self, text, fast, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
@@ -437,5 +439,116 @@ class TestWholeTextReader:
         monkeypatch.setattr(ingest, "_edgelist_rows", per_line)
         monkeypatch.setattr(ingest, "_layer_csv_rows", per_line)
         assert parse_multiplex_edgelist(edges) == net
+        assert ingest._read_multiplex_edgelist(io.BytesIO(edges.encode())) == net
         assert parse_layer_csv(rates) == truth.rates
         assert [_outcome(parse, text) for parse, text in inputs] == expected
+
+
+class _Pipe(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def _read_file(file):
+    return ingest._read_multiplex_edgelist(file)
+
+
+def _same_rows(a, b):
+    if a is None or b is None:
+        return a is b
+    return a[:2] == b[:2] and all(np.array_equal(x, y) for x, y in zip(a[2:], b[2:]))
+
+
+class TestChunkedFileReader:
+    """The file entry point gives what the per-line reader gives: from an
+    in-memory file, a real file and one that cannot seek, in chunks of
+    ``_CHUNK_BYTES`` and of 12 bytes."""
+
+    @pytest.mark.parametrize("chunk", [None, 12])
+    @pytest.mark.parametrize("text, fast", EDGELIST_CASES)
+    def test_edgelist(self, text, fast, chunk, tmp_path, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        data = text.encode("utf-8")
+        rows = ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), " ", len(data))
+        assert _same_rows(rows, ingest._regular_rows(text, " "))
+        expected = _per_line(parse_multiplex_edgelist, text, monkeypatch)
+        path = tmp_path / "net.txt"
+        path.write_bytes(data)
+        with open(path, "rb") as file:
+            assert _outcome(_read_file, file) == expected
+        assert _outcome(_read_file, io.BytesIO(data)) == expected
+        assert _outcome(_read_file, _Pipe(data)) == expected
+
+    @pytest.mark.parametrize("chunk", [None, 12])
+    @pytest.mark.parametrize("text, fast", LAYER_CSV_CASES)
+    def test_layer_csv_chunks(self, text, fast, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        data = text.encode("utf-8")
+        rows = ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), ",", len(data))
+        assert _same_rows(rows, ingest._regular_rows(text, ","))
+
+    @pytest.mark.parametrize("size", [0, None])
+    def test_rows_outgrow_the_first_slab(self, size, monkeypatch):
+        """Lines that get shorter than the first chunk's, or a size too small,
+        fill more than one slab."""
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
+        rows = [f"L{t % 3} {u} {v} {t % 7}.25\n" for t, (u, v) in
+                enumerate(zip(*np.triu_indices(60, 1)))]
+        text = "".join(rows[:20]) + "".join(row.replace(".25", "") for row in rows[20:])
+        data = text.encode()
+        chunked = ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), " ",
+                                     len(data) if size is None else size)
+        assert _same_rows(chunked, ingest._edgelist_rows(text))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "L1 n001 n002 2,5",  # a ParseError
+            "L1 n001 n002 -2",  # a NegativeWeight
+            "L1\tn001\tn002\t2",  # valid, but not regular
+            "L1 n001 n002 2\r",  # valid, but not regular
+            "L1 n001 n002 1.25e-300",  # regular, but too long a weight token to look up
+            "L1 n001 n002 \u00e9",  # not ASCII
+        ],
+    )
+    def test_irregular_line_many_chunks_in(self, bad, monkeypatch):
+        """The per-line reader then reads the whole file again from the start."""
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 12)
+        text = "\n".join(_good_rows(300, " ", layered=True) + [bad, "L1 n003 n004 1"]) + "\n"
+        expected = _per_line(parse_multiplex_edgelist, text, monkeypatch)
+        assert _outcome(_read_file, io.BytesIO(text.encode("utf-8"))) == expected
+        assert _outcome(parse_multiplex_edgelist, text) == expected
+
+    def test_non_utf8_file_raises_as_decoding_it_whole(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 12)
+        data = ("\n".join(_good_rows(300, " ", layered=True)) + "\nL1 a \xff 1\n").encode("latin-1")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        for file in (io.BytesIO(data), _Pipe(data)):
+            with pytest.raises(UnicodeDecodeError) as err:
+                _read_file(file)
+            assert str(err.value) == str(whole.value)
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    @pytest.mark.parametrize("repeats", [0, 30])
+    def test_ordered_and_shuffled_rows_agree(self, repeats, chunk, monkeypatch):
+        """Rising keys skip the sort; shuffled ones are sorted.  Repeated lines
+        are exact copies, so either order keeps the same weight."""
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        net, _ = generate_synthetic(n=40, d=4, coverage=0.8, seed=repeats)
+        lines = serialize_multiplex_edgelist(net).splitlines(keepends=True)[1:]
+        rng = np.random.default_rng(repeats)
+        copies = np.sort(rng.choice(len(lines), size=repeats))
+        ordered = list(lines)
+        for at in copies[::-1]:
+            ordered.insert(at, lines[at])
+        shuffled = [ordered[k] for k in rng.permutation(len(ordered))]
+        for rows in (ordered, shuffled):
+            text = "".join(rows)
+            for read in (parse_multiplex_edgelist, lambda t: _read_file(io.BytesIO(t.encode()))):
+                result, counts = _outcome(read, text)
+                assert result == net
+                assert counts == ([repeats] if repeats else [])
