@@ -183,22 +183,19 @@ def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
 
 
 def _ranked_rows(groups: tuple[list[str], np.ndarray], nodes: tuple[list[str], np.ndarray],
-                 blocks: list[np.ndarray], weights: np.ndarray) -> Rows:
-    """Rows from blocks of ``(group, u, v)`` id triples, (rows, 3) int arrays
-    in row order, and the rows' weights; ``groups`` and ``nodes`` are the
-    sorted labels and each id's position, as ``_ranked`` gives them.  Keys
-    are formed ``_WRITE_ROWS`` rows at a time, so no temporary is as long
-    as the rows."""
+                 ids: np.ndarray, weights: np.ndarray) -> Rows:
+    """Rows from ``(group, u, v)`` id triples, a (rows, 3) int array in row
+    order, and the rows' weights; ``groups`` and ``nodes`` are the sorted
+    labels and each id's position, as ``_ranked`` gives them.  Keys are
+    formed ``_WRITE_ROWS`` rows at a time, so no temporary is as long as the
+    rows."""
     (names, group_rank), (labels, node_rank) = groups, nodes
     n = len(labels)
     keys = np.empty(len(weights), dtype=np.int64)
-    start = 0
-    for ids in blocks:
-        for at in range(0, len(ids), _WRITE_ROWS):
-            part = ids[at:at + _WRITE_ROWS]
-            codes = pair_codes(node_rank[part[:, 1]], node_rank[part[:, 2]], n)
-            keys[start + at:start + at + len(part)] = group_rank[part[:, 0]] * (n * n) + codes
-        start += len(ids)
+    for at in range(0, len(ids), _WRITE_ROWS):
+        part = ids[at:at + _WRITE_ROWS]
+        codes = pair_codes(node_rank[part[:, 1]], node_rank[part[:, 2]], n)
+        keys[at:at + len(part)] = group_rank[part[:, 0]] * (n * n) + codes
     return names, labels, keys, weights
 
 
@@ -360,18 +357,18 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
     Labels, and weight tokens of up to 8 bytes, are looked up among those
     already seen; only new ones are decoded.
 
-    The rows go into slabs, each sized for the bytes left at 5% more rows
-    per byte than so far, so one slab usually holds them all.  A slab is
-    one large allocation, which the allocator returns to the system when
-    it is freed; many chunk-sized blocks would stay on its heap.
+    The rows go into one slab, sized for the bytes left at 5% more rows
+    per byte than so far, so it is rarely grown.  A slab is one large
+    allocation, which the allocator returns to the system when it is freed;
+    many chunk-sized blocks would stay on its heap.
     """
     is_csv = sep == ","
     groups, nodes = _Lookup(_new_ids, np.int64), _Lookup(_new_ids, np.int64)
     weights = _Lookup(_new_weights, np.float64)
     # the id column each label field fills, and the labels it looks up
     targets = [(1, nodes), (2, nodes)] if is_csv else [(0, groups), (1, nodes), (2, nodes)]
-    slabs: list[tuple[np.ndarray, np.ndarray]] = []  # ids and weights
-    read = width = filled = 0  # bytes read, fields per line, rows in the last slab
+    ids, values = np.empty((0, 3), dtype=np.int32), np.empty(0)  # the slab
+    read = width = filled = 0  # bytes read, fields per line, rows in the slab
     head = True
     for chunk in chunks:
         read += len(chunk)
@@ -399,22 +396,23 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
         if block is None:
             return None
         rows = len(block[0])
-        if not slabs or filled + rows > len(slabs[-1][1]):
-            if slabs:
-                slabs[-1] = slabs[-1][0][:filled], slabs[-1][1][:filled]
-            done = sum(len(slab_weights) for _, slab_weights in slabs) + rows
-            capacity = rows + int(done / read * max(size - read, 0) * 1.05)
-            slabs.append((np.empty((capacity, 3), dtype=np.int32), np.empty(capacity)))
-            filled = 0
-        slabs[-1][0][filled:filled + rows], slabs[-1][1][filled:filled + rows] = block
+        if filled + rows > len(values):
+            done = filled + rows
+            capacity = done + int(done / read * max(size - read, 0) * 1.05)
+            ids, values = _grown(ids, filled, capacity), _grown(values, filled, capacity)
+        ids[filled:filled + rows], values[filled:filled + rows] = block
         filled += rows
-    if not slabs:
+    if not filled:
         return None
-    slabs[-1] = slabs[-1][0][:filled], slabs[-1][1][:filled]
-    values = [slab_weights for _, slab_weights in slabs]
     return _ranked_rows(([""], np.zeros(1, dtype=np.int64)) if is_csv else groups.ranked(),
-                        nodes.ranked(), [ids for ids, _ in slabs],
-                        values[0] if len(values) == 1 else np.concatenate(values))
+                        nodes.ranked(), ids[:filled], values[:filled])
+
+
+def _grown(slab: np.ndarray, filled: int, capacity: int) -> np.ndarray:
+    """A new slab of ``capacity`` rows that starts with ``slab[:filled]``."""
+    grown = np.empty((capacity, *slab.shape[1:]), dtype=slab.dtype)
+    grown[:filled] = slab[:filled]
+    return grown
 
 
 def _regular_rows(text: str, sep: str) -> Rows | None:
@@ -467,8 +465,8 @@ def _edgelist_rows(text: str) -> Rows:
                     nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("no edges found")
-    blocks = [np.asarray(ids).reshape(-1, 3)]
-    return _ranked_rows(_ranked(layer_ids), _ranked(nodes), blocks, np.asarray(weights))
+    return _ranked_rows(_ranked(layer_ids), _ranked(nodes), np.asarray(ids).reshape(-1, 3),
+                        np.asarray(weights))
 
 
 def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
@@ -492,16 +490,14 @@ def _read_multiplex_edgelist(file) -> MultilayerNetwork:
     text; at the first irregular chunk the file is read again whole, from
     the start, by the per-line reader.  Other files are read whole.
     """
-    if file.seekable():
-        size = file.seek(0, io.SEEK_END)
+    if not file.seekable():
+        return parse_multiplex_edgelist(file.read().decode("utf-8"))
+    size = file.seek(0, io.SEEK_END)
+    file.seek(0)
+    rows = _chunk_rows(_file_chunks(file), " ", size)
+    if rows is None:
         file.seek(0)
-        rows = _chunk_rows(_file_chunks(file), " ", size)
-        if rows is None:
-            file.seek(0)
-            rows = _edgelist_rows(file.read().decode("utf-8"))
-    else:
-        text = file.read().decode("utf-8")
-        rows = _regular_rows(text, " ") or _edgelist_rows(text)
+        rows = _edgelist_rows(file.read().decode("utf-8"))
     universe, layers = _layers_from_rows(*rows)
     return MultilayerNetwork(universe, tuple(layers), tuple(rows[0]))
 
@@ -620,9 +616,8 @@ def _layer_csv_rows(text: str) -> Rows:
         ids.extend((0, nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("expected a header and at least one edge row")
-    blocks = [np.asarray(ids).reshape(-1, 3)]
-    return _ranked_rows(([""], np.zeros(1, dtype=np.int64)), _ranked(nodes), blocks,
-                        np.asarray(weights))
+    return _ranked_rows(([""], np.zeros(1, dtype=np.int64)), _ranked(nodes),
+                        np.asarray(ids).reshape(-1, 3), np.asarray(weights))
 
 
 def parse_layer_csv(text: str) -> LayerGraph:

@@ -158,6 +158,15 @@ def weight_cdf(values) -> np.ndarray:
     return np.column_stack((uniq, np.cumsum(counts) / arr.size))
 
 
+def _two_distinct(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds two distinct values, NaN counting as one value as
+    np.unique counts it; np.unique itself imports numpy.ma under numpy >= 2.3."""
+    nan = np.isnan(arr)
+    real = arr[~nan]
+    kinds = int(nan.any()) + (real.size > 0) + (real.size > 0 and real.min() < real.max())
+    return kinds >= 2
+
+
 def exponential_fit_r2(values, theta: float) -> float:
     """Coefficient of determination of an exponential CDF against the data.
 
@@ -168,7 +177,7 @@ def exponential_fit_r2(values, theta: float) -> float:
     if theta <= 0:
         raise DomainError("theta must be positive")
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or not arr.min() < arr.max():
+    if not _two_distinct(arr):
         raise DegenerateValues("need at least two distinct values")
     if arr.min() <= 0:
         raise DomainError("values must be positive")

@@ -517,6 +517,8 @@ class TestEdgeListFiles:
 
 NO_MASKED_ARRAYS = """
 import sys
+import numpy
+loaded = "numpy.ma" in sys.modules
 from mapnet.cli import main
 
 datasets, out = sys.argv[1:-1], sys.argv[-1]
@@ -540,16 +542,18 @@ commands = [
 ]
 for command in commands:
     assert main(command) == 0, command
-print("numpy.ma" in sys.modules)
+print(loaded, "numpy.ma" in sys.modules)
 """
 
 
 def test_pipeline_does_not_import_masked_arrays(dataset_files, tmp_path):
     """numpy.ma costs each command 10-15 ms and 0.7 MB to import; np.union1d and
-    np.unique without flags import it under numpy >= 2.3."""
+    np.unique without flags import it under numpy >= 2.3.  numpy 1.x imports
+    it with numpy itself, so only an import by the pipeline counts."""
     proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, *dataset_files, str(tmp_path)],
                           capture_output=True, text=True, env=_child_env(), check=True)
-    assert proc.stdout.split() == ["False"]
+    loaded, after = proc.stdout.split()
+    assert after == loaded
 
 
 MAP_META = {"theta": 0.5, "iterations": 3, "converged": True}

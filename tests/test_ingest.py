@@ -490,9 +490,9 @@ class TestChunkedFileReader:
         assert _same_rows(rows, ingest._regular_rows(text, ","))
 
     @pytest.mark.parametrize("size", [0, None])
-    def test_rows_outgrow_the_first_slab(self, size, monkeypatch):
+    def test_rows_outgrow_the_slab(self, size, monkeypatch):
         """Lines that get shorter than the first chunk's, or a size too small,
-        fill more than one slab."""
+        outgrow the first slab, which is then grown."""
         monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
         rows = [f"L{t % 3} {u} {v} {t % 7}.25\n" for t, (u, v) in
                 enumerate(zip(*np.triu_indices(60, 1)))]

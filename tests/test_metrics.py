@@ -202,3 +202,13 @@ class TestExponentialFitR2:
     def test_all_equal_rejected(self):
         with pytest.raises(DegenerateValues):
             exponential_fit_r2([2.0, 2.0, 2.0], 1.0)
+
+    @pytest.mark.parametrize("values", [[], [np.nan], [np.nan, np.nan], [3.0, 3.0]])
+    def test_fewer_than_two_distinct_rejected(self, values):
+        with pytest.raises(DegenerateValues, match="two distinct values"):
+            exponential_fit_r2(values, 1.0)
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, np.nan], [1.0, np.nan], [1.0, 1.0, np.nan]])
+    def test_nan_counts_as_a_distinct_value(self, values):
+        """NaN counts as one more value, as np.unique counts it, and flows on into nan."""
+        assert math.isnan(exponential_fit_r2(values, 1.0))
