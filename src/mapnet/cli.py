@@ -36,7 +36,7 @@ from .ingest import (
     parse_layer_csv,
 )
 from .metrics import network_report, weight_cdf
-from .synth import generate_synthetic, recovery_metrics, truth_from_csv, truth_meta
+from .synth import _synthetic_layers, recovery_metrics, truth_from_csv, truth_meta
 
 _LOG_BASES = {"e": "natural", "2": "base2"}
 _COUNT_MODES = {"measurable": "measurable", "nonzero": "nonzero_only", "presence": "presence"}
@@ -86,7 +86,7 @@ def _corr_config(args) -> CorrelationConfig:
 def _cmd_build_layers(args) -> None:
     datasets = _load_datasets(args.datasets)
     net = build_correlation_network(datasets, _corr_config(args))
-    _write(args.output, _edgelist_chunks(net))
+    _write(args.output, _edgelist_chunks(net.universe, net.layer_names, net.layers))
 
 
 def _cmd_aggregate(args) -> None:
@@ -163,10 +163,9 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_synth_gen(args) -> None:
-    net, truth = generate_synthetic(
-        n=args.nodes, d=args.layers, theta_star=args.theta, coverage=args.coverage, seed=args.seed
-    )
-    _write(args.output, _edgelist_chunks(net))
+    truth, names, layers = _synthetic_layers(args.nodes, args.layers, args.theta, args.coverage,
+                                             args.seed)
+    _write(args.output, _edgelist_chunks(truth.universe, names, layers))
     _write(args.truth, _layer_csv_chunks(truth.rates, "lambda_star"))
     meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
     _write_json(meta_path, truth_meta(truth))

@@ -7,8 +7,10 @@ observed a pair (k) and the total weight those layers reported (S).
 A node pair ``(i, j)``, ``i < j``, indexes the universe's labels and is
 stored as the int64 code ``i·N + j``, so code order is tuple order.  Each
 type keeps a sorted, unique code array beside its value arrays, and its
-one constructor takes and validates those arrays.  All types are
-immutable after construction and safe to share across threads.
+one constructor takes and validates those arrays.  It copies them unless
+they are already read-only to the array that owns their data; a caller
+that hands arrays over that way must not make them writeable again.  All
+types are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -76,11 +78,29 @@ def _decode(codes: np.ndarray, n: int) -> list[Pair]:
     return list(zip(i.tolist(), j.tolist()))
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array down its base chain are read-only, the
+    last owning its data: an array its caller handed over and cannot change."""
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        if array.base is None:
+            return True
+        array = array.base
+    return False
+
+
 def _checked(universe: NodeUniverse, codes, values, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only copies of pair codes and one value per code; ValueError unless the codes
-    are sorted and unique with i < j < N each and the values are finite and non-negative."""
-    codes = np.array(codes, dtype=np.int64)
-    values = np.asarray(values, dtype=float) + 0.0  # a copy, and -0.0 becomes 0.0
+    """Read-only pair codes and one value per code; ValueError unless the codes
+    are sorted and unique with i < j < N each and the values are finite and non-negative.
+
+    An int64 code array or float64 value array that is read-only down its
+    whole base chain (see ``_frozen``) is kept as it is, unless the values
+    hold a -0.0; anything else is copied, and a copied -0.0 becomes 0.0.
+    """
+    if not (isinstance(codes, np.ndarray) and codes.dtype == np.int64 and _frozen(codes)):
+        codes = np.array(codes, dtype=np.int64)
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and _frozen(values)
+            and not np.signbit(values).any()):
+        values = np.asarray(values, dtype=float) + 0.0  # a copy, and -0.0 becomes 0.0
     if codes.ndim != 1 or values.shape != codes.shape:
         raise ValueError(f"need one {what} per pair code, got shapes {values.shape}, {codes.shape}")
     i, j = pair_indices(codes, universe.size)  # j < N always; i >= N implies i > j

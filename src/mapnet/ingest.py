@@ -18,12 +18,14 @@ Any other input falls back to the per-line reader, the only source of
 errors; a file is then read again whole.  Both paths end in the same step
 that sorts labels, turns each row into one int64 key (layer, pair),
 keeps the last of repeated rows and splits the layers; keys that already
-rise, as in every file mapnet writes, are not sorted again.
+rise, as in every file mapnet writes, are not sorted again, and the layers
+keep read-only slices of the keys and weights, so no row is held twice.
 
 One column writer, ``_write_rows``, writes every text output, the CLI's
 tables included: each label is formatted once, each distinct number of a
 chunk of rows once by repr, and each chunk is joined at once and yielded.
-The edge-list writer formats one layer at a time.  The CLI writes the
+The edge-list writer takes, formats and drops one layer at a time, so
+``synth gen`` writes each layer as it is drawn.  The CLI writes the
 chunks to the open file one at a time, so no output is held whole;
 ``serialize_*`` join them.  Their ``_*_chunks`` forms raise on a name the
 reader would misread before the first chunk, so before the CLI opens the
@@ -39,7 +41,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,20 +185,27 @@ def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
 
 
 def _ranked_rows(groups: tuple[list[str], np.ndarray], nodes: tuple[list[str], np.ndarray],
-                 ids: np.ndarray, weights: np.ndarray) -> Rows:
-    """Rows from ``(group, u, v)`` id triples, a (rows, 3) int array in row
-    order, and the rows' weights; ``groups`` and ``nodes`` are the sorted
-    labels and each id's position, as ``_ranked`` gives them.  Keys are
-    formed ``_WRITE_ROWS`` rows at a time, so no temporary is as long as the
-    rows."""
+                 group_ids: np.ndarray, pairs: np.ndarray, weights: np.ndarray) -> Rows:
+    """Rows from each row's group id, its (u, v) node ids packed as the int64
+    u·2³² + v in ``pairs``, and its weight, all in row order; ``groups`` and
+    ``nodes`` are the sorted labels and each id's position, as ``_ranked``
+    gives them.  The keys overwrite ``pairs`` ``_WRITE_ROWS`` rows at a time,
+    so no temporary is as long as the rows and ``pairs`` becomes the keys."""
     (names, group_rank), (labels, node_rank) = groups, nodes
     n = len(labels)
-    keys = np.empty(len(weights), dtype=np.int64)
-    for at in range(0, len(ids), _WRITE_ROWS):
-        part = ids[at:at + _WRITE_ROWS]
-        codes = pair_codes(node_rank[part[:, 1]], node_rank[part[:, 2]], n)
-        keys[at:at + len(part)] = group_rank[part[:, 0]] * (n * n) + codes
-    return names, labels, keys, weights
+    for at in range(0, len(pairs), _WRITE_ROWS):
+        part = pairs[at:at + _WRITE_ROWS]
+        codes = pair_codes(node_rank[part >> 32], node_rank[part & 0xFFFFFFFF], n)
+        part[:] = group_rank[group_ids[at:at + _WRITE_ROWS]] * (n * n) + codes
+    return names, labels, pairs, weights
+
+
+def _listed_rows(groups: tuple[list[str], np.ndarray], nodes: tuple[list[str], np.ndarray],
+                 ids: array, weights: array) -> Rows:
+    """``_ranked_rows`` of the (group, u, v) id triples and the weights that
+    the per-line readers collect."""
+    ids = np.asarray(ids).reshape(-1, 3)
+    return _ranked_rows(groups, nodes, ids[:, 0], ids[:, 1] << 32 | ids[:, 2], np.array(weights))
 
 
 def _field_keys(words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
@@ -303,10 +312,12 @@ def _file_chunks(file) -> Iterator[bytes]:
 
 
 def _parse_chunk(chunk: bytes, sep: str, width: int, targets: list,
-                 weights: _Lookup) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ids and weights of a chunk of body lines of ``width`` fields, the
-    label fields looked up in ``targets`` and short weight tokens in
-    ``weights``; None if the chunk is not regular (see ``_chunk_rows``)."""
+                 weights: _Lookup) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The group ids, packed (u, v) node ids (see ``_ranked_rows``) and
+    weights of a chunk of body lines of ``width`` fields, the label fields
+    looked up in ``targets`` (group 0 when they hold no group) and short
+    weight tokens in ``weights``; None if the chunk is not regular (see
+    ``_chunk_rows``)."""
     if any(byte in chunk for byte in _IRREGULAR + (b" " if sep == "," else b"")):
         return None
     buf = np.frombuffer(chunk, dtype=np.uint8)
@@ -326,20 +337,23 @@ def _parse_chunk(chunk: bytes, sep: str, width: int, targets: list,
         return None
     words = np.ndarray(buf.shape, dtype=">u8", buffer=chunk + bytes(_KEY_BYTES - 1),
                        strides=(1,))
-    ids = np.zeros((ends.size, 3), dtype=np.int32)
-    for field, (column, labels) in enumerate(targets):
+    ids = []
+    for field, labels in enumerate(targets):
         keys = _field_keys(words, bounds[:, field] + 1, bounds[:, field + 1])
         if keys is None:
             return None
-        ids[:, column] = labels(keys)
-    if np.any(ids[:, 1] == ids[:, 2]):
+        ids.append(labels(keys))
+    *group, u, v = ids
+    if np.any(u == v):
         return None  # a self-loop
+    group_ids = group[0] if group else np.zeros(ends.size, dtype=np.int64)
+    pairs = u << 32 | v
     if width == len(targets):
-        return ids, np.ones(ends.size)
+        return group_ids, pairs, np.ones(ends.size)
     starts = bounds[:, width - 1] + 1
     keys = _field_keys(words, starts, ends)
     values = _weight_values(buf, starts, ends) if keys is None else weights(keys)
-    return None if values is None else (ids, values)
+    return None if values is None else (group_ids, pairs, values)
 
 
 def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
@@ -357,23 +371,25 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
     Labels, and weight tokens of up to 8 bytes, are looked up among those
     already seen; only new ones are decoded.
 
-    The rows go into one slab, sized for the bytes left at 5% more rows
-    per byte than so far, so it is rarely grown.  A slab is one large
-    allocation, which the allocator returns to the system when it is freed;
-    many chunk-sized blocks would stay on its heap.
+    A row is held as 20 bytes: its int32 group id, its packed int64 (u, v)
+    node ids, which ``_ranked_rows`` turns into its key in place, and its
+    weight.  Each column goes into one slab, sized for the bytes left at 5%
+    more rows per byte than so far, so it is rarely grown, and cut to the
+    rows read at the end.  A slab is one large allocation, which the
+    allocator returns to the system when it is freed; many chunk-sized
+    blocks would stay on its heap.
     """
     is_csv = sep == ","
     groups, nodes = _Lookup(_new_ids, np.int64), _Lookup(_new_ids, np.int64)
     weights = _Lookup(_new_weights, np.float64)
-    # the id column each label field fills, and the labels it looks up
-    targets = [(1, nodes), (2, nodes)] if is_csv else [(0, groups), (1, nodes), (2, nodes)]
-    ids, values = np.empty((0, 3), dtype=np.int32), np.empty(0)  # the slab
+    targets = [nodes, nodes] if is_csv else [groups, nodes, nodes]  # looked up per label field
+    slabs = [np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64), np.empty(0)]
     read = width = filled = 0  # bytes read, fields per line, rows in the slab
     head = True
     for chunk in chunks:
         read += len(chunk)
         if read >= 1 << 32 or not (chunk.isascii() and chunk.endswith(b"\n")):
-            return None  # ids are int32: under 4 GB, a text holds fewer than 2**31 labels
+            return None  # ids fit 31 bits: under 4 GB, a text holds fewer than 2**31 labels
         if head:
             start = 0
             if is_csv:
@@ -396,21 +412,24 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
         if block is None:
             return None
         rows = len(block[0])
-        if filled + rows > len(values):
+        if filled + rows > len(slabs[0]):
             done = filled + rows
             capacity = done + int(done / read * max(size - read, 0) * 1.05)
-            ids, values = _grown(ids, filled, capacity), _grown(values, filled, capacity)
-        ids[filled:filled + rows], values[filled:filled + rows] = block
+            slabs = [_grown(slab, filled, capacity) for slab in slabs]
+        for slab, column in zip(slabs, block):
+            slab[filled:filled + rows] = column
         filled += rows
     if not filled:
         return None
+    for slab in slabs:
+        slab.resize(filled, refcheck=False)  # in place; no view of a slab is left
     return _ranked_rows(([""], np.zeros(1, dtype=np.int64)) if is_csv else groups.ranked(),
-                        nodes.ranked(), ids[:filled], values[:filled])
+                        nodes.ranked(), *slabs)
 
 
 def _grown(slab: np.ndarray, filled: int, capacity: int) -> np.ndarray:
     """A new slab of ``capacity`` rows that starts with ``slab[:filled]``."""
-    grown = np.empty((capacity, *slab.shape[1:]), dtype=slab.dtype)
+    grown = np.empty(capacity, dtype=slab.dtype)
     grown[:filled] = slab[:filled]
     return grown
 
@@ -425,8 +444,10 @@ def _layers_from_rows(names: list[str], labels: list[str], keys: np.ndarray,
     """One layer per group over the universe of ``labels``; a repeated (group,
     pair) keeps its last row and raises one DuplicateEdgeWarning carrying the
     count.  Keys that do not rise strictly already (those of every file
-    mapnet writes do) are sorted in place with their weights, so the rows are
-    never held twice."""
+    mapnet writes do) are sorted in place with their weights.  Each layer's
+    keys become its pair codes in place, and the keys and weights are made
+    read-only, so the layers take slices of them and the rows are never held
+    twice."""
     universe = NodeUniverse(tuple(labels))
     cells = universe.size ** 2
     if not np.all(keys[1:] > keys[:-1]):
@@ -439,9 +460,11 @@ def _layers_from_rows(names: list[str], labels: list[str], keys: np.ndarray,
             keys, weights = keys[last], weights[last]
             warnings.warn(DuplicateEdgeWarning(last.size - keys.size), stacklevel=3)
     bounds = np.searchsorted(keys, np.arange(len(names) + 1) * cells)
-    layers = [LayerGraph(universe, keys[a:b] - g * cells, weights[a:b])
-              for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    return universe, layers
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    for g, (a, b) in enumerate(spans):
+        keys[a:b] -= g * cells
+    keys.flags.writeable = weights.flags.writeable = False
+    return universe, [LayerGraph(universe, keys[a:b], weights[a:b]) for a, b in spans]
 
 
 def _edgelist_rows(text: str) -> Rows:
@@ -465,8 +488,7 @@ def _edgelist_rows(text: str) -> Rows:
                     nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("no edges found")
-    return _ranked_rows(_ranked(layer_ids), _ranked(nodes), np.asarray(ids).reshape(-1, 3),
-                        np.asarray(weights))
+    return _listed_rows(_ranked(layer_ids), _ranked(nodes), ids, weights)
 
 
 def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
@@ -543,29 +565,38 @@ def _row_chunks(columns: list, sep: str) -> Iterator[str]:
         yield "".join(part.ravel().tolist())
 
 
-def _edgelist_chunks(net: MultilayerNetwork) -> Iterator[str]:
-    """The chunks of serialize_multiplex_edgelist; every layer is checked
-    before the first, and each is formatted on its own."""
-    labels, n = net.universe.labels, net.universe.size
+def _edgelist_chunks(universe: NodeUniverse, layer_names: Sequence[str],
+                     layers: Iterable[LayerGraph]) -> Iterator[str]:
+    """The chunks of serialize_multiplex_edgelist, each layer formatted on
+    its own; every name and written label is checked before the first.
+
+    ``layers`` may be an iterator, whose layers are then taken, written and
+    dropped one at a time; only when a label of the universe is empty or
+    holds whitespace are they gathered first, to check the pairs they write.
+    """
+    labels, n = universe.labels, universe.size
     spaced = np.array([any(ch.isspace() for ch in label) for label in labels], dtype=bool)
-    for layer_id, layer in zip(net.layer_names, net.layers):
+    if spaced.any() or "" in labels:
+        layers = tuple(layers)
+    for g, layer_id in enumerate(layer_names):
         if not layer_id or layer_id.startswith("#"):
             raise ValueError(f"layer name {layer_id!r} is empty or starts with '#'")
         if any(ch.isspace() for ch in layer_id):
             raise ValueError(f"layer name {layer_id!r} contains whitespace")
-        if spaced.any() and spaced[np.concatenate(pair_indices(layer.codes, n))].any():
+        if spaced.any() and spaced[np.concatenate(pair_indices(layers[g].codes, n))].any():
             raise ValueError("node labels must not contain whitespace")
     if "" in labels:
         empty = labels.index("")
-        if any(empty in np.concatenate(pair_indices(layer.codes, n)) for layer in net.layers):
+        if any(empty in np.concatenate(pair_indices(layer.codes, n)) for layer in layers):
             raise ValueError("node labels must not be empty")
 
     def chunks():
         yield "# layer node_u node_v weight\n"
-        for g, layer in enumerate(net.layers):
+        for g, layer in enumerate(layers):
             i, j = pair_indices(layer.codes, n)
-            columns = [(net.layer_names, np.broadcast_to(g, i.shape)), (labels, i), (labels, j)]
+            columns = [(layer_names, np.broadcast_to(g, i.shape)), (labels, i), (labels, j)]
             yield from _row_chunks([*columns, layer.values], " ")
+            del layer, i, j, columns  # not held while the next layer is made
 
     return chunks()
 
@@ -579,7 +610,7 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     holds whitespace, and a written node label that is empty or holds
     whitespace.
     """
-    return "".join(_edgelist_chunks(net))
+    return "".join(_edgelist_chunks(net.universe, net.layer_names, net.layers))
 
 
 def _layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator[str]:
@@ -616,8 +647,7 @@ def _layer_csv_rows(text: str) -> Rows:
         ids.extend((0, nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
     if not weights:
         raise ParseError("expected a header and at least one edge row")
-    return _ranked_rows(([""], np.zeros(1, dtype=np.int64)), _ranked(nodes),
-                        np.asarray(ids).reshape(-1, 3), np.asarray(weights))
+    return _listed_rows(([""], np.zeros(1, dtype=np.int64)), _ranked(nodes), ids, weights)
 
 
 def parse_layer_csv(text: str) -> LayerGraph:

@@ -10,12 +10,13 @@ higher.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import LayerGraph, pair_indices
-from .errors import DegenerateValues, DomainError, EmptyGraph
+from .errors import DegenerateValues, DomainError, EmptyGraph, PowerIterationWarning
 
 _EIG_CLIP = 1e-12
 
@@ -97,7 +98,7 @@ def _weighted_clustering_avg(a: np.ndarray) -> float:
     if max_w <= 0:
         return 0.0
     cbrt = np.cbrt(a / max_w)
-    triangles = np.einsum("ij,jk,ki->i", cbrt, cbrt, cbrt)
+    triangles = ((cbrt @ cbrt) * cbrt).sum(axis=1)  # diag(C³), as C is symmetric
     degree = (a > 0).sum(axis=1)
     coeff = np.zeros(a.shape[0])
     multi = degree >= 2
@@ -109,17 +110,24 @@ def _principal_eigenvector(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10
     """Power iteration for the Perron vector, L2-normalized.
 
     A positive diagonal shift keeps the dominant eigenvalue unique in
-    magnitude (bipartite graphs otherwise oscillate).
+    magnitude (bipartite graphs otherwise oscillate).  It stops once the
+    residual ‖Av − μv‖ falls to ``tol``·μ; after ``max_iter`` steps short of
+    that it warns with a PowerIterationWarning and returns the last vector.
     """
     n = a.shape[0]
     shift = 1.0 + a.sum(axis=1).max()
     v = np.full(n, 1.0 / math.sqrt(n))
+    residual = math.inf
     for _ in range(max_iter):
         w = a @ v + shift * v
         v = w / np.linalg.norm(w)
         mu = float(v @ a @ v)
-        if np.linalg.norm(a @ v - mu * v) <= tol * max(mu, _EIG_CLIP):
-            break
+        scale = max(mu, _EIG_CLIP)
+        gap = np.linalg.norm(a @ v - mu * v)
+        if gap <= tol * scale:
+            return v
+        residual = float(gap / scale)
+    warnings.warn(PowerIterationWarning(max_iter, residual), stacklevel=3)
     return v
 
 

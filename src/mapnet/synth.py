@@ -8,7 +8,9 @@ from the generated layers validates the estimator end to end.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -79,6 +81,64 @@ def _rounded_normal(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.maximum(np.rint(lam + np.sqrt(lam) * z), 0.0).astype(np.int64)
 
 
+def _synthetic_layers(
+    n: int,
+    d: int,
+    theta_star: float = 1.0,
+    coverage: float = 1.0,
+    seed: int = 0,
+) -> tuple[SyntheticTruth, tuple[str, ...], Iterator[LayerGraph]]:
+    """The truth and layer names of ``generate_synthetic``, and an iterator
+    that draws its layers one at a time.
+
+    The arguments are checked and the rates drawn before this returns; each
+    layer is drawn when the iterator reaches it, so a caller that writes
+    and drops each layer holds one at a time.
+    """
+    if n < 2 or d < 1:
+        raise ValueError("need n >= 2 nodes and d >= 1 layers")
+    if not (0.0 < coverage <= 1.0):
+        raise ValueError("coverage must be in (0, 1]")
+    if theta_star <= 0:
+        raise ValueError("theta_star must be positive")
+
+    width = len(str(n - 1))
+    universe = NodeUniverse(tuple(f"n{i:0{width}d}" for i in range(n)))
+    codes = pair_codes(*np.triu_indices(n, 1), n)  # all pairs, sorted
+    m = codes.size
+
+    rng = np.random.default_rng(seed)
+    lam_star = -np.log1p(-rng.random(m)) / theta_star
+    codes.flags.writeable = lam_star.flags.writeable = False
+    truth = SyntheticTruth(LayerGraph(universe, codes, lam_star), theta_star, coverage, seed)
+    name_width = len(str(d))
+    names = tuple(f"layer{alpha + 1:0{name_width}d}" for alpha in range(d))
+
+    # The stream after the rates holds d rows of m coverage uniforms, then d
+    # rows of Poisson uniforms, then d rows of normals.  random() takes one
+    # 64-bit output per double, so the Poisson and normal blocks start d·m
+    # and 2·d·m outputs on; rng reads the coverage rows, and each layer
+    # reads its own row of each block.
+    poisson, normal = (np.random.Generator(copy.deepcopy(rng.bit_generator).advance(block * d * m))
+                       for block in (1, 2))
+    large = lam_star >= _POISSON_INVERSION_MAX
+    any_large = large.any()
+
+    def layer() -> LayerGraph:  # the next layer; its draws end with the call
+        idx = np.flatnonzero(rng.random(m) < coverage)
+        u = poisson.random(m)[idx]
+        lam, big = lam_star[idx], large[idx]
+        xi = np.zeros(idx.size)
+        xi[~big] = _poisson_from_uniform(lam[~big], u[~big])
+        if any_large:
+            xi[big] = _rounded_normal(lam[big], normal.standard_normal(m)[idx][big])
+        observed = codes[idx]
+        observed.flags.writeable = xi.flags.writeable = False
+        return LayerGraph(universe, observed, xi)
+
+    return truth, names, (layer() for _ in range(d))
+
+
 def generate_synthetic(
     n: int,
     d: int,
@@ -97,50 +157,8 @@ def generate_synthetic(
     Zero-weight observations are kept in the measurable sets, so the
     derived observation counts see them as evidence.
     """
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 nodes and d >= 1 layers")
-    if not (0.0 < coverage <= 1.0):
-        raise ValueError("coverage must be in (0, 1]")
-    if theta_star <= 0:
-        raise ValueError("theta_star must be positive")
-
-    width = len(str(n - 1))
-    universe = NodeUniverse(tuple(f"n{i:0{width}d}" for i in range(n)))
-    codes = pair_codes(*np.triu_indices(n, 1), n)  # all pairs, sorted
-    m = codes.size
-
-    rng = np.random.default_rng(seed)
-    lam_star = -np.log1p(-rng.random(m)) / theta_star
-    # PCG64 fills a (d, m) draw row by row, so one row per layer gives the
-    # stream of the whole grids: d rows of coverage uniforms, d rows of
-    # Poisson uniforms, d rows of normals.  Only observed cells are kept.
-    observed = [np.flatnonzero(rng.random(m) < coverage) for _ in range(d)]
-    large = lam_star >= _POISSON_INVERSION_MAX
-    counts = []
-    for idx in observed:
-        u = rng.random(m)[idx]
-        small = ~large[idx]
-        xi = np.zeros(idx.size, dtype=np.int64)
-        xi[small] = _poisson_from_uniform(lam_star[idx][small], u[small])
-        counts.append(xi)
-    if large.any():
-        for idx, xi in zip(observed, counts):
-            big = large[idx]
-            xi[big] = _rounded_normal(lam_star[idx][big], rng.standard_normal(m)[idx][big])
-
-    # built from the last layer back, each layer's draws dropped once its graph holds them
-    layers = [LayerGraph(universe, codes[observed.pop()], counts.pop()) for _ in range(d)][::-1]
-    name_width = len(str(d))
-    names = tuple(f"layer{alpha + 1:0{name_width}d}" for alpha in range(d))
-    net = MultilayerNetwork(universe, tuple(layers), names)
-
-    truth = SyntheticTruth(
-        rates=LayerGraph(universe, codes, lam_star),
-        theta_star=theta_star,
-        coverage=coverage,
-        seed=seed,
-    )
-    return net, truth
+    truth, names, layers = _synthetic_layers(n, d, theta_star, coverage, seed)
+    return MultilayerNetwork(truth.universe, tuple(layers), names), truth
 
 
 def recovery_metrics(est: AggregatedNetwork, truth: SyntheticTruth) -> RecoveryMetrics:

@@ -126,6 +126,56 @@ class TestLayerGraph:
             inp.k[(0, 1)] = 3
 
 
+def frozen(values, dtype):
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+class TestArrayAdoption:
+    """A constructor keeps the arrays it is handed when nothing else can
+    change them, and copies them otherwise."""
+
+    uni = NodeUniverse(("a", "b", "c"))
+
+    def test_writeable_input_is_copied(self):
+        codes, values = np.array([1, 5]), np.array([1.0, 2.0])
+        layer = LayerGraph(self.uni, codes, values)
+        assert not np.shares_memory(layer.codes, codes)
+        assert not np.shares_memory(layer.values, values)
+        assert codes.flags.writeable and values.flags.writeable
+
+    def test_read_only_input_is_shared(self):
+        codes, values = frozen([1, 5], np.int64), frozen([1.0, 2.0], np.float64)
+        layer = LayerGraph(self.uni, codes[:], values[:])  # views of read-only owners
+        assert np.shares_memory(layer.codes, codes) and np.shares_memory(layer.values, values)
+        estimate = AggregatedNetwork(self.uni, codes, values, 1.0, 1, True, 0.0)
+        as_layer = estimate.to_layer()
+        assert np.shares_memory(as_layer.codes, codes) and np.shares_memory(as_layer.values, values)
+
+    def test_read_only_view_of_a_writeable_base_is_copied(self):
+        codes, values = np.array([1, 5]), np.array([1.0, 2.0])
+        code_view, value_view = codes[:], values[:]
+        code_view.flags.writeable = value_view.flags.writeable = False
+        layer = LayerGraph(self.uni, code_view, value_view)
+        assert not np.shares_memory(layer.codes, codes)
+        assert not np.shares_memory(layer.values, values)
+        codes[0], values[0] = 2, 7.0
+        assert layer.codes.tolist() == [1, 5] and layer.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32])
+    def test_other_dtypes_are_copied(self, dtype):
+        layer = LayerGraph(self.uni, frozen([1, 5], dtype), frozen([1, 2], dtype))
+        assert layer.codes.dtype == np.int64 and layer.values.dtype == np.float64
+
+    def test_negative_zero_reads_back_as_zero(self):
+        values = frozen([-0.0, 2.0], np.float64)
+        layer = LayerGraph(self.uni, frozen([1, 5], np.int64), values)
+        assert not np.shares_memory(layer.values, values)
+        assert layer.values.tolist() == [0.0, 2.0]
+        assert np.signbit(layer.values).tolist() == [False, False]
+
+
 class TestObservationSummaries:
     def test_counts_and_sums(self):
         inp = observation_summaries(two_layer_net())

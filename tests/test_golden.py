@@ -116,7 +116,7 @@ ANALYSIS_EXPECTED = {
     "map.json": "460a1850a34cee1f6ad62ed252c91511635afd93e8323465eaf6941484eadfbf",
     "layers_ave.csv": "2a325afd0289cf26786ed5cefb9c834d4988f90e6ff3871ccec6fdf2563369c4",
     "table.csv": "ab77b1f6c76d3f9526262f5a7a4a975b5e21cdcc5714ad84fde9f78d70b5d07e",
-    "cmp/reports.json": "b8f85a32a4e52bdbbae2eec5db292b0490ba2ad0b06f98a65840667a4599ef89",
+    "cmp/reports.json": "dc1efd973d3f8055da4874686a25b7ed37dec436db832a3909339b92f51e9348",
     "cmp/scatter_map_vs_ave.csv": "9f870bff1fba64ee3026ea89a1e75b151f1b71b36a0386eed8ee89e3e3204573",
     "cmp/scatter_map_vs_con.csv": "dd49c0145b26be9cd04ec1f02788f6a274bee0aa8a2a4d772e8772929dd87a26",
     "cmp/strength_cdf_ave.csv": "76f0f225608d06a0350f0744dd3f444f9261e81374f2234225bbd375ba001897",

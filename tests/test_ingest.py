@@ -489,6 +489,20 @@ class TestChunkedFileReader:
         rows = ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), ",", len(data))
         assert _same_rows(rows, ingest._regular_rows(text, ","))
 
+    @pytest.mark.parametrize("sep", [" ", "\t"])  # the chunked and the per-line reader
+    def test_layers_share_the_parsed_rows(self, sep):
+        """Every layer holds read-only slices of the parse's one key array and
+        one weight array, so no row is held twice."""
+        net, _ = generate_synthetic(n=30, d=3, coverage=0.8, seed=2)
+        text = serialize_multiplex_edgelist(net).replace(" ", sep)
+        for read in (parse_multiplex_edgelist, lambda t: _read_file(io.BytesIO(t.encode()))):
+            layers = read(text).layers
+            assert layers == net.layers
+            for arrays in ([layer.codes for layer in layers], [layer.values for layer in layers]):
+                base = arrays[0].base
+                assert base is not None and not base.flags.writeable
+                assert all(array.base is base for array in arrays)
+
     @pytest.mark.parametrize("size", [0, None])
     def test_rows_outgrow_the_slab(self, size, monkeypatch):
         """Lines that get shorter than the first chunk's, or a size too small,

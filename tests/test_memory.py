@@ -6,9 +6,12 @@ figure measured when it was set.  The whole-grid synth draw, the joined
 writer text, the parser's second row copies and the summaries' concatenate
 plus np.unique peaked 2 to 7 times higher (42.4, 30.7, 27.8 and 21.8 MB);
 the edge-list writer that formatted all layers' columns at once peaked at
-9.0 MB, and reading the file whole held its 8.3 MB text beside the parse.
-The commands' own peaks are ``ru_maxrss`` of each one spawned from a small
-launcher, above what importing the CLI takes.
+9.0 MB, and reading the file whole held its 8.3 MB text beside the parse;
+a parse that kept 28 bytes a row and then copied them into the layers
+peaked at 13.1 MB.  The commands' own peaks are ``ru_maxrss`` of each one
+spawned from a small launcher, above what importing the CLI takes; the
+N=1000 run of that launcher is marked ``slow`` and deselected by default
+(``python -m pytest -m slow tests/test_memory.py`` runs it).
 """
 
 import json
@@ -45,6 +48,10 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def edge_chunks(net):
+    return _edgelist_chunks(net.universe, net.layer_names, net.layers)
+
+
 @pytest.fixture(scope="module")
 def dense():
     return generate_synthetic(n=300, d=11, theta_star=1.0, coverage=0.8, seed=1)[0]
@@ -57,9 +64,9 @@ def test_synth_draws_one_layer_at_a_time():
 
 def test_edge_list_streams_to_the_file(dense, tmp_path):
     path = tmp_path / "net.txt"
-    _, peak = traced_peak(lambda: _write(path, _edgelist_chunks(dense)))
+    _, peak = traced_peak(lambda: _write(path, edge_chunks(dense)))
     assert path.stat().st_size > 8 * MB
-    assert peak < 1.4  # 1.1 MB, for a text of 8.3 MB
+    assert peak < 1.2  # 1.0 MB, for a text of 8.3 MB
 
 
 def test_truth_csv_streams_to_the_file(tmp_path):
@@ -72,17 +79,17 @@ def test_truth_csv_streams_to_the_file(tmp_path):
 
 def test_file_read_holds_no_text(dense, tmp_path):
     path = tmp_path / "net.txt"
-    _write(path, _edgelist_chunks(dense))
+    _write(path, edge_chunks(dense))
     net, peak = traced_peak(_read_edgelist, path)
     assert net == dense
-    assert peak < 16.0  # 13.2 MB in all; the text alone is 8.3, the network returned 6.1
+    assert peak < 12.8  # 10.7 MB in all; the text alone is 8.3, the network returned 6.1
 
 
 def test_parse_holds_its_rows_once(dense):
-    text = "".join(_edgelist_chunks(dense))
+    text = "".join(edge_chunks(dense))
     net, peak = traced_peak(parse_multiplex_edgelist, text)
     assert net == dense
-    assert peak < 16.0  # 13.1 MB above the 8.3 MB text; the network it returns holds 6.1
+    assert peak < 12.5  # 10.4 MB above the 8.3 MB text; the network it returns holds 6.1
 
 
 def test_summaries_fold_the_layers(dense):
@@ -115,10 +122,10 @@ def peak_mb(*argv):
         raise SystemExit(f"{argv} exited with status {status}")
     return usage.ru_maxrss / 1024
 
-out = sys.argv[1]
+out, nodes = sys.argv[1:]
 net = os.path.join(out, "net.txt")
 peaks = {"import": peak_mb("-c", "import mapnet.cli, numpy.random")}
-peaks["synth gen"] = peak_mb("-m", "mapnet", "synth", "gen", "--nodes", "300", "--layers", "11",
+peaks["synth gen"] = peak_mb("-m", "mapnet", "synth", "gen", "--nodes", nodes, "--layers", "11",
                              "--coverage", "0.8", "--seed", "1", "-o", net,
                              "--truth", os.path.join(out, "truth.csv"))
 peaks["aggregate"] = peak_mb("-m", "mapnet", "aggregate", net, "-o", os.path.join(out, "agg.csv"))
@@ -128,18 +135,36 @@ print(json.dumps(peaks))
 """
 
 
-def test_command_peaks_above_the_import(tmp_path):
-    """The launcher starts small, so its children do not inherit this process's
-    high-water mark (Linux carries it across a vfork and exec into
-    ``ru_maxrss``); each budget is above the launcher's import of the CLI."""
+def command_peaks(tmp_path, nodes: int) -> dict[str, float]:
+    """Each command's peak in MB above the launcher's import of the CLI, at
+    ``nodes`` nodes.  The launcher starts small, so its children do not
+    inherit this process's high-water mark (Linux carries it across a vfork
+    and exec into ``ru_maxrss``)."""
     src = str(Path(mapnet.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(tmp_path)], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(tmp_path), str(nodes)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          check=True)
     peaks = json.loads(proc.stdout)
-    above = {command: peak - peaks["import"] for command, peak in peaks.items()}
-    # 11.6, 8.1 and 8.4 MB above an import of 35.4 MB (Python 3.11, numpy 2.4);
-    # holding the text and re-sorting the rows took 18.6-18.9 MB each
-    assert above["synth gen"] < 14.0
-    assert above["aggregate"] < 10.5
-    assert above["baseline ave"] < 10.5
+    return {command: peak - peaks["import"] for command, peak in peaks.items()}
+
+
+def test_command_peaks_above_the_import(tmp_path):
+    above = command_peaks(tmp_path, 300)
+    # 6.0, 5.5 and 5.0 MB above an import of 35.5 MB (Python 3.11, numpy 2.4); holding
+    # every drawn layer, and the parse's second copy of its 28-byte rows, took 11.6, 8.1
+    # and 8.4, and holding the text and re-sorting the rows took 18.6-18.9
+    assert above["synth gen"] < 8.2
+    assert above["aggregate"] < 6.6
+    assert above["baseline ave"] < 6.1
+
+
+@pytest.mark.slow
+def test_command_peaks_above_the_import_at_1000_nodes(tmp_path):
+    """The same at N=1000 (about 4.4M observations, a 92 MB edge list)."""
+    above = command_peaks(tmp_path, 1000)
+    # 51, 100 and 97 MB above the import; holding every drawn layer, and the
+    # parse's second copy of its rows, took 112, 152 and 149
+    assert above["synth gen"] < 62.0
+    assert above["aggregate"] < 122.0
+    assert above["baseline ave"] < 118.0

@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -13,7 +16,8 @@ from mapnet import (
     von_neumann_entropy,
     weight_cdf,
 )
-from mapnet.errors import DegenerateValues, EmptyGraph
+from mapnet.cli import main
+from mapnet.errors import DegenerateValues, EmptyGraph, PowerIterationWarning
 from mapnet.metrics import _principal_eigenvector, adjacency_matrix
 from conftest import coded, pair_dict
 
@@ -88,6 +92,24 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(LayerGraph(uni, [1], [0.0]))
 
 
+def einsum_clustering_avg(a):
+    """Geometric-mean clustering with the triangle sums as one einsum over
+    index triples (kept as an oracle for metrics._weighted_clustering_avg)."""
+    cbrt = np.cbrt(a / a.max())
+    triangles = np.einsum("ij,jk,ki->i", cbrt, cbrt, cbrt)
+    degree = (a > 0).sum(axis=1)
+    coeff = np.zeros(a.shape[0])
+    multi = degree >= 2
+    coeff[multi] = triangles[multi] / (degree[multi] * (degree[multi] - 1))
+    return float(coeff.mean())
+
+
+def path_adjacency(n):
+    a = np.zeros((n, n))
+    a[np.arange(n - 1), np.arange(1, n)] = a[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return a
+
+
 class TestNetworkReport:
     def test_path_graph(self):
         uni = NodeUniverse(("a", "b", "c"))
@@ -121,6 +143,17 @@ class TestNetworkReport:
             expected = nx.average_clustering(g, weight="weight")
             assert network_report(layer).clustering_avg == pytest.approx(expected, abs=1e-10)
 
+    def test_clustering_matches_the_einsum_triangles(self):
+        """The matmul form of the triangle sums agrees with the einsum over
+        index triples it replaced, within 1e-13 relative."""
+        rng = np.random.default_rng(37)
+        for n in (8, 40, 300):
+            a = np.triu(rng.exponential(size=(n, n)) * (rng.random((n, n)) < 0.6), 1)
+            a += a.T
+            expected = einsum_clustering_avg(a)
+            assert expected > 0
+            assert metrics._weighted_clustering_avg(a) == pytest.approx(expected, rel=1e-13)
+
     def test_power_iteration_residual(self):
         rng = np.random.default_rng(35)
         for _ in range(10):
@@ -129,6 +162,33 @@ class TestNetworkReport:
             v = _principal_eigenvector(a)
             mu = float(v @ a @ v)
             assert np.linalg.norm(a @ v - mu * v) < 1e-8 * mu
+
+    def test_power_iteration_out_of_steps_warns(self):
+        a = path_adjacency(12)
+        with pytest.warns(PowerIterationWarning) as caught:
+            v = _principal_eigenvector(a, max_iter=20)
+        (warning,) = caught
+        mu = float(v @ a @ v)
+        assert warning.message.steps == 20
+        assert warning.message.residual == pytest.approx(np.linalg.norm(a @ v - mu * v) / mu)
+        assert warning.message.residual > 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = _principal_eigenvector(a)
+        mu = float(v @ a @ v)
+        assert np.linalg.norm(a @ v - mu * v) <= 1e-10 * mu
+
+    def test_power_iteration_warning_is_a_json_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "_principal_eigenvector",
+                            functools.partial(_principal_eigenvector, max_iter=5))
+        path = tmp_path / "path.csv"
+        path.write_text("node_u,node_v,weight\n" + "".join(f"v{i},v{i + 1},1.0\n" for i in range(9)))
+        assert main(["metrics", str(path), "-o", str(tmp_path / "report.json")]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        warning = json.loads(line)
+        assert warning["warning"] == "PowerIterationWarning"
+        assert warning["steps"] == 5 and warning["residual"] > 1e-10
+        assert warning["message"].startswith("power iteration stopped unconverged after 5 steps")
 
     def test_bipartite_graph_converges(self):
         # equal-magnitude extreme eigenvalues need the diagonal shift

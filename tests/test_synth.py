@@ -13,10 +13,13 @@ from mapnet import (
     generate_synthetic,
     observation_summaries,
     recovery_metrics,
+    serialize_multiplex_edgelist,
 )
+from mapnet.cli import main
 from mapnet.errors import NegativeWeight, ParseError, UniverseMismatch
 from mapnet.core import pair_codes
 from mapnet.synth import _poisson_from_uniform, _rounded_normal
+from mapnet.ingest import serialize_layer_csv
 from mapnet.synth import truth_from_csv, truth_meta, truth_to_csv
 from conftest import coded, pair_dict
 
@@ -177,6 +180,23 @@ class TestLayerByLayerDraws:
         expected, rates, normal_cells = whole_grid_synthetic(*case)
         assert net == expected and truth.rates == rates
         assert (normal_cells > 0) == (case[2] < 1.0)
+
+
+class TestStreamedSynthGen:
+    """``synth gen`` writes each layer as it is drawn; its files are those of
+    the whole-grid oracle, in the normal branch too."""
+
+    @pytest.mark.parametrize("case", [(50, 4, 0.02, 0.5, 3), (80, 7, 0.05, 1.0, 9)])
+    def test_files_match_whole_grids(self, case, tmp_path):
+        n, d, theta_star, coverage, seed = case
+        net, truth = tmp_path / "net.txt", tmp_path / "truth.csv"
+        argv = ["synth", "gen", "--nodes", n, "--layers", d, "--theta", theta_star,
+                "--coverage", coverage, "--seed", seed, "-o", net, "--truth", truth]
+        assert main([str(arg) for arg in argv]) == 0
+        expected, rates, normal_cells = whole_grid_synthetic(*case)
+        assert normal_cells > 0
+        assert net.read_text() == serialize_multiplex_edgelist(expected)
+        assert truth.read_text() == serialize_layer_csv(rates, "lambda_star")
 
 
 class TestRecoveryMetrics:
