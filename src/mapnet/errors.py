@@ -83,13 +83,3 @@ class DegenerateConditionWarning(MapnetWarning):
             + ", ".join(self.labels)
         )
 
-
-class PowerIterationWarning(MapnetWarning):
-    """Power iteration ran out of steps; carries the step count and the
-    residual ‖Av − μv‖ / μ it stopped at."""
-
-    def __init__(self, steps, residual):
-        self.steps = steps
-        self.residual = residual
-        super().__init__(f"power iteration stopped unconverged after {steps} steps "
-                         f"at residual {residual:.3g}")

@@ -662,26 +662,37 @@ def parse_layer_csv(text: str) -> LayerGraph:
     return layer
 
 
+_SIDECAR_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
 def _sidecar_value(sidecar, name: str, kind=float, finite: bool = True):
-    """``kind(sidecar[name])`` of a JSON sidecar; ParseError naming the field
-    when the sidecar is not an object, or the field is missing, does not
-    convert, or (with ``finite``) is not finite."""
+    """Field ``name`` of a JSON sidecar as ``kind``: a JSON boolean for bool,
+    an integer for int and any number for float, where a boolean is no
+    number.  ParseError naming the field when the sidecar is not an object,
+    or the field is missing, has another type, or (a float, with ``finite``)
+    is not finite."""
     if not isinstance(sidecar, dict):
         raise ParseError(f"sidecar must be a JSON object, found {type(sidecar).__name__}")
     if name not in sidecar:
         raise ParseError(f"sidecar has no field {name!r}")
-    try:
-        value = kind(sidecar[name])
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"sidecar field {name!r} is not a number: {sidecar[name]!r}") from None
-    if finite and not math.isfinite(value):
-        raise ParseError(f"sidecar field {name!r} is not finite: {sidecar[name]!r}")
+    value = sidecar[name]
+    types, noun = _SIDECAR_TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+        raise ParseError(f"sidecar field {name!r} is not {noun}: {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if finite and not math.isfinite(value):
+            raise ParseError(f"sidecar field {name!r} is not finite: {sidecar[name]!r}")
     return value
 
 
 def parse_aggregated_csv(text: str, sidecar: dict) -> AggregatedNetwork:
     """Rebuild an aggregated network from its CSV and sidecar metadata.
-    ParseError names a sidecar field that is missing or not a finite number."""
+    ParseError names a sidecar field that is missing, of another type or not
+    finite."""
     layer = parse_layer_csv(text)
     solver = (_sidecar_value(sidecar, "theta"), _sidecar_value(sidecar, "iterations", int),
               _sidecar_value(sidecar, "converged", bool))

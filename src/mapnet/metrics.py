@@ -9,14 +9,12 @@ higher.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import LayerGraph, pair_indices
-from .errors import DegenerateValues, DomainError, EmptyGraph, PowerIterationWarning
+from .errors import DegenerateValues, DomainError, EmptyGraph
 
 _EIG_CLIP = 1e-12
 
@@ -106,29 +104,26 @@ def _weighted_clustering_avg(a: np.ndarray) -> float:
     return float(coeff.mean())
 
 
-def _principal_eigenvector(a: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:
-    """Power iteration for the Perron vector, L2-normalized.
+# Eigenvalues within this distance of the largest, relative to it, count as
+# tied with it: eigh places each eigenvalue within a few ulps of the largest,
+# so a true tie lands far inside the band, and a gap this narrow would take
+# power iteration about 1e10 steps to resolve.
+_TOP_RTOL = 1e-10
 
-    A positive diagonal shift keeps the dominant eigenvalue unique in
-    magnitude (bipartite graphs otherwise oscillate).  It stops once the
-    residual ‖Av − μv‖ falls to ``tol``·μ; after ``max_iter`` steps short of
-    that it warns with a PowerIterationWarning and returns the last vector.
+
+def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
+    """Unit-norm projection of the all-ones vector onto the top eigenspace.
+
+    This is the limit of shifted power iteration from the uniform vector,
+    so the sign, disconnected graphs and tied components follow from the
+    rule rather than from the basis LAPACK returns: on components with
+    different top eigenvalues the weaker ones get zeros, and tied
+    components share the mass.
     """
-    n = a.shape[0]
-    shift = 1.0 + a.sum(axis=1).max()
-    v = np.full(n, 1.0 / math.sqrt(n))
-    residual = math.inf
-    for _ in range(max_iter):
-        w = a @ v + shift * v
-        v = w / np.linalg.norm(w)
-        mu = float(v @ a @ v)
-        scale = max(mu, _EIG_CLIP)
-        gap = np.linalg.norm(a @ v - mu * v)
-        if gap <= tol * scale:
-            return v
-        residual = float(gap / scale)
-    warnings.warn(PowerIterationWarning(max_iter, residual), stacklevel=3)
-    return v
+    w, vecs = np.linalg.eigh(a)
+    top = vecs[:, w >= (1.0 - _TOP_RTOL) * w[-1]]  # w[-1] >= 0, as the trace is 0
+    v = top @ top.sum(axis=0)
+    return v / np.linalg.norm(v)
 
 
 def network_report(g: LayerGraph, log_base: str = "natural") -> NetworkReport:

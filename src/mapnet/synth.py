@@ -188,7 +188,8 @@ def truth_meta(truth: SyntheticTruth) -> dict:
 
 def truth_from_csv(text: str, meta: dict) -> SyntheticTruth:
     """Inverse of truth_to_csv + truth_meta; rates are read like layer weights.
-    ParseError names a sidecar field that is missing or not a finite number."""
+    ParseError names a sidecar field that is missing, of another type or not
+    finite."""
     return SyntheticTruth(
         rates=parse_layer_csv(text),
         theta_star=_sidecar_value(meta, "theta_star"),

@@ -564,9 +564,15 @@ SIDECAR_FAULTS = [
     ("theta", [0.5], "sidecar field 'theta' is not a number: [0.5]"),
     ("theta", float("nan"), "sidecar field 'theta' is not finite: nan"),
     ("theta", float("inf"), "sidecar field 'theta' is not finite: inf"),
-    ("iterations", "x", "sidecar field 'iterations' is not a number: 'x'"),
-    ("iterations", float("inf"), "sidecar field 'iterations' is not a number: inf"),
+    ("theta", True, "sidecar field 'theta' is not a number: True"),
+    ("theta", "0.5", "sidecar field 'theta' is not a number: '0.5'"),
+    ("iterations", "x", "sidecar field 'iterations' is not an integer: 'x'"),
+    ("iterations", float("inf"), "sidecar field 'iterations' is not an integer: inf"),
+    ("iterations", 3.9, "sidecar field 'iterations' is not an integer: 3.9"),
+    ("iterations", False, "sidecar field 'iterations' is not an integer: False"),
     ("converged", None, "sidecar has no field 'converged'"),
+    ("converged", "false", "sidecar field 'converged' is not a boolean: 'false'"),
+    ("converged", 1, "sidecar field 'converged' is not a boolean: 1"),
 ]
 
 
@@ -612,7 +618,10 @@ class TestSidecarErrors:
         ({"seed": 0, "coverage": 1.0}, "sidecar has no field 'theta_star'"),
         ({**TRUTH_META, "theta_star": float("nan")}, "sidecar field 'theta_star' is not finite: nan"),
         ({**TRUTH_META, "theta_star": "one"}, "sidecar field 'theta_star' is not a number: 'one'"),
-        ({**TRUTH_META, "seed": None}, "sidecar field 'seed' is not a number: None"),
+        ({**TRUTH_META, "seed": None}, "sidecar field 'seed' is not an integer: None"),
+        ({**TRUTH_META, "seed": 1.5}, "sidecar field 'seed' is not an integer: 1.5"),
+        ({**TRUTH_META, "seed": True}, "sidecar field 'seed' is not an integer: True"),
+        ({**TRUTH_META, "coverage": False}, "sidecar field 'coverage' is not a number: False"),
         ({"theta_star": 1.0}, "sidecar has no field 'coverage'"),
         ("theta_star", "sidecar must be a JSON object, found str"),
     ])

@@ -11,7 +11,11 @@ agreed with ``theta_fixed_point_oracle`` within 1.1e-15 relative (the old
 theta was up to 1.2e-10 off).  The sidecars of ``--unweighted`` runs were
 re-recorded when their ``count_mode`` field began to read ``presence``, the
 mode that ran, instead of the ``--count-mode`` value; their CSVs did not
-change.  The ``metrics.json`` report, the ``compare`` reports, the
+change.  ``metrics.json`` and ``cmp/reports.json`` were re-recorded when
+one ``eigh`` call replaced the power iteration behind the eigenvector
+centrality: each ``eigencentrality_mean`` moved by 1.8e-12 to 3.1e-11 and
+now agrees with networkx's ``eigenvector_centrality_numpy`` within 1.2e-16.
+The ``metrics.json`` report, the ``compare`` reports, the
 ``synth score`` Pearson and the raw ConNet coefficients of ``baseline
 con`` pass through BLAS/LAPACK, so on another BLAS build or CPU kernel
 their last digits, and so these digests, may differ.
@@ -35,7 +39,7 @@ EXPECTED = {
     "unweighted.csv": "e569bb0f75f476beb4105003bc9228ebd13185cbafd6428b3ad570d86fe91f0c",
     "unweighted.json": "f8d4dfa01712d2362d9f65b04d3646aebdc2f3d286fda25dbc52c0839490c885",
     "ave.csv": "e2a2fed362cc5976c1bb4f9724a0fe830d40da2f8e4fce6bdb70e7c788792d3e",
-    "metrics.json": "9f8ba7738ff5641b1ccc5dde4bee7edba0732252d6cbf2a9a96baf0d9aadc0db",
+    "metrics.json": "4864ffa0dd6071047f4d0f2db648266ce7449505aa50849dd5cd541ffb8a34c8",
     "cdf.csv": "751592931e19ef501b72d90796d10c6c2dc8971d0a1d9609f52fc38fe81e12fb",
     "score.json": "0f5b70ddf9f3b1e66e91e8a285d7d311b18ab29913a72af9bbd7afac5a4c8e40",
     "layers.txt": "3039198bfabe13677abd309cb738b5bf8fd5401f348ec90dbfaeaa84f985782e",
@@ -116,7 +120,7 @@ ANALYSIS_EXPECTED = {
     "map.json": "460a1850a34cee1f6ad62ed252c91511635afd93e8323465eaf6941484eadfbf",
     "layers_ave.csv": "2a325afd0289cf26786ed5cefb9c834d4988f90e6ff3871ccec6fdf2563369c4",
     "table.csv": "ab77b1f6c76d3f9526262f5a7a4a975b5e21cdcc5714ad84fde9f78d70b5d07e",
-    "cmp/reports.json": "dc1efd973d3f8055da4874686a25b7ed37dec436db832a3909339b92f51e9348",
+    "cmp/reports.json": "7bc0ec300d352085f5f5c0364b97e619a133f216f8392e94c3973abb88e640fd",
     "cmp/scatter_map_vs_ave.csv": "9f870bff1fba64ee3026ea89a1e75b151f1b71b36a0386eed8ee89e3e3204573",
     "cmp/scatter_map_vs_con.csv": "dd49c0145b26be9cd04ec1f02788f6a274bee0aa8a2a4d772e8772929dd87a26",
     "cmp/strength_cdf_ave.csv": "76f0f225608d06a0350f0744dd3f444f9261e81374f2234225bbd375ba001897",

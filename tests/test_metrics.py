@@ -1,25 +1,27 @@
-import functools
-import json
 import math
-import warnings
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from mapnet import (
+    CorrelationConfig,
+    EmConfig,
     LayerGraph,
     NodeUniverse,
+    build_connet,
+    em_aggregate,
     exponential_fit_r2,
+    generate_synthetic,
     metrics,
     network_report,
+    observation_summaries,
     von_neumann_entropy,
     weight_cdf,
 )
-from mapnet.cli import main
-from mapnet.errors import DegenerateValues, EmptyGraph, PowerIterationWarning
+from mapnet.errors import DegenerateValues, EmptyGraph
 from mapnet.metrics import _principal_eigenvector, adjacency_matrix
-from conftest import coded, pair_dict
+from conftest import coded, make_expression_collection, pair_dict
 
 
 def star_labels(n):
@@ -154,42 +156,6 @@ class TestNetworkReport:
             assert expected > 0
             assert metrics._weighted_clustering_avg(a) == pytest.approx(expected, rel=1e-13)
 
-    def test_power_iteration_residual(self):
-        rng = np.random.default_rng(35)
-        for _ in range(10):
-            layer = random_layer(rng, int(rng.integers(4, 20)))
-            a = adjacency_matrix(layer)
-            v = _principal_eigenvector(a)
-            mu = float(v @ a @ v)
-            assert np.linalg.norm(a @ v - mu * v) < 1e-8 * mu
-
-    def test_power_iteration_out_of_steps_warns(self):
-        a = path_adjacency(12)
-        with pytest.warns(PowerIterationWarning) as caught:
-            v = _principal_eigenvector(a, max_iter=20)
-        (warning,) = caught
-        mu = float(v @ a @ v)
-        assert warning.message.steps == 20
-        assert warning.message.residual == pytest.approx(np.linalg.norm(a @ v - mu * v) / mu)
-        assert warning.message.residual > 1e-10
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v = _principal_eigenvector(a)
-        mu = float(v @ a @ v)
-        assert np.linalg.norm(a @ v - mu * v) <= 1e-10 * mu
-
-    def test_power_iteration_warning_is_a_json_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(metrics, "_principal_eigenvector",
-                            functools.partial(_principal_eigenvector, max_iter=5))
-        path = tmp_path / "path.csv"
-        path.write_text("node_u,node_v,weight\n" + "".join(f"v{i},v{i + 1},1.0\n" for i in range(9)))
-        assert main(["metrics", str(path), "-o", str(tmp_path / "report.json")]) == 0
-        (line,) = capsys.readouterr().err.splitlines()
-        warning = json.loads(line)
-        assert warning["warning"] == "PowerIterationWarning"
-        assert warning["steps"] == 5 and warning["residual"] > 1e-10
-        assert warning["message"].startswith("power iteration stopped unconverged after 5 steps")
-
     def test_bipartite_graph_converges(self):
         # equal-magnitude extreme eigenvalues need the diagonal shift
         uni = star_labels(4)
@@ -217,6 +183,112 @@ class TestNetworkReport:
         assert report.entropy == von_neumann_entropy(layer).entropy
         base2 = network_report(layer, "base2")
         assert base2.entropy == von_neumann_entropy(layer, "base2").entropy
+
+
+def power_loop(a, tol=1e-10, max_iter=100000):
+    """Shifted power iteration from the uniform vector, stopped once
+    ‖Av − μv‖ ≤ tol·μ (the centrality's former implementation, kept as an
+    oracle; it converges fast only on graphs with a wide spectral gap)."""
+    n = a.shape[0]
+    shift = 1.0 + a.sum(axis=1).max()
+    v = np.full(n, 1.0 / math.sqrt(n))
+    for _ in range(max_iter):
+        w = a @ v + shift * v
+        v = w / np.linalg.norm(w)
+        mu = float(v @ a @ v)
+        if np.linalg.norm(a @ v - mu * v) <= tol * mu:
+            return v
+    raise AssertionError(f"power loop did not converge in {max_iter} steps")
+
+
+def networkx_centrality(a):
+    """networkx's eigenvector_centrality_numpy of the adjacency ``a``, as an array."""
+    n = a.shape[0]
+    c = nx.eigenvector_centrality_numpy(nx.from_numpy_array(a), weight="weight")
+    return np.array([c[i] for i in range(n)])
+
+
+def two_components(b, scale):
+    """Block-diagonal adjacency of ``b`` and ``scale``·``b``."""
+    n = b.shape[0]
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, :n] = b
+    a[n:, n:] = scale * b
+    return a
+
+
+def dense_adjacency(rng, n, p=0.5):
+    a = np.triu(rng.uniform(0.1, 5.0, (n, n)) * (rng.random((n, n)) < p), 1)
+    return a + a.T
+
+
+class TestCentrality:
+    """_principal_eigenvector against networkx and the power loop it replaced."""
+
+    def test_random_connected_graphs(self):
+        rng = np.random.default_rng(35)
+        for n in (4, 9, 20, 60, 150):
+            a = dense_adjacency(rng, n)
+            assert nx.is_connected(nx.from_numpy_array(a))
+            v = _principal_eigenvector(a)
+            mu = float(v @ a @ v)
+            assert np.linalg.norm(a @ v - mu * v) < 1e-12 * mu
+            np.testing.assert_allclose(v, networkx_centrality(a), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v, power_loop(a), rtol=0, atol=1e-8)
+
+    def test_synth_aggregate_and_connet(self):
+        net, _ = generate_synthetic(300, 11, coverage=0.8, seed=1)
+        agg = em_aggregate(observation_summaries(net), EmConfig())
+        connet = build_connet(make_expression_collection(seed=3, n_genes=150, presence=0.85,
+                                                         missing=0.1, n_conditions=16),
+                              CorrelationConfig())
+        for g in (agg.to_layer(), connet):
+            a = adjacency_matrix(g)
+            np.testing.assert_allclose(_principal_eigenvector(a), networkx_centrality(a),
+                                       rtol=0, atol=1e-12)
+
+    def test_sign_of_the_eigh_basis_does_not_matter(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        for a in (dense_adjacency(rng, 30), two_components(dense_adjacency(rng, 6, p=0.9), 1.0)):
+            expected = _principal_eigenvector(a)
+            eigh = np.linalg.eigh
+
+            def negated(m):
+                w, vecs = eigh(m)
+                return w, -vecs
+
+            monkeypatch.setattr(np.linalg, "eigh", negated)
+            assert np.array_equal(_principal_eigenvector(a), expected)
+            monkeypatch.undo()
+            assert expected.sum() > 0
+
+    def test_identical_components_share_the_mass(self):
+        b = dense_adjacency(np.random.default_rng(39), 6, p=0.9)
+        a = two_components(b, 1.0)
+        v = _principal_eigenvector(a)
+        np.testing.assert_allclose(v, power_loop(a), rtol=0, atol=1e-10)
+        assert v[:6].sum() == pytest.approx(v[6:].sum(), abs=1e-12)
+        np.testing.assert_allclose(v[:6], v[6:], rtol=0, atol=1e-12)
+
+    def test_weaker_component_gets_zeros(self):
+        b = dense_adjacency(np.random.default_rng(40), 6, p=0.9)
+        for scale in (0.5, 0.999):
+            v = _principal_eigenvector(two_components(b, scale))
+            assert np.abs(v[6:]).max() <= 1e-12
+            np.testing.assert_allclose(v[:6], networkx_centrality(b), rtol=0, atol=1e-12)
+
+    def test_path_graph_matches_eigh(self):
+        """The 1000-node path graph has a relative spectral gap of about 1e-5:
+        the power loop ran 36.7 s and stopped 3.1e-3 off."""
+        n = 1000
+        a = path_adjacency(n)
+        _, vecs = np.linalg.eigh(a)
+        top = vecs[:, -1] * np.sign(vecs[:, -1].sum())
+        v = _principal_eigenvector(a)
+        np.testing.assert_allclose(v, top, rtol=0, atol=1e-10)
+        uni = star_labels(n)
+        layer = LayerGraph(uni, np.arange(n - 1) * (n + 1) + 1, np.ones(n - 1))
+        assert network_report(layer).eigencentrality_mean == v.mean()
 
 
 class TestWeightCdf:
