@@ -12,8 +12,8 @@ where ``T_d`` is the total S over pairs with k = d.  g is increasing and
 concave with g(0) = -P and g(inf) = sum(S) - P, so a root exists exactly
 when sum(S) > P, and Newton steps from below rise to it monotonically, each
 costing O(distinct k); lam is formed over all pairs once, after the steps.
-``track_objective`` evaluates the profile log-posterior, whose slope is
--g(theta)/theta, at every iterate, which costs O(pairs) per step.
+Each solve traces the profile log-posterior, C - sum_d T_d*log(d + theta) +
+P*log(theta) with C = sum(S*log(S) - S), at O(distinct k) per step.
 """
 
 from __future__ import annotations
@@ -42,13 +42,11 @@ class EmConfig:
     theta, or after ``max_iter`` steps.  seed=None starts from
     P / sum(T_d / d), Newton's first step from theta = 0; an integer seeds a
     random start below that one, by a factor of 10**-U(0, 3).
-    track_objective records the profile log-posterior at every iterate.
     """
 
     tol: float = 1e-10
     max_iter: int = 10000
     seed: int | None = None
-    track_objective: bool = False
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
@@ -90,9 +88,9 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
 
     Stops once a step is at most ``cfg.tol`` times theta; the estimate
     satisfies theta * sum(lam) = P exactly and lam * (k + theta) = S to
-    solver tolerance.  Raises DegenerateAllZero when every weight sum is
-    zero, and BracketingFailure when the total weight does not exceed the
-    pair count: then no finite prior rate maximizes the posterior.
+    solver tolerance; ``objective_trace`` has ``iterations + 1`` entries.
+    Raises BracketingFailure (DegenerateAllZero if every S is 0) when sum(S)
+    <= P: then no finite prior rate maximizes the posterior.
     """
     k, s = inp.counts.astype(float), inp.sums
     if not np.any(s > 0):
@@ -112,17 +110,18 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     if cfg.seed is not None:
         theta *= 10.0 ** -np.random.default_rng(cfg.seed).uniform(0.0, 3.0)
 
-    def profile(theta: float) -> float:
-        return _objective(k, s, s / (k + theta), theta, pair_count)
+    base = float((s[s > 0] * np.log(s[s > 0])).sum()) - total  # C of the profile
 
-    trace = [profile(theta)] if cfg.track_objective else None
+    def profile(theta: float) -> float:
+        return base - float((stratum_sums * np.log(levels + theta)).sum()) + pair_count * math.log(theta)
+
+    trace = [profile(theta)]
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
         pull = stratum_sums * levels / (levels + theta)  # g(theta) = margin - sum(pull)
         step = float((pull.sum() - margin) / (pull / (levels + theta)).sum())  # -g / g'
         theta += step
-        if trace is not None:
-            trace.append(profile(theta))
+        trace.append(profile(theta))
         if step <= cfg.tol * theta:
             converged = True
             break
@@ -131,10 +130,8 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     lam = s / (k + theta)
     theta = pair_count / float(lam.sum())
 
-    objective = _objective(k, s, lam, theta, pair_count)
-    trace = tuple(trace) if trace is not None else None
     return AggregatedNetwork(inp.universe, inp.codes, lam, theta, iterations, converged,
-                             objective, trace)
+                             _objective(k, s, lam, theta, pair_count), tuple(trace))
 
 
 def theta_fixed_point_oracle(inp: AggregationInput) -> float:

@@ -24,7 +24,7 @@ from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
 from .core import MultilayerNetwork, NodeUniverse, reindexed
 from .correlation import CorrelationConfig, build_correlation_network
-from .errors import MapnetError, MapnetWarning, UniverseMismatch
+from .errors import MapnetError, UniverseMismatch
 from .ingest import (
     ExpressionDataset,
     _edgelist_chunks,
@@ -67,6 +67,13 @@ def _write_json(path: str, obj) -> None:
     _write(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
+def _distinct(*paths: str | None) -> None:
+    """Raise before any file is opened when two output paths name one file."""
+    resolved = [Path(p).resolve() for p in paths if p]
+    if len(set(resolved)) < len(resolved):
+        raise MapnetError("two output paths name one file: " + ", ".join(filter(None, paths)))
+
+
 def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
     return [parse_expression_csv(_read(p), name=Path(p).stem) for p in paths]
 
@@ -90,13 +97,14 @@ def _cmd_build_layers(args) -> None:
 
 
 def _cmd_aggregate(args) -> None:
+    sidecar = args.sidecar or str(Path(args.output).with_suffix(".json"))
+    _distinct(args.output, sidecar)
     net = _read_edgelist(args.network)
     count_mode = _COUNT_MODES[args.count_mode or "measurable"]
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     agg = aggregate_network(net, em, count_mode, pair_count_mode)
     _write(args.output, _layer_csv_chunks(agg.to_layer(), "lambda"))
-    sidecar = args.sidecar or str(Path(args.output).with_suffix(".json"))
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
             "pair_count_mode": pair_count_mode, "count_mode": count_mode,
             "final_objective": agg.final_objective}
@@ -120,6 +128,7 @@ def _cmd_baseline(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
+    _distinct(args.output, args.cdf)
     layer = parse_layer_csv(_read(args.network))
     report = network_report(layer, _LOG_BASES[args.log_base])
     _write_json(args.output, report.to_dict())
@@ -163,11 +172,12 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_synth_gen(args) -> None:
+    meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
+    _distinct(args.output, args.truth, meta_path)
     truth, names, layers = _synthetic_layers(args.nodes, args.layers, args.theta, args.coverage,
                                              args.seed)
     _write(args.output, _edgelist_chunks(truth.universe, names, layers))
     _write(args.truth, _layer_csv_chunks(truth.rates, "lambda_star"))
-    meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
     _write_json(meta_path, truth_meta(truth))
 
 
@@ -281,20 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  Errors and mapnet's warnings go to stderr as JSON
-    lines, so stderr does not depend on where the package is installed."""
+    """Run one subcommand.  Errors and warnings go to stderr as JSON lines,
+    so stderr does not depend on where the package is installed."""
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        show = warnings.showwarning
-
-        def show_json(message, category, *where):
-            if issubclass(category, MapnetWarning):
-                line = {"warning": category.__name__, **vars(message), "message": str(message)}
-                print(json.dumps(line), file=sys.stderr)
-            else:
-                show(message, category, *where)
-
-        warnings.showwarning = show_json
+        warnings.showwarning = lambda message, category, *where: print(json.dumps(
+            {"warning": category.__name__, **vars(message), "message": str(message)}), file=sys.stderr)
         try:
             args.func(args)
         except (MapnetError, OSError, ValueError) as exc:

@@ -241,8 +241,8 @@ class AggregatedNetwork:
 
     ``values`` holds the estimated weight of every observed pair (k >= 1)
     in ``codes``, zeros included; unobserved pairs are absent and
-    implicitly zero.  ``objective_trace`` holds the per-iteration
-    log-posterior when the solver was asked to record it.
+    implicitly zero.  ``objective_trace`` holds the solver's profile
+    log-posterior at its start and after each step (None when read back).
     """
 
     universe: NodeUniverse

@@ -41,12 +41,12 @@ class DomainError(MapnetError):
     """A parameter lies outside the domain of the objective."""
 
 
-class DegenerateAllZero(MapnetError):
-    """Every observed weight sum is zero; the prior rate diverges."""
-
-
 class BracketingFailure(MapnetError):
-    """No sign change found for the scalar fixed-point equation."""
+    """No finite prior rate: the total weight does not exceed the pair count."""
+
+
+class DegenerateAllZero(BracketingFailure):
+    """Every observed weight sum is zero; the prior rate diverges."""
 
 
 class EmptyGraph(MapnetError):

@@ -171,7 +171,8 @@ def recovery_metrics(est: AggregatedNetwork, truth: SyntheticTruth) -> RecoveryM
         raise UniverseMismatch("estimate has pairs without a true rate")
     est_vals = est.values
     true_vals = truth.rates.values[np.searchsorted(truth.rates.codes, est.codes)]
-    pearson = float(np.corrcoef(est_vals, true_vals)[0, 1])
+    constant = est_vals.min() == est_vals.max() or true_vals.min() == true_vals.max()
+    pearson = np.nan if constant else float(np.corrcoef(est_vals, true_vals)[0, 1])
     mean_abs_err = float(np.abs(est_vals - true_vals).mean())
     theta_rel_err = abs(est.theta - truth.theta_star) / truth.theta_star
     return RecoveryMetrics(pearson, mean_abs_err, theta_rel_err)

@@ -17,6 +17,7 @@ from mapnet import (
     theta_fixed_point_oracle,
     weight_cdf,
 )
+import mapnet.aggregate as aggregate_module
 from mapnet.aggregate import aggregate_network
 from mapnet.errors import BracketingFailure, DegenerateAllZero, DomainError
 from conftest import coded, pair_dict
@@ -132,9 +133,9 @@ class TestEmAggregate:
     def test_monotone_objective_deterministic_and_random(self):
         inp = random_input(seed=5)
         for cfg in (
-            EmConfig(track_objective=True),
-            EmConfig(seed=1, track_objective=True),
-            EmConfig(seed=2, track_objective=True),
+            EmConfig(),
+            EmConfig(seed=1),
+            EmConfig(seed=2),
         ):
             trace = np.array(em_aggregate(inp, cfg).objective_trace)
             assert np.all(np.diff(trace) >= -1e-12)
@@ -148,14 +149,14 @@ class TestEmAggregate:
 
     def test_seed_selects_a_random_start(self):
         inp = random_input(seed=6)
-        default = em_aggregate(inp, EmConfig(track_objective=True))
-        seeded = em_aggregate(inp, EmConfig(seed=3, track_objective=True))
+        default = em_aggregate(inp, EmConfig())
+        seeded = em_aggregate(inp, EmConfig(seed=3))
         assert seeded.objective_trace[0] != default.objective_trace[0]
-        again = em_aggregate(inp, EmConfig(seed=3, track_objective=True))
+        again = em_aggregate(inp, EmConfig(seed=3))
         assert again.objective_trace == seeded.objective_trace
 
     def test_config_fields(self):
-        assert [f.name for f in fields(EmConfig)] == ["tol", "max_iter", "seed", "track_objective"]
+        assert [f.name for f in fields(EmConfig)] == ["tol", "max_iter", "seed"]
 
     def test_joint_scale_covariance_exact(self):
         # scaling S and P together by c scales lambda by c and keeps theta
@@ -181,9 +182,9 @@ class TestEmAggregate:
     def test_seeded_start_lies_below_the_default_start(self):
         # the profile log-posterior rises up to the root, so a lower start scores lower
         inp = random_input(seed=6)
-        default = em_aggregate(inp, EmConfig(track_objective=True)).objective_trace
+        default = em_aggregate(inp, EmConfig()).objective_trace
         for seed in (1, 2, 3):
-            seeded = em_aggregate(inp, EmConfig(seed=seed, track_objective=True)).objective_trace
+            seeded = em_aggregate(inp, EmConfig(seed=seed)).objective_trace
             assert seeded[0] < default[0]
 
     def test_final_objective_matches_log_posterior(self):
@@ -273,6 +274,60 @@ class TestStratifiedEquivalence:
             em_aggregate(inp)
         with pytest.raises(BracketingFailure):
             theta_fixed_point_oracle(inp)
+
+
+def c04_slack(inp, lam, theta):
+    # C04's slack: 16 ulps of the magnitude of the log-posterior's terms
+    s = inp.sums
+    log_terms = np.abs(s[s > 0] * np.log(lam[s > 0])).sum()
+    return 16 * np.spacing(s.sum() + log_terms + inp.pair_count * abs(math.log(theta)))
+
+
+TRACE_INPUTS = pytest.mark.parametrize(
+    "make_input", [lambda: random_input(seed=5), near_edge_input, gapped_levels_input,
+                   lambda: exact_margin_input(2.0**-3)],
+    ids=["synthetic", "near_edge", "gapped_levels", "exact_margin"])
+
+
+class TestObjectiveTrace:
+    @TRACE_INPUTS
+    @pytest.mark.parametrize("cfg", [EmConfig(), EmConfig(seed=2), EmConfig(max_iter=1),
+                                     EmConfig(max_iter=3, seed=4)],
+                             ids=["default", "seeded", "one_step", "three_seeded_steps"])
+    def test_one_entry_per_step_plus_the_start(self, make_input, cfg):
+        agg = em_aggregate(make_input(), cfg)
+        assert isinstance(agg.objective_trace, tuple)
+        assert len(agg.objective_trace) == agg.iterations + 1
+
+    @TRACE_INPUTS
+    def test_first_entry_is_the_log_posterior_at_the_start(self, make_input):
+        inp = make_input()
+        k, s = inp.counts, inp.sums
+        strata = np.bincount(k, weights=s)
+        levels = np.flatnonzero(strata)
+        theta0 = inp.pair_count / (strata[levels] / levels).sum()
+        lam0 = s / (k + theta0)
+        expected = log_posterior(inp, lam0, theta0)
+        first = em_aggregate(inp).objective_trace[0]
+        assert abs(first - expected) <= c04_slack(inp, lam0, theta0)
+
+    @TRACE_INPUTS
+    def test_converged_trace_ends_at_the_final_objective(self, make_input):
+        inp = make_input()
+        agg = em_aggregate(inp)
+        assert agg.converged
+        assert abs(agg.objective_trace[-1] - agg.final_objective) <= c04_slack(
+            inp, agg.values, agg.theta)
+
+    def test_steps_do_not_evaluate_the_per_pair_objective(self, monkeypatch):
+        # the trace is summed over the k-strata; only final_objective sums over pairs
+        calls = []
+        objective = aggregate_module._objective
+        monkeypatch.setattr(aggregate_module, "_objective",
+                            lambda *args: calls.append(1) or objective(*args))
+        agg = em_aggregate(near_edge_input())
+        assert agg.iterations > 1
+        assert len(calls) == 1
 
 
 class TestThetaOracle:

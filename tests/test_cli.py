@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from mapnet import (
     AggregatedNetwork,
     CorrelationConfig,
     EmConfig,
+    ExpressionDataset,
     LayerGraph,
     NodeUniverse,
     aggregate_network,
@@ -22,11 +25,13 @@ from mapnet import (
     parse_expression_csv,
     parse_layer_csv,
     parse_multiplex_edgelist,
+    recovery_metrics,
     run_subset_experiment,
     weight_cdf,
 )
 from mapnet.cli import main
-from mapnet.errors import BracketingFailure, UniverseMismatch
+from mapnet.synth import truth_from_csv
+from mapnet.errors import BracketingFailure, DegenerateAllZero, UniverseMismatch
 from conftest import coded, expression_csv, make_expression_dataset, pair_dict
 
 
@@ -339,6 +344,26 @@ class TestExperimentCommand:
         net = build_correlation_network(expression_collection, CorrelationConfig())
         assert full.mean_theta == aggregate_network(net).theta
 
+    def test_all_zero_subset_reads_inf_and_nan(self, tmp_path):
+        # two genes exactly anti-correlated in every dataset: r = -1 clamps to
+        # weight 0, so every subset has sum(S) = 0, a no-finite-rate case
+        x = np.arange(8.0)
+        paths = []
+        for name, scale in (("a", 1.0), ("b", 3.0)):
+            ds = ExpressionDataset(("g1", "g2"), tuple(f"c{i}" for i in range(8)),
+                                   np.stack([scale * x, -x]), name)
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text(expression_csv(ds), encoding="utf-8")
+        with pytest.raises(DegenerateAllZero):
+            aggregate_network(build_correlation_network(
+                [parse_expression_csv(p.read_text(encoding="utf-8")) for p in paths],
+                CorrelationConfig()))
+        out = tmp_path / "table.csv"
+        argv = ["experiment", "subsets", *map(str, paths), "-o", str(out), "--sizes", "1,2",
+                "--reps", "2"]
+        assert main(argv) == 0
+        assert out.read_text(encoding="utf-8") == "size,mean_theta,mean_r2\n1,inf,nan\n2,inf,nan\n"
+
 
 class TestSynthCommands:
     def test_gen_then_score(self, tmp_path):
@@ -628,3 +653,99 @@ class TestSidecarErrors:
     def test_truth_sidecar(self, files, capsys, meta, message):
         assert self.run(files, "synth score", MAP_META, meta) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ParseError", "message": message}
+
+
+class TestOutputPaths:
+    """Two outputs of one command that name one file are rejected before any
+    file is opened: exit 1, one JSON error line, and no file created or changed."""
+
+    @pytest.fixture()
+    def work(self, tmp_path, monkeypatch, multiplex_file):
+        monkeypatch.chdir(tmp_path)
+        Path("agg.csv").write_text("earlier\n", encoding="utf-8")
+        assert main(["aggregate", multiplex_file, "-o", "layer.csv"]) == 0
+        return tmp_path
+
+    def check(self, work, capsys, argv, outputs):
+        capsys.readouterr()
+        before = {path: path.read_bytes() for path in work.iterdir()}
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "MapnetError",
+                                    "message": "two output paths name one file: " + outputs}
+        assert {path: path.read_bytes() for path in work.iterdir()} == before
+
+    @pytest.mark.parametrize("flags, outputs", [
+        (["-o", "est.json"], "est.json, est.json"),
+        (["-o", "agg.csv", "--sidecar", "agg.csv"], "agg.csv, agg.csv"),
+        (["-o", "agg.csv", "--sidecar", "sub/../agg.csv"], "agg.csv, sub/../agg.csv"),
+    ], ids=["default_sidecar", "same_sidecar", "dotted_sidecar"])
+    def test_aggregate(self, work, capsys, multiplex_file, flags, outputs):
+        self.check(work, capsys, ["aggregate", multiplex_file, *flags], outputs)
+
+    @pytest.mark.parametrize("flags, outputs", [
+        (["-o", "t.csv", "--truth", "t.csv"], "t.csv, t.csv, t.json"),
+        (["-o", "n.txt", "--truth", "t.csv", "--truth-meta", "./t.csv"], "n.txt, t.csv, ./t.csv"),
+        (["-o", "t.json", "--truth", "t.csv"], "t.json, t.csv, t.json"),
+        (["-o", "agg.csv", "--truth", "t.csv", "--truth-meta", "{work}/agg.csv"],
+         "agg.csv, t.csv, {work}/agg.csv"),
+    ], ids=["output_is_truth", "relative_truth_meta", "output_is_default_meta", "absolute_meta"])
+    def test_synth_gen(self, work, capsys, flags, outputs):
+        flags = [flag.format(work=work) for flag in flags]
+        self.check(work, capsys, ["synth", "gen", "--nodes", "5", "--layers", "2", *flags],
+                   outputs.format(work=work))
+
+    def test_metrics(self, work, capsys):
+        self.check(work, capsys, ["metrics", "layer.csv", "-o", "agg.csv", "--cdf", "agg.csv"],
+                   "agg.csv, agg.csv")
+
+    def test_distinct_outputs_still_run(self, work, multiplex_file):
+        assert main(["aggregate", multiplex_file, "-o", "est.csv", "--sidecar", "est.csv.json"]) == 0
+        assert main(["metrics", "layer.csv", "-o", "m.json", "--cdf", "m.csv"]) == 0
+        assert main(["synth", "gen", "--nodes", "5", "--layers", "2", "-o", "t.json",
+                     "--truth", "t.csv", "--truth-meta", "t.meta.json"]) == 0
+
+
+class TestConstantEstimate:
+    """A constant estimate has no Pearson correlation with the truth: NaN, and no warning."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        (tmp_path / "est.csv").write_text("node_u,node_v,lambda\na,b,2.0\na,c,2.0\nb,c,2.0\n",
+                                          encoding="utf-8")
+        (tmp_path / "est.json").write_text(json.dumps(MAP_META), encoding="utf-8")
+        (tmp_path / "truth.csv").write_text("node_u,node_v,lambda_star\na,b,1.0\na,c,3.0\n"
+                                            "b,c,2.0\n", encoding="utf-8")
+        (tmp_path / "truth.json").write_text(json.dumps(TRUTH_META), encoding="utf-8")
+        return tmp_path
+
+    def test_in_process(self, files):
+        # the suite turns RuntimeWarning into an error
+        est = parse_aggregated_csv((files / "est.csv").read_text(encoding="utf-8"), MAP_META)
+        truth = truth_from_csv((files / "truth.csv").read_text(encoding="utf-8"), TRUTH_META)
+        assert math.isnan(recovery_metrics(est, truth).pearson_lambda)
+        varied = replace(est, values=np.array([1.0, 2.0, 4.0]))
+        flat = replace(truth, rates=LayerGraph(truth.universe, truth.rates.codes, np.ones(3)))
+        assert math.isnan(recovery_metrics(varied, flat).pearson_lambda)
+        assert recovery_metrics(varied, truth).pearson_lambda == pytest.approx(3 / math.sqrt(84))
+
+    def test_cli_stderr_is_empty(self, files):
+        argv = ["synth", "score", "--est", "est.csv", "--est-meta", "est.json", "--truth",
+                "truth.csv", "--truth-meta", "truth.json", "-o", "score.json"]
+        proc = subprocess.run([sys.executable, "-m", "mapnet", *argv], cwd=files,
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        score = json.loads((files / "score.json").read_text(encoding="utf-8"))
+        assert math.isnan(score["pearson_lambda"]) and score["mean_abs_err"] == 2 / 3
+
+
+def test_every_warning_is_one_json_line(monkeypatch, capsys, tmp_path):
+    def warn(args):
+        warnings.warn("from a dependency", RuntimeWarning)
+
+    monkeypatch.setattr(mapnet.cli, "_cmd_metrics", warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["metrics", "x.csv", "-o", str(tmp_path / "m.json")]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"warning": "RuntimeWarning", "message": "from a dependency"}

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapnet import (
     generate_synthetic,
@@ -566,3 +568,117 @@ class TestChunkedFileReader:
                 result, counts = _outcome(read, text)
                 assert result == net
                 assert counts == ([repeats] if repeats else [])
+
+
+# Tokens that the whole-text reader must either read as the per-line reader
+# does or leave to it.  PLAIN tokens are regular; SUBTLE ones are made of
+# regular bytes but must still go to the per-line reader or be read as it
+# reads them: labels of 9 bytes (the lookup keys hold 8), and weights that
+# float() reads ('1_0', '-0.0', 'nan', '1e400') or rejects ('0x1', '-2').
+# ODD ones hold '#', tab, CR, quotes, commas, spaces or non-ASCII bytes.
+PLAIN = {"layer": ["L1", "L2", "L3456789"],
+         "label": ["a", "b", "c", "d", "e", "n0000001", "n0000002", "n0000003"],
+         "weight": ["1", "2.5", "0", "7", "+4", "007"]}
+SUBTLE = {"layer": ["L34567890"], "label": ["n00000001", "n00000002"],
+          "weight": ["1_0", "-0.0", "nan", "1e400", "0x1", "-2", "1.25e-300"]}
+ODD = {"layer": ["#L", "L#", "é", '"L"'],
+       "label": ["a#b", '"a"', "a'b", "é", "a\tb", "a\rb", '"a,b"', '"a""b"', " a", "a "],
+       "weight": ["inf", "é", "", "1\r"]}
+
+
+def _tokens(draw, clean):
+    """A token drawer: PLAIN tokens eight times as often as the others, no
+    ODD token in a clean text, and a label other than ``unlike`` nine times
+    in ten (a self-loop is an error)."""
+    pools = {kind: PLAIN[kind] * 8 + SUBTLE[kind] + ([] if clean else ODD[kind])
+             for kind in PLAIN}
+
+    def token(kind, unlike=None):
+        pool = pools[kind]
+        return draw(st.sampled_from([t for t in pool if t != unlike] * 9 + [unlike] if unlike
+                                    else pool))
+
+    return token
+
+
+@st.composite
+def edgelist_texts(draw):
+    clean = draw(st.booleans())
+    token = _tokens(draw, clean)
+    weighted = st.sampled_from([draw(st.booleans())] * 4 + [True, False])  # mostly one width
+    lines = ["#" + draw(st.sampled_from(["", " layer u v", "#"]))
+             for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = "row" if clean else draw(st.sampled_from(["row"] * 4 + ["comment", "blank"]))
+        if kind == "comment":
+            lines.append("#" + draw(st.sampled_from(["", " c", "é \"q\""])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        else:
+            u = token("label")
+            fields = [token("layer"), u, token("label", u)]
+            fields += [token("weight")] if draw(weighted) else []
+            lines.append(" ".join(fields) if clean else
+                         draw(st.sampled_from([" ", " ", " ", "\t", "  "])).join(fields))
+    ends = ["\n" if clean else draw(st.sampled_from(FUZZ_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if draw(st.integers(0, 3)) == 0 and text.endswith("\n") else text
+
+
+@st.composite
+def layer_csv_texts(draw):
+    clean = draw(st.booleans())
+    token = _tokens(draw, clean)
+    lines = [draw(st.sampled_from(["node_u,node_v,weight", "u,v,lambda"] +
+                                  ([] if clean else ["", "a,b", "é,v,w", '"u",v,w'])))]
+    for _ in range(draw(st.integers(0, 10))):
+        if not clean and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "#a,b,1", "a,b", "a,b,1,2"])))
+        else:
+            u = token("label")
+            lines.append(",".join([u, token("label", u), token("weight")]))
+    ends = ["\n" if clean else draw(st.sampled_from(FUZZ_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if draw(st.integers(0, 3)) == 0 and text.endswith("\n") else text
+
+
+FUZZ_ENDS = ["\n", "\n", "\n", "\n", "\r\n", "\r"]
+FUZZ_CHUNKS = [1, 7, 12, None]
+
+
+def _file_rows(data, sep):
+    return ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), sep, len(data))
+
+
+class TestReadersAgreeOnGeneratedText:
+    """On text built from tricky tokens, every reader gives what the per-line
+    reader gives: the same result, or the same error type, message, line and
+    column, with the same duplicate counts, at every chunk size."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=edgelist_texts())
+    def test_edgelist(self, text):
+        with pytest.MonkeyPatch.context() as patch:
+            expected = _per_line(parse_multiplex_edgelist, text, patch)
+        data = text.encode("utf-8")
+        for chunk in FUZZ_CHUNKS:
+            with pytest.MonkeyPatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(ingest, "_CHUNK_BYTES", chunk)
+                assert _outcome(parse_multiplex_edgelist, text) == expected
+                assert _outcome(_read_file, io.BytesIO(data)) == expected
+                assert _outcome(_read_file, _Pipe(data)) == expected
+                assert _same_rows(_file_rows(data, " "), ingest._regular_rows(text, " "))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=layer_csv_texts())
+    def test_layer_csv(self, text):
+        with pytest.MonkeyPatch.context() as patch:
+            expected = _per_line(parse_layer_csv, text, patch)
+        for chunk in FUZZ_CHUNKS:
+            with pytest.MonkeyPatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(ingest, "_CHUNK_BYTES", chunk)
+                assert _outcome(parse_layer_csv, text) == expected
+                assert _same_rows(_file_rows(text.encode("utf-8"), ","),
+                                  ingest._regular_rows(text, ","))
