@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -96,10 +97,10 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     if not np.any(s > 0):
         raise DegenerateAllZero("every pair has zero observed weight")
     pair_count = inp.pair_count
-    total = float(s.sum())
-    margin = total - pair_count
+    # correctly rounded, so its sign is exact; the memoryview yields floats with no copy
+    margin = math.fsum(chain(memoryview(s), [-pair_count]))
     if margin <= 0:
-        raise BracketingFailure(f"no finite prior rate: total observed weight {total!r} "
+        raise BracketingFailure(f"no finite prior rate: total observed weight {math.fsum(s)!r} "
                                 f"does not exceed the pair count {pair_count}")
 
     stratum_sums = np.bincount(k.astype(np.intp), weights=s)
@@ -110,7 +111,7 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     if cfg.seed is not None:
         theta *= 10.0 ** -np.random.default_rng(cfg.seed).uniform(0.0, 3.0)
 
-    base = float((s[s > 0] * np.log(s[s > 0])).sum()) - total  # C of the profile
+    base = float((s[s > 0] * np.log(s[s > 0])).sum()) - float(s.sum())  # C of the profile
 
     def profile(theta: float) -> float:
         return base - float((stratum_sums * np.log(levels + theta)).sum()) + pair_count * math.log(theta)
@@ -141,10 +142,15 @@ def theta_fixed_point_oracle(inp: AggregationInput) -> float:
     theta, is evaluated pair by pair, independent of the solver's strata, to
     cross-check it.  Raises BracketingFailure when the total weight does not
     exceed the pair count (all-zero weights included): then no root exists.
+    The margin sum(S) - P is summed exactly in integers, not by the
+    solver's math.fsum.
     """
     k, s = inp.counts.astype(float), inp.sums
-    margin = float(s.sum()) - inp.pair_count
-    if margin <= 0:
+    ratios = [value.as_integer_ratio() for value in s.tolist()]
+    scale = max((d for _, d in ratios), default=1)  # powers of 2, so each d divides it
+    excess = sum(n * (scale // d) for n, d in ratios) - inp.pair_count * scale
+    margin = excess / scale  # correctly rounded
+    if excess <= 0:
         raise BracketingFailure("no finite prior rate: total observed weight "
                                 "does not exceed the pair count")
 

@@ -25,7 +25,7 @@ class DuplicateLabel(MapnetError):
     """A gene or condition label occurs more than once."""
 
 
-class NegativeWeight(MapnetError):
+class NegativeWeight(ParseError):
     """An edge weight is negative."""
 
 

@@ -11,15 +11,17 @@ observation, and a non-finite weight is rejected.
 Edge lists and ``node_u,node_v,weight`` layer CSVs with a regular body (see
 ``_chunk_rows``) are read by numpy in chunks of about 256 KB of whole
 lines, from a text or, for the CLI's edge lists, straight from the binary
-file, so the file's text is never held.  Labels, and weight tokens of up
-to 8 bytes, are looked up among those already seen, and only new ones are
-decoded (longer tokens: each distinct one of a chunk by float() once).
-Any other input falls back to the per-line reader, the only source of
-errors; a file is then read again whole.  Both paths end in the same step
-that sorts labels, turns each row into one int64 key (layer, pair),
-keeps the last of repeated rows and splits the layers; keys that already
-rise, as in every file mapnet writes, are not sorted again, and the layers
-keep read-only slices of the keys and weights, so no row is held twice.
+file, so the file's text is never held; a file that cannot seek, such as a
+pipe, is read into memory first.  The rows go into slabs sized from the
+input's newline count.  Labels, and weight tokens of up to 8 bytes, are
+looked up among those already seen, and only new ones are decoded (longer
+tokens: each distinct one of a chunk by float() once).  Any other input
+falls back to the per-line reader, the only source of errors; a file is
+then read again whole.  Both paths end in the same step that sorts labels,
+turns each row into one int64 key (layer, pair), keeps the last of
+repeated rows and splits the layers; keys that already rise, as in every
+file mapnet writes, are not sorted again, and the layers keep read-only
+slices of the keys and weights, so no row is held twice.
 
 One column writer, ``_write_rows``, writes every text output, the CLI's
 tables included: each label is formatted once, each distinct number of a
@@ -110,7 +112,7 @@ def _parse_weight(token: str, line: int, column: int) -> float:
     if not math.isfinite(weight):
         raise ParseError(f"non-finite weight {token!r}", line=line, column=column)
     if weight < 0:
-        raise NegativeWeight(f"negative weight {weight} at line {line}")
+        raise NegativeWeight(f"negative weight {weight}", line=line, column=column)
     return weight
 
 
@@ -356,10 +358,10 @@ def _parse_chunk(chunk: bytes, sep: str, width: int, targets: list,
     return None if values is None else (group_ids, pairs, values)
 
 
-def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
+def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
     """Rows of a regular edge list (``sep=" "``) or layer CSV (``sep=","``)
-    of ``size`` bytes, read from chunks of whole lines, or None to leave the
-    input to the per-line reader.
+    of ``lines`` newlines, read from chunks of whole lines, or None to leave
+    the input to the per-line reader.
 
     The head (leading ``#`` lines of an edge list, the header line of a CSV)
     is skipped.  The body after it is regular when it is ASCII and ends with a
@@ -373,9 +375,10 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
 
     A row is held as 20 bytes: its int32 group id, its packed int64 (u, v)
     node ids, which ``_ranked_rows`` turns into its key in place, and its
-    weight.  Each column goes into one slab, sized for the bytes left at 5%
-    more rows per byte than so far, so it is rarely grown, and cut to the
-    rows read at the end.  A slab is one large allocation, which the
+    weight.  Each column goes into one slab of ``lines`` rows, as many as
+    a regular body can hold, cut to the rows read at the end.  A body with
+    more rows (its file changed after the newlines were counted) is left
+    to the per-line reader.  A slab is one large allocation, which the
     allocator returns to the system when it is freed; many chunk-sized
     blocks would stay on its heap.
     """
@@ -383,7 +386,7 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
     groups, nodes = _Lookup(_new_ids, np.int64), _Lookup(_new_ids, np.int64)
     weights = _Lookup(_new_weights, np.float64)
     targets = [nodes, nodes] if is_csv else [groups, nodes, nodes]  # looked up per label field
-    slabs = [np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64), np.empty(0)]
+    slabs = [np.empty(lines, dtype=np.int32), np.empty(lines, dtype=np.int64), np.empty(lines)]
     read = width = filled = 0  # bytes read, fields per line, rows in the slab
     head = True
     for chunk in chunks:
@@ -412,10 +415,8 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
         if block is None:
             return None
         rows = len(block[0])
-        if filled + rows > len(slabs[0]):
-            done = filled + rows
-            capacity = done + int(done / read * max(size - read, 0) * 1.05)
-            slabs = [_grown(slab, filled, capacity) for slab in slabs]
+        if filled + rows > lines:
+            return None
         for slab, column in zip(slabs, block):
             slab[filled:filled + rows] = column
         filled += rows
@@ -427,27 +428,21 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, size: int) -> Rows | None:
                         nodes.ranked(), *slabs)
 
 
-def _grown(slab: np.ndarray, filled: int, capacity: int) -> np.ndarray:
-    """A new slab of ``capacity`` rows that starts with ``slab[:filled]``."""
-    grown = np.empty(capacity, dtype=slab.dtype)
-    grown[:filled] = slab[:filled]
-    return grown
-
-
 def _regular_rows(text: str, sep: str) -> Rows | None:
     """``_chunk_rows`` of a text."""
-    return _chunk_rows(_text_chunks(text), sep, len(text)) if text.isascii() else None
+    return _chunk_rows(_text_chunks(text), sep, text.count("\n")) if text.isascii() else None
 
 
-def _layers_from_rows(names: list[str], labels: list[str], keys: np.ndarray,
-                      weights: np.ndarray) -> tuple[NodeUniverse, list[LayerGraph]]:
-    """One layer per group over the universe of ``labels``; a repeated (group,
-    pair) keeps its last row and raises one DuplicateEdgeWarning carrying the
-    count.  Keys that do not rise strictly already (those of every file
-    mapnet writes do) are sorted in place with their weights.  Each layer's
-    keys become its pair codes in place, and the keys and weights are made
-    read-only, so the layers take slices of them and the rows are never held
-    twice."""
+def _network(rows: Rows) -> MultilayerNetwork:
+    """The network of ``rows``: one layer per group, named by the group
+    names, over the universe of the labels.  A repeated (group, pair) keeps
+    its last row and raises one DuplicateEdgeWarning carrying the count.
+    Keys that do not rise strictly already (those of every file mapnet
+    writes do) are sorted in place with their weights.  Each layer's keys
+    become its pair codes in place, and the keys and weights are made
+    read-only, so the layers take slices of them and the rows are never
+    held twice."""
+    names, labels, keys, weights = rows
     universe = NodeUniverse(tuple(labels))
     cells = universe.size ** 2
     if not np.all(keys[1:] > keys[:-1]):
@@ -464,7 +459,8 @@ def _layers_from_rows(names: list[str], labels: list[str], keys: np.ndarray,
     for g, (a, b) in enumerate(spans):
         keys[a:b] -= g * cells
     keys.flags.writeable = weights.flags.writeable = False
-    return universe, [LayerGraph(universe, keys[a:b], weights[a:b]) for a, b in spans]
+    layers = tuple(LayerGraph(universe, keys[a:b], weights[a:b]) for a, b in spans)
+    return MultilayerNetwork(universe, layers, tuple(names))
 
 
 def _edgelist_rows(text: str) -> Rows:
@@ -500,28 +496,28 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
     edge-list input the measurable set of a layer equals its recorded
     pairs (absence of a line means no measurement, not a zero).
     """
-    rows = _regular_rows(text, " ") or _edgelist_rows(text)
-    universe, layers = _layers_from_rows(*rows)
-    return MultilayerNetwork(universe, tuple(layers), tuple(rows[0]))
+    return _network(_regular_rows(text, " ") or _edgelist_rows(text))
 
 
 def _read_multiplex_edgelist(file) -> MultilayerNetwork:
     """parse_multiplex_edgelist of a binary file's UTF-8 text.
 
-    A seekable file is read in chunks, so a regular body is never held as
-    text; at the first irregular chunk the file is read again whole, from
-    the start, by the per-line reader.  Other files are read whole.
+    The file's newlines are counted in one pass, and it is then read in
+    chunks, so a regular body is never held as text; at the first irregular
+    chunk the file is read again whole, from the start, by the per-line
+    reader.  A file that cannot seek, such as a pipe, is read into memory
+    first and then read the same way.
     """
     if not file.seekable():
-        return parse_multiplex_edgelist(file.read().decode("utf-8"))
-    size = file.seek(0, io.SEEK_END)
+        file = io.BytesIO(file.read())
     file.seek(0)
-    rows = _chunk_rows(_file_chunks(file), " ", size)
+    lines = sum(chunk.count(b"\n") for chunk in _file_chunks(file))
+    file.seek(0)
+    rows = _chunk_rows(_file_chunks(file), " ", lines)
     if rows is None:
         file.seek(0)
         rows = _edgelist_rows(file.read().decode("utf-8"))
-    universe, layers = _layers_from_rows(*rows)
-    return MultilayerNetwork(universe, tuple(layers), tuple(rows[0]))
+    return _network(rows)
 
 
 def _quoted(label: str) -> str:
@@ -657,9 +653,7 @@ def parse_layer_csv(text: str) -> LayerGraph:
     non-blank row is the header; blank rows are skipped, and line numbers
     in errors count every physical line.
     """
-    rows = _regular_rows(text, ",") or _layer_csv_rows(text)
-    _, (layer,) = _layers_from_rows(*rows)
-    return layer
+    return _network(_regular_rows(text, ",") or _layer_csv_rows(text)).layers[0]
 
 
 _SIDECAR_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number")}

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,6 +230,20 @@ def exact_margin_input(margin, n=300, seed=0):
     return AggregationInput(uni, codes, rng.integers(1, 12, codes.size), sums, codes.size)
 
 
+def rounded_margin_draws(count, n=400, pairs=11_225):
+    # k uniform on 1..11 and S uniform, scaled so that fsum(S) rounds to
+    # P = n(n - 1)/2: in 871 of the first 2,000 draws the sign of
+    # s.sum() - P is not the sign of the exact sum(S) - P
+    rng = np.random.default_rng(3)
+    uni = NodeUniverse(tuple(f"n{i:03d}" for i in range(n)))
+    i, j = np.triu_indices(n, 1)
+    codes = np.sort(rng.choice(i * n + j, pairs, replace=False))
+    for _ in range(count):
+        k = rng.integers(1, 12, pairs)
+        s = rng.uniform(0, 1, pairs)
+        yield AggregationInput(uni, codes, k, s * (i.size / math.fsum(s.tolist())), i.size)
+
+
 class TestStratifiedEquivalence:
     @pytest.mark.parametrize("make_input", [near_edge_input, gapped_levels_input])
     @pytest.mark.parametrize("cfg", [EmConfig(), EmConfig(seed=3)], ids=["deterministic", "random"])
@@ -274,6 +289,28 @@ class TestStratifiedEquivalence:
             em_aggregate(inp)
         with pytest.raises(BracketingFailure):
             theta_fixed_point_oracle(inp)
+
+    def test_no_optimum_verdict_rests_on_the_exact_margin(self):
+        """An optimum is found exactly when sum(S) > P, though the rounded
+        s.sum() - P often has the other sign so near the edge.  In draw 75,
+        sum(S) < P but s.sum() > P: the solver used to return theta = 3.3e16
+        as converged; in the others it used to raise although sum(S) > P."""
+        flipped = 0
+        for inp in rounded_margin_draws(76):
+            try:
+                oracle = theta_fixed_point_oracle(inp)
+            except BracketingFailure:
+                oracle = None
+            flipped += (float(inp.sums.sum()) > inp.pair_count) != (oracle is not None)
+            if oracle is None:
+                with pytest.raises(BracketingFailure):
+                    em_aggregate(inp)
+            else:
+                agg = em_aggregate(inp)
+                assert agg.converged
+                assert abs(agg.theta - oracle) <= 1e-10 * oracle
+        assert sum(map(Fraction, inp.sums.tolist())) < inp.pair_count < inp.sums.sum()  # draw 75
+        assert flipped >= 20
 
 
 def c04_slack(inp, lam, theta):

@@ -1,5 +1,8 @@
 import io
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,7 +212,7 @@ class TestRoundTrip:
         with pytest.raises(ParseError) as err:
             parse_layer_csv("\nnode_u,node_v,weight\n , \na,b,1.5\nc,c,1\n")
         assert (err.value.line, err.value.column) == (5, None)
-        with pytest.raises(NegativeWeight, match="at line 4$"):
+        with pytest.raises(NegativeWeight, match=r"^negative weight -1.0 \(line 4, column 3\)$"):
             parse_layer_csv("node_u,node_v,weight\n\na,b,1\na,c,-1\n")
 
     def test_aggregated_csv(self):
@@ -245,17 +248,16 @@ class TestErrorsDeepInLargeInput:
             ("L1 n001 n002 2,5", ParseError, 4),
             ("L1 n001 n002 nan", ParseError, 4),
             ("L1 n001 n002 inf", ParseError, 4),
-            ("L1 n001 n002 -2", NegativeWeight, None),
+            ("L1 n001 n002 -2", NegativeWeight, 4),
         ],
     )
     def test_edgelist(self, bad, error, column):
         lines = _good_rows(BAD_LINE - 1, " ", layered=True) + [bad, "L1 n003 n004 1"]
         with pytest.raises(error) as err:
             parse_multiplex_edgelist("\n".join(lines) + "\n")
-        if error is ParseError:
-            assert (err.value.line, err.value.column) == (BAD_LINE, column)
-        else:
-            assert str(err.value) == f"negative weight -2.0 at line {BAD_LINE}"
+        assert (err.value.line, err.value.column) == (BAD_LINE, column)
+        if error is NegativeWeight:
+            assert str(err.value) == f"negative weight -2.0 (line {BAD_LINE}, column 4)"
 
     @pytest.mark.parametrize(
         "bad, error, column",
@@ -266,7 +268,7 @@ class TestErrorsDeepInLargeInput:
             ("n001,n002,x", ParseError, 3),
             ("n001,n002,nan", ParseError, 3),
             ("n001,n002,inf", ParseError, 3),
-            ("n001,n002,-2", NegativeWeight, None),
+            ("n001,n002,-2", NegativeWeight, 3),
         ],
     )
     def test_layer_csv(self, bad, error, column):
@@ -275,10 +277,9 @@ class TestErrorsDeepInLargeInput:
         lines += [bad, "n003,n004,1"]
         with pytest.raises(error) as err:
             parse_layer_csv("\n".join(lines) + "\n")
-        if error is ParseError:
-            assert (err.value.line, err.value.column) == (BAD_LINE, column)
-        else:
-            assert str(err.value) == f"negative weight -2.0 at line {BAD_LINE}"
+        assert (err.value.line, err.value.column) == (BAD_LINE, column)
+        if error is NegativeWeight:
+            assert str(err.value) == f"negative weight -2.0 (line {BAD_LINE}, column 3)"
 
     def test_duplicates_over_several_layers_keep_last(self):
         lines = _good_rows(BAD_LINE - 1, " ", layered=True)
@@ -442,6 +443,7 @@ class TestWholeTextReader:
         monkeypatch.setattr(ingest, "_layer_csv_rows", per_line)
         assert parse_multiplex_edgelist(edges) == net
         assert ingest._read_multiplex_edgelist(io.BytesIO(edges.encode())) == net
+        assert ingest._read_multiplex_edgelist(_Pipe(edges.encode())) == net
         assert parse_layer_csv(rates) == truth.rates
         assert [_outcome(parse, text) for parse, text in inputs] == expected
 
@@ -451,8 +453,27 @@ class _Pipe(io.BytesIO):
         return False
 
 
+class _Growing(io.BytesIO):
+    """A file that gains ``extra`` bytes at its end once a pass has read it."""
+
+    def __init__(self, data, extra):
+        super().__init__(data)
+        self.extra = extra
+
+    def seek(self, *args):
+        if self.extra and self.tell():
+            super().seek(0, io.SEEK_END)
+            self.write(self.extra)
+            self.extra = b""
+        return super().seek(*args)
+
+
 def _read_file(file):
     return ingest._read_multiplex_edgelist(file)
+
+
+def _file_rows(data, sep):
+    return ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), sep, data.count(b"\n"))
 
 
 def _same_rows(a, b):
@@ -472,8 +493,7 @@ class TestChunkedFileReader:
         if chunk is not None:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         data = text.encode("utf-8")
-        rows = ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), " ", len(data))
-        assert _same_rows(rows, ingest._regular_rows(text, " "))
+        assert _same_rows(_file_rows(data, " "), ingest._regular_rows(text, " "))
         expected = _per_line(parse_multiplex_edgelist, text, monkeypatch)
         path = tmp_path / "net.txt"
         path.write_bytes(data)
@@ -488,8 +508,7 @@ class TestChunkedFileReader:
         if chunk is not None:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         data = text.encode("utf-8")
-        rows = ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), ",", len(data))
-        assert _same_rows(rows, ingest._regular_rows(text, ","))
+        assert _same_rows(_file_rows(data, ","), ingest._regular_rows(text, ","))
 
     @pytest.mark.parametrize("sep", [" ", "\t"])  # the chunked and the per-line reader
     def test_layers_share_the_parsed_rows(self, sep):
@@ -505,18 +524,20 @@ class TestChunkedFileReader:
                 assert base is not None and not base.flags.writeable
                 assert all(array.base is base for array in arrays)
 
-    @pytest.mark.parametrize("size", [0, None])
-    def test_rows_outgrow_the_slab(self, size, monkeypatch):
-        """Lines that get shorter than the first chunk's, or a size too small,
-        outgrow the first slab, which is then grown."""
-        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
+    @pytest.mark.parametrize("chunk", [None, 64])
+    def test_file_grown_after_the_count(self, chunk, monkeypatch):
+        """A body with more rows than the newlines counted (the file grew
+        between the two passes) goes to the per-line reader."""
+        if chunk is not None:
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         rows = [f"L{t % 3} {u} {v} {t % 7}.25\n" for t, (u, v) in
                 enumerate(zip(*np.triu_indices(60, 1)))]
-        text = "".join(rows[:20]) + "".join(row.replace(".25", "") for row in rows[20:])
-        data = text.encode()
-        chunked = ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), " ",
-                                     len(data) if size is None else size)
-        assert _same_rows(chunked, ingest._edgelist_rows(text))
+        head, tail = "".join(rows[:300]).encode(), "".join(rows[300:]).encode()
+        assert _file_rows(head + tail, " ") is not None
+        assert ingest._chunk_rows(ingest._file_chunks(io.BytesIO(head + tail)), " ",
+                                  head.count(b"\n")) is None
+        expected = _per_line(parse_multiplex_edgelist, (head + tail).decode(), monkeypatch)
+        assert _outcome(_read_file, _Growing(head, tail)) == expected
 
     @pytest.mark.parametrize(
         "bad",
@@ -646,10 +667,6 @@ FUZZ_ENDS = ["\n", "\n", "\n", "\n", "\r\n", "\r"]
 FUZZ_CHUNKS = [1, 7, 12, None]
 
 
-def _file_rows(data, sep):
-    return ingest._chunk_rows(ingest._file_chunks(io.BytesIO(data)), sep, len(data))
-
-
 class TestReadersAgreeOnGeneratedText:
     """On text built from tricky tokens, every reader gives what the per-line
     reader gives: the same result, or the same error type, message, line and
@@ -682,3 +699,17 @@ class TestReadersAgreeOnGeneratedText:
                 assert _outcome(parse_layer_csv, text) == expected
                 assert _same_rows(_file_rows(text.encode("utf-8"), ","),
                                   ingest._regular_rows(text, ","))
+
+
+def test_failing_generated_test_prints_its_example(tmp_path):
+    """Under the project's pytest settings, a failing hypothesis test reports
+    its falsifying example rather than ending in an internal error."""
+    test = tmp_path / "test_fails.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\ndef test_fails(value):\n    assert value < 10\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config),
+                           "-p", "no:cacheprovider", str(test)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

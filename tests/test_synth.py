@@ -297,5 +297,6 @@ class TestTruthSerialization:
 
     def test_negative_rate_rejected(self):
         text = "node_u,node_v,lambda_star\na,b,0.5\na,c,-1\nb,c,1.0\n"
-        with pytest.raises(NegativeWeight, match="line 3"):
+        with pytest.raises(NegativeWeight) as err:
             truth_from_csv(text, {"theta_star": 1.0, "seed": 0, "coverage": 1.0})
+        assert str(err.value) == "negative weight -1.0 (line 3, column 3)"
