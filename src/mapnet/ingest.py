@@ -13,15 +13,17 @@ Edge lists and ``node_u,node_v,weight`` layer CSVs with a regular body (see
 lines, from a text or, for the CLI's edge lists, straight from the binary
 file, so the file's text is never held; a file that cannot seek, such as a
 pipe, is read into memory first.  The rows go into slabs sized from the
-input's newline count.  Labels, and weight tokens of up to 8 bytes, are
-looked up among those already seen, and only new ones are decoded (longer
-tokens: each distinct one of a chunk by float() once).  Any other input
-falls back to the per-line reader, the only source of errors; a file is
-then read again whole.  Both paths end in the same step that sorts labels,
-turns each row into one int64 key (layer, pair), keeps the last of
-repeated rows and splits the layers; keys that already rise, as in every
-file mapnet writes, are not sorted again, and the layers keep read-only
-slices of the keys and weights, so no row is held twice.
+input's newline count.  Each field of a chunk is keyed by its bytes,
+zero-padded to the 8·k bytes of the widest field of its column (one uint64
+when that is 8 bytes or fewer), so long labels take this path too:
+labels are looked up among those already seen, and only new ones are
+decoded, and each distinct weight token of a chunk is read by float() once.
+Any other input falls back to the per-line reader, the only source of
+errors; a file is then read again whole.  Both paths end in the same step
+that sorts labels, turns each row into one int64 key (layer, pair), keeps
+the last of repeated rows and splits the layers; keys that already rise,
+as in every file mapnet writes, are not sorted again, and the layers keep
+read-only slices of the keys and weights, so no row is held twice.
 
 One column writer, ``_write_rows``, writes every text output, the CLI's
 tables included: each label is formatted once, each distinct number of a
@@ -170,7 +172,6 @@ Rows = tuple[list[str], list[str], np.ndarray, np.ndarray]
 
 _CHUNK_BYTES = 1 << 18
 _WRITE_ROWS = 1 << 12
-_KEY_BYTES = 8
 # Bytes that make a body irregular: NUL (the key padding), quote, '#', and
 # every ASCII byte other than space and newline that str.split treats as
 # whitespace, which includes every ASCII line break of str.splitlines.
@@ -210,91 +211,76 @@ def _listed_rows(groups: tuple[list[str], np.ndarray], nodes: tuple[list[str], n
     return _ranked_rows(groups, nodes, ids[:, 0], ids[:, 1] << 32 | ids[:, 2], np.array(weights))
 
 
-def _field_keys(words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
-    """One key per field ``bytes[starts:stops]``, or None if a field is longer
-    than 8 bytes.  ``words[k]`` holds the 8 bytes from ``k`` as a big-endian
-    uint64; a key keeps its field's bytes and zeros the rest, so equal keys
-    are equal fields, and keys sort as the fields do (none holds NUL)."""
+# _LEADING[n] keeps the n leading bytes of a big-endian word.
+_LEADING = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], dtype=np.uint64)
+
+
+def _field_keys(words: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """One key per field ``bytes[starts:stops]``: its bytes zero-padded to
+    8·k bytes, k words for the widest field, as a uint64 when k is 1 and an
+    ``S{8k}`` string otherwise.  ``words[i]`` holds the 8 bytes from ``i`` as
+    a big-endian uint64.  Equal keys are equal fields, and keys sort as the
+    fields do (none holds NUL)."""
     width = stops - starts
-    if width.max() > _KEY_BYTES:
-        return None
-    pad = (_KEY_BYTES - width).astype(np.uint64) * np.uint64(8)
-    return (words[starts].astype(np.uint64) >> pad) << pad
+    offsets = np.arange(0, width.max(), 8)
+    keys = (words[starts[:, None] + offsets].astype(np.uint64)
+            & _LEADING[np.clip(width[:, None] - offsets, 0, 8)])
+    return keys[:, 0] if offsets.size == 1 else _key_strings(keys)
 
 
-def _key_bytes(keys: np.ndarray) -> np.ndarray:
-    """The fields of ``keys`` as an S8 array, the zero bytes dropped."""
-    return keys.astype(">u8").view("S8")
+def _key_strings(keys: np.ndarray) -> np.ndarray:
+    """Keys as ``S{8k}`` strings of their bytes: uint64 keys, rows of k words
+    each, or strings already."""
+    if keys.dtype.kind == "S":
+        return keys
+    words = keys.reshape(len(keys), -1)
+    return words.astype(">u8").view(f"S{8 * words.shape[1]}").ravel()
 
 
 class _Lookup:
-    """The value of each field key, made once per distinct key.
+    """The id of each field key, given in the order the keys are first seen.
 
-    ``keys`` is sorted and starts with the key 0, which no field has, so a
-    key's slot is always found; ``values`` is in the same order.  ``make``
-    turns sorted distinct keys not seen before into their values, or None
-    when one of them is invalid.
+    ``keys`` is sorted and starts with the all-zero key, which no field has,
+    so a key's slot is always found; ``ids`` is in the same order.  The keys
+    are uint64 until a field longer than 8 bytes arrives, and then strings as
+    wide as the widest key seen.
     """
 
-    def __init__(self, make, dtype):
+    def __init__(self):
         self.keys = np.zeros(1, dtype=np.uint64)
-        self.values = np.zeros(1, dtype=dtype)
-        self.make = make
+        self.ids = np.zeros(1, dtype=np.int64)
 
-    def __call__(self, keys: np.ndarray) -> np.ndarray | None:
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        if keys.dtype != self.keys.dtype:  # both become strings as wide as the wider
+            wide = f"S{max(keys.itemsize, self.keys.itemsize)}"
+            keys = _key_strings(keys).astype(wide, copy=False)
+            self.keys = _key_strings(self.keys).astype(wide, copy=False)
         slots = np.searchsorted(self.keys, keys)
         seen = self.keys.take(slots, mode="clip") == keys
         if not seen.all():
             fresh = sorted_distinct(keys[~seen])
-            values = self.make(self, fresh)
-            if values is None:
-                return None
             at = np.searchsorted(self.keys, fresh)
+            count = self.keys.size - 1
+            self.ids = np.insert(self.ids, at, np.arange(count, count + fresh.size))
             self.keys = np.insert(self.keys, at, fresh)
-            self.values = np.insert(self.values, at, values)
             slots = np.searchsorted(self.keys, keys)
-        return self.values[slots]
+        return self.ids[slots]
 
     def ranked(self) -> tuple[list[str], np.ndarray]:
         """The labels seen, sorted, and each id's position, as ``_ranked`` gives them."""
-        return _key_bytes(self.keys[1:]).astype("U8").tolist(), np.argsort(self.values[1:])
+        labels = _key_strings(self.keys[1:]).tolist()
+        return [label.decode() for label in labels], np.argsort(self.ids[1:])
 
 
-def _new_ids(table: _Lookup, fresh: np.ndarray) -> np.ndarray:
-    """The ids that follow those of ``table``, one per new label."""
-    return np.arange(table.keys.size - 1, table.keys.size - 1 + fresh.size)
-
-
-def _new_weights(table: _Lookup, fresh: np.ndarray) -> np.ndarray | None:
-    """float() of each weight token; None if one is malformed, non-finite or negative."""
+def _weights(keys: np.ndarray) -> np.ndarray | None:
+    """The weight of each token key, each distinct token read by float() once;
+    None if one is malformed, non-finite or negative."""
+    distinct, index = np.unique(keys, return_inverse=True)  # sorts; no numpy.ma import
     try:
-        values = np.array(list(map(float, _key_bytes(fresh).tolist())), dtype=np.float64)
+        values = np.array(list(map(float, _key_strings(distinct).tolist())), dtype=np.float64)
     except ValueError:
         return None
-    return values if np.all(np.isfinite(values) & (values >= 0)) else None
-
-
-def _weight_values(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray | None:
-    """Weights of the tokens ``buf[starts:stops]``, each distinct token read by
-    float() once; None if one is malformed, non-finite or negative."""
-    edges = np.empty(2 * starts.size + 1, dtype=np.int64)
-    edges[0] = 0
-    edges[1::2] = starts
-    edges[2::2] = stops + 1  # with the newline that ends each token
-    inside = np.repeat(np.tile(np.array([False, True]), starts.size), np.diff(edges))
-    tokens = buf[inside].tobytes().decode("ascii").split("\n")
-    tokens.pop()
-    distinct = dict.fromkeys(tokens)
-    try:
-        values = np.array(list(map(float, distinct)), dtype=np.float64)
-    except ValueError:
-        return None
-    if not np.all(np.isfinite(values) & (values >= 0)):
-        return None
-    if len(distinct) == len(tokens):
-        return values
-    lookup = dict(zip(distinct, values.tolist()))
-    return np.fromiter(map(lookup.__getitem__, tokens), np.float64, len(tokens))
+    return values[index] if np.all(np.isfinite(values) & (values >= 0)) else None
 
 
 def _text_chunks(text: str) -> Iterator[bytes]:
@@ -313,13 +299,13 @@ def _file_chunks(file) -> Iterator[bytes]:
         yield chunk + file.readline()
 
 
-def _parse_chunk(chunk: bytes, sep: str, width: int, targets: list,
-                 weights: _Lookup) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _parse_chunk(chunk: bytes, sep: str, width: int,
+                 targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The group ids, packed (u, v) node ids (see ``_ranked_rows``) and
-    weights of a chunk of body lines of ``width`` fields, the label fields
-    looked up in ``targets`` (group 0 when they hold no group) and short
-    weight tokens in ``weights``; None if the chunk is not regular (see
-    ``_chunk_rows``)."""
+    weights of a chunk of body lines of ``width`` fields; None if the chunk
+    is not regular (see ``_chunk_rows``).  Each field is keyed by its bytes
+    (see ``_field_keys``), the label fields looked up in ``targets`` (group 0
+    when they hold no group) and the weight tokens read by ``_weights``."""
     if any(byte in chunk for byte in _IRREGULAR + (b" " if sep == "," else b"")):
         return None
     buf = np.frombuffer(chunk, dtype=np.uint8)
@@ -335,27 +321,28 @@ def _parse_chunk(chunk: bytes, sep: str, width: int, targets: list,
     bounds[1:, 0] = ends[:-1]
     bounds[:, 1:width] = seps.reshape(-1, width - 1)
     bounds[:, width] = ends
-    if np.diff(bounds, axis=1).min() < 2:
+    gaps = np.diff(bounds, axis=1)  # each field's width + 1
+    if gaps.min() < 2:
         return None
-    words = np.ndarray(buf.shape, dtype=">u8", buffer=chunk + bytes(_KEY_BYTES - 1),
+    widest = int(gaps.max()) - 1
+    del gaps
+    if widest * ends.size > 8 * len(chunk):
+        return None  # keys as wide as the widest field would dwarf the chunk
+    # words[i]: the 8 bytes from byte i as a big-endian uint64, zeros past
+    # the chunk's end, for every i that a word of a field starts at
+    words = np.ndarray(len(chunk) + widest, dtype=">u8", buffer=chunk + bytes(widest + 7),
                        strides=(1,))
-    ids = []
-    for field, labels in enumerate(targets):
-        keys = _field_keys(words, bounds[:, field] + 1, bounds[:, field + 1])
-        if keys is None:
-            return None
-        ids.append(labels(keys))
-    *group, u, v = ids
+    # the weights first, so the temporaries of their sort sit beside no ids
+    values = (np.ones(ends.size) if width == len(targets) else
+              _weights(_field_keys(words, bounds[:, width - 1] + 1, ends)))
+    if values is None:
+        return None
+    *group, u, v = [labels(_field_keys(words, bounds[:, field] + 1, bounds[:, field + 1]))
+                    for field, labels in enumerate(targets)]
     if np.any(u == v):
         return None  # a self-loop
     group_ids = group[0] if group else np.zeros(ends.size, dtype=np.int64)
-    pairs = u << 32 | v
-    if width == len(targets):
-        return group_ids, pairs, np.ones(ends.size)
-    starts = bounds[:, width - 1] + 1
-    keys = _field_keys(words, starts, ends)
-    values = _weight_values(buf, starts, ends) if keys is None else weights(keys)
-    return None if values is None else (group_ids, pairs, values)
+    return group_ids, u << 32 | v, values
 
 
 def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
@@ -368,10 +355,12 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
     newline; every line has the same number of fields (3 or 4 for an edge
     list, 3 for a CSV), one separator apart and none empty; it holds no ``#``,
     NUL, quote, tab or CR, no other byte that str.split treats as whitespace
-    (nor a space in a CSV); no label is longer than 8 bytes; and no line is a
-    self-loop or has a weight that is malformed, non-finite or negative.
-    Labels, and weight tokens of up to 8 bytes, are looked up among those
-    already seen; only new ones are decoded.
+    (nor a space in a CSV); no field is more than 8 times as long as the
+    mean line of its chunk, since each row's key takes as many bytes as the
+    widest field of its column; and no line is a self-loop or has a weight
+    that is malformed, non-finite or negative.  Labels and layer names are
+    looked up among those already seen, so only new ones are decoded, and
+    each distinct weight token of a chunk is read once.
 
     A row is held as 20 bytes: its int32 group id, its packed int64 (u, v)
     node ids, which ``_ranked_rows`` turns into its key in place, and its
@@ -383,8 +372,7 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
     blocks would stay on its heap.
     """
     is_csv = sep == ","
-    groups, nodes = _Lookup(_new_ids, np.int64), _Lookup(_new_ids, np.int64)
-    weights = _Lookup(_new_weights, np.float64)
+    groups, nodes = _Lookup(), _Lookup()
     targets = [nodes, nodes] if is_csv else [groups, nodes, nodes]  # looked up per label field
     slabs = [np.empty(lines, dtype=np.int32), np.empty(lines, dtype=np.int64), np.empty(lines)]
     read = width = filled = 0  # bytes read, fields per line, rows in the slab
@@ -411,7 +399,7 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
             width = chunk.count(sep.encode(), 0, chunk.find(b"\n")) + 1
             if width not in ((3,) if is_csv else (3, 4)):
                 return None
-        block = _parse_chunk(chunk, sep, width, targets, weights)
+        block = _parse_chunk(chunk, sep, width, targets)
         if block is None:
             return None
         rows = len(block[0])

@@ -24,6 +24,7 @@ their last digits, and so these digests, may differ.
 import contextlib
 import hashlib
 import io
+import re
 
 import pytest
 
@@ -195,3 +196,42 @@ def test_aggregate_flag_variant_bytes(variant_outputs, name):
     assert _digest(d / f"variant_{name}.csv") == csv_digest
     assert _digest(d / f"variant_{name}.json") == json_digest
     assert stderr[name] == err
+
+
+# name -> digest of the synth pipeline's outputs over its network relabelled
+# to 15-byte Ensembl-style gene ids and 16-byte layer names.  Recorded when
+# a label longer than 8 bytes sent the whole file to the per-line reader,
+# so they pin the chunk reader's long keys to that reader's bytes.
+ENSEMBL_EXPECTED = {
+    "agg.csv": "40669f4ba4e3cf682e50246117d2670473a78760d43fcf6411637cfb024e02fc",
+    "agg.json": "bf2ab5b3468129250dfeac52be25b28b531b4d6c8110c3ff0eb5de59e2f02c1f",
+    "ave.csv": "e98ce0fd1d6446849e2926632a8eff65a75e907709ad3967275a54897eae4d58",
+    "metrics.json": "42311aa79aa2e3852f334eaf8f7b54daa43cc2195b8e557af63ae460d3ee7d65",
+    "cdf.csv": "751592931e19ef501b72d90796d10c6c2dc8971d0a1d9609f52fc38fe81e12fb",
+}
+
+
+def _ensembl(text):
+    """``text`` with each ``nXX`` label an Ensembl-style id (in another sort
+    order) and each ``layerX`` name a 16-byte tissue name."""
+    text = re.sub(r"\bn(\d+)\b", lambda m: f"ENSG{int(m[1]) * 7919 % 10007:011d}", text)
+    return re.sub(r"^layer(\d+)", lambda m: f"GTEx_tissue_{int(m[1]):04d}", text, flags=re.M)
+
+
+@pytest.fixture(scope="module")
+def ensembl_outputs(synth_outputs, tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden_ensembl")
+    (d / "net.txt").write_text(_ensembl((synth_outputs / "net.txt").read_text()))
+    runs = [
+        ["aggregate", d / "net.txt", "-o", d / "agg.csv"],
+        ["baseline", "ave", d / "net.txt", "-o", d / "ave.csv"],
+        ["metrics", d / "agg.csv", "-o", d / "metrics.json", "--cdf", d / "cdf.csv"],
+    ]
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 0
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBL_EXPECTED))
+def test_long_label_pipeline_bytes(ensembl_outputs, name):
+    assert _digest(ensembl_outputs / name) == ENSEMBL_EXPECTED[name]

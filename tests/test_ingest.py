@@ -343,8 +343,11 @@ EDGELIST_CASES = [
     ("L1 é b 1\n", False),
     ("L1 a b 1\nL1 a b L1 b c 2\n", False),
     ("L1 abcdefgh abcdefgg 1\nL1 abcdefgh b 2\nlayer_08 b c 1\n", True),
-    ("L1 abcdefghi abcdefgh 1\n", False),
-    ("layer_009 a b 1\n", False),
+    ("L1 abcdefghi abcdefgh 1\n", True),
+    ("layer_009 a b 1\n", True),
+    # labels and layer names of 9, 16 and 17 bytes, across the word boundaries
+    ("L1 abcdefgh abcdefghi 0.30000000000000004\nlayer_0000000016 abcdefghijklmnop abcdefghi 2\n"
+     "layer_00000000017 abcdefghijklmnopq abcdefghijklmnop 1.25e-300\nL1 abcdefghi b 3\n", True),
     ("L1 a ab 1\nL1 ab a~ 2\nL1 B a 3\nL1 a\x01 b 1\nL1 a,b 9 1\n", True),
     ("L1 a\x0cb c 1\n", False),
     ("L1 a\x1fb c 1\n", False),
@@ -369,7 +372,9 @@ LAYER_CSV_CASES = [
     ("node_u,node_v,weight\na,b,1.5\na,c,0\nb,c,2\n", True),
     ("x\nb,a,1\nc,a,+2\nc,b,1e3\nd,a,1_0\nd,b,-0.0\nd,c,.5\n", True),
     ("node_u,node_v,weight\nabcdefgh,a,1\nabcdefgh,abcdefgg,2\n", True),
-    ("node_u,node_v,weight\nabcdefghi,a,1\n", False),
+    ("node_u,node_v,weight\nabcdefghi,a,1\n", True),
+    ("u,v,lambda\nabcdefgh,abcdefghi,0.30000000000000004\nabcdefghijklmnop,abcdefghi,2\n"
+     "abcdefghijklmnopq,abcdefghijklmnop,1.25e-300\nabcdefghi,b,3\n", True),
     ('node_u,node_v,weight\n"a",b,1\n', False),
     ('node_u,node_v,weight\n"a,b",c,1\n', False),
     ('"node_u,node_v",weight\na,b,1\n', False),
@@ -419,6 +424,18 @@ class TestWholeTextReader:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         assert (ingest._regular_rows(text, ",") is not None) == fast
         assert _outcome(parse_layer_csv, text) == _per_line(parse_layer_csv, text, monkeypatch)
+
+    def test_field_far_longer_than_its_lines(self, monkeypatch):
+        """A label many times longer than the mean line of its chunk goes to
+        the per-line reader: the key of every row of its column would be as
+        long."""
+        rows = "".join(f"L1 a{t} b{t} 1\n" for t in range(2000))
+        for width, fast in [(50, True), (5000, False)]:
+            text = rows + f"L1 {'x' * width} a1 2\n"
+            assert (ingest._regular_rows(text, " ") is not None) == fast
+            assert _outcome(parse_multiplex_edgelist, text) == _per_line(
+                parse_multiplex_edgelist, text, monkeypatch
+            )
 
     def test_benchmark_shaped_input_never_falls_back(self, monkeypatch):
         """Edge lists and layer CSVs as the CLI writes them, and the
@@ -546,7 +563,7 @@ class TestChunkedFileReader:
             "L1 n001 n002 -2",  # a NegativeWeight
             "L1\tn001\tn002\t2",  # valid, but not regular
             "L1 n001 n002 2\r",  # valid, but not regular
-            "L1 n001 n002 1.25e-300",  # regular, but too long a weight token to look up
+            "L1 n001 n002 1.25e+3000",  # a ParseError: a long token that float() reads as inf
             "L1 n001 n002 \u00e9",  # not ASCII
         ],
     )
@@ -592,27 +609,36 @@ class TestChunkedFileReader:
 
 
 # Tokens that the whole-text reader must either read as the per-line reader
-# does or leave to it.  PLAIN tokens are regular; SUBTLE ones are made of
-# regular bytes but must still go to the per-line reader or be read as it
-# reads them: labels of 9 bytes (the lookup keys hold 8), and weights that
-# float() reads ('1_0', '-0.0', 'nan', '1e400') or rejects ('0x1', '-2').
-# ODD ones hold '#', tab, CR, quotes, commas, spaces or non-ASCII bytes.
+# does or leave to it.  PLAIN tokens are regular; LONG ones are regular
+# labels and layer names of 1 to 24 bytes, many the prefix of another, and
+# repr floats of 9 to 23 bytes; SUBTLE ones are made of regular bytes but
+# must still go to the per-line reader or be read as it reads them: weights
+# that float() reads ('1_0', '-0.0', 'nan', '1e400') or rejects ('0x1', '-2',
+# and a 24-byte repr float below 0).  ODD ones hold '#', tab, CR, quotes,
+# commas, spaces or non-ASCII bytes.
 PLAIN = {"layer": ["L1", "L2", "L3456789"],
          "label": ["a", "b", "c", "d", "e", "n0000001", "n0000002", "n0000003"],
          "weight": ["1", "2.5", "0", "7", "+4", "007"]}
-SUBTLE = {"layer": ["L34567890"], "label": ["n00000001", "n00000002"],
-          "weight": ["1_0", "-0.0", "nan", "1e400", "0x1", "-2", "1.25e-300"]}
+GENE = "ENSG00000000000000000123"
+LONG = {"layer": ["L", "L34567890", "L345678901234567", "L3456789012345678", "L" + GENE[1:]],
+        "label": [GENE[:width] for width in range(1, 25)]
+                 + [GENE[:width - 1] + "9" for width in (8, 9, 16, 17, 24)],
+        "weight": ["1.25e-300", "123456789", "0.367090434467665", "1.2848165206368274",
+                   "0.30000000000000004", "2.2250738585072014e-308", "1.7976931348623157e+308"]}
+SUBTLE = {"layer": [], "label": [],
+          "weight": ["1_0", "-0.0", "nan", "1e400", "0x1", "-2", "-2.2250738585072014e-308"]}
 ODD = {"layer": ["#L", "L#", "é", '"L"'],
        "label": ["a#b", '"a"', "a'b", "é", "a\tb", "a\rb", '"a,b"', '"a""b"', " a", "a "],
        "weight": ["inf", "é", "", "1\r"]}
 
 
 def _tokens(draw, clean):
-    """A token drawer: PLAIN tokens eight times as often as the others, no
-    ODD token in a clean text, and a label other than ``unlike`` nine times
-    in ten (a self-loop is an error)."""
-    pools = {kind: PLAIN[kind] * 8 + SUBTLE[kind] + ([] if clean else ODD[kind])
-             for kind in PLAIN}
+    """A token drawer: PLAIN tokens eight times as often as the others, LONG
+    ones in half the texts, no ODD token in a clean text, and a label other
+    than ``unlike`` nine times in ten (a self-loop is an error)."""
+    long = draw(st.booleans())
+    pools = {kind: PLAIN[kind] * 8 + SUBTLE[kind] + (LONG[kind] if long else [])
+             + ([] if clean else ODD[kind]) for kind in PLAIN}
 
     def token(kind, unlike=None):
         pool = pools[kind]

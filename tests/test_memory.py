@@ -85,6 +85,18 @@ def test_file_read_holds_no_text(dense, tmp_path):
     assert peak < 12.8  # 10.7 MB in all; the text alone is 8.3, the network returned 6.1
 
 
+def test_file_read_of_long_labels_holds_no_text(dense, tmp_path):
+    """Labels of 12 bytes, like gene ids, stay on the chunk reader."""
+    universe = NodeUniverse(tuple("ENSG00000" + label[1:] for label in dense.universe.labels))
+    layers = tuple(LayerGraph(universe, layer.codes, layer.values) for layer in dense.layers)
+    long = MultilayerNetwork(universe, layers, dense.layer_names)
+    path = tmp_path / "net.txt"
+    _write(path, edge_chunks(long))
+    net, peak = traced_peak(_read_edgelist, path)
+    assert net == long
+    assert peak < 12.8  # the budget of the 4-byte labels; 9.5 MB, and 62.4 by the per-line reader
+
+
 def test_parse_holds_its_rows_once(dense):
     text = "".join(edge_chunks(dense))
     net, peak = traced_peak(parse_multiplex_edgelist, text)
@@ -131,6 +143,12 @@ peaks["synth gen"] = peak_mb("-m", "mapnet", "synth", "gen", "--nodes", nodes, "
 peaks["aggregate"] = peak_mb("-m", "mapnet", "aggregate", net, "-o", os.path.join(out, "agg.csv"))
 peaks["baseline ave"] = peak_mb("-m", "mapnet", "baseline", "ave", net,
                                 "-o", os.path.join(out, "ave.csv"))
+long = os.path.join(out, "long.txt")  # each label nXXX as the 12-byte ENSG00000XXX
+with open(net, "rb") as short, open(long, "wb") as relabelled:
+    while chunk := short.read(1 << 20):
+        relabelled.write((chunk + short.readline()).replace(b" n", b" ENSG00000"))
+peaks["aggregate, 12-byte labels"] = peak_mb("-m", "mapnet", "aggregate", long,
+                                             "-o", os.path.join(out, "long.csv"))
 print(json.dumps(peaks))
 """
 
@@ -157,14 +175,34 @@ def test_command_peaks_above_the_import(tmp_path):
     assert above["synth gen"] < 8.2
     assert above["aggregate"] < 6.6
     assert above["baseline ave"] < 6.1
+    # 5.6-6.2 MB, as the 4-byte labels; the per-line reader, which held the
+    # text and its lines, took 72.3
+    assert above["aggregate, 12-byte labels"] <= 1.5 * above["aggregate"]
+
+
+@pytest.fixture(scope="module")
+def peaks_at_1000_nodes(tmp_path_factory):
+    """``command_peaks`` at N=1000 (about 4.4M observations, a 92 MB edge list)."""
+    return command_peaks(tmp_path_factory.mktemp("n1000"), 1000)
 
 
 @pytest.mark.slow
-def test_command_peaks_above_the_import_at_1000_nodes(tmp_path):
-    """The same at N=1000 (about 4.4M observations, a 92 MB edge list)."""
-    above = command_peaks(tmp_path, 1000)
+def test_command_peaks_above_the_import_at_1000_nodes(peaks_at_1000_nodes):
+    """The same at N=1000."""
+    above = peaks_at_1000_nodes
     # 51, 100 and 97 MB above the import; holding every drawn layer, and the
     # parse's second copy of its rows, took 112, 152 and 149
     assert above["synth gen"] < 62.0
     assert above["aggregate"] < 122.0
     assert above["baseline ave"] < 118.0
+
+
+@pytest.mark.slow
+def test_long_labels_peak_as_short_ones_at_1000_nodes(peaks_at_1000_nodes):
+    """``aggregate`` of the N=1000 edge list with 12-byte labels (a 167 MB
+    file) peaks, above the import, at most 1.5 times as high as with the
+    4-byte ones, and so does its whole peak."""
+    above = peaks_at_1000_nodes
+    # 99.3-100.1 against 99.1-99.6 MB; the per-line reader, which held the
+    # text and its lines, took 758
+    assert above["aggregate, 12-byte labels"] <= 1.5 * above["aggregate"]
