@@ -19,11 +19,12 @@ when that is 8 bytes or fewer), so long labels take this path too:
 labels are looked up among those already seen, and only new ones are
 decoded, and each distinct weight token of a chunk is read by float() once.
 Any other input falls back to the per-line reader, the only source of
-errors; a file is then read again whole.  Both paths end in the same step
-that sorts labels, turns each row into one int64 key (layer, pair), keeps
-the last of repeated rows and splits the layers; keys that already rise,
-as in every file mapnet writes, are not sorted again, and the layers keep
-read-only slices of the keys and weights, so no row is held twice.
+errors; a file is then read again whole.  Both readers hand ``_network``
+the same ``Rows``, 20 bytes a row, and ``_network`` alone sorts the
+labels, turns each row into one int64 key (layer, pair), keeps the last of
+repeated rows and splits the layers; keys that already rise, as in every
+file mapnet writes, are not sorted again, and the layers keep read-only
+slices of the keys and weights, so no row is held twice.
 
 One column writer, ``_write_rows``, writes every text output, the CLI's
 tables included: each label is formatted once, each distinct number of a
@@ -165,10 +166,10 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
     return ExpressionDataset(tuple(genes), tuple(conditions), data, name=name)
 
 
-# (group names, node labels, both sorted; per row its key g·N² + i·N + j,
-# for group g and pair code i·N + j over those positions, and its weight),
-# rows in input order
-Rows = tuple[list[str], list[str], np.ndarray, np.ndarray]
+# (group names, node labels, each in the order of its ids; per row, in input
+# order, its int32 group id, its int64 node ids (u, v) packed as u·2³² + v,
+# and its float64 weight), 20 bytes a row; the group ids own their data
+Rows = tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]
 
 _CHUNK_BYTES = 1 << 18
 _WRITE_ROWS = 1 << 12
@@ -181,34 +182,10 @@ _IRREGULAR = b'\0"#\t\r\x0b\x0c\x1c\x1d\x1e\x1f'
 _HEAD_IRREGULAR = '\0"\r\x0b\x0c\x1c\x1d\x1e'
 
 
-def _ranked(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
-    """Labels in sorted order, and for each first-seen id its label's sorted position."""
-    labels = sorted(ids)
-    return labels, np.argsort(np.array([ids[label] for label in labels], dtype=np.int64))
-
-
-def _ranked_rows(groups: tuple[list[str], np.ndarray], nodes: tuple[list[str], np.ndarray],
-                 group_ids: np.ndarray, pairs: np.ndarray, weights: np.ndarray) -> Rows:
-    """Rows from each row's group id, its (u, v) node ids packed as the int64
-    u·2³² + v in ``pairs``, and its weight, all in row order; ``groups`` and
-    ``nodes`` are the sorted labels and each id's position, as ``_ranked``
-    gives them.  The keys overwrite ``pairs`` ``_WRITE_ROWS`` rows at a time,
-    so no temporary is as long as the rows and ``pairs`` becomes the keys."""
-    (names, group_rank), (labels, node_rank) = groups, nodes
-    n = len(labels)
-    for at in range(0, len(pairs), _WRITE_ROWS):
-        part = pairs[at:at + _WRITE_ROWS]
-        codes = pair_codes(node_rank[part >> 32], node_rank[part & 0xFFFFFFFF], n)
-        part[:] = group_rank[group_ids[at:at + _WRITE_ROWS]] * (n * n) + codes
-    return names, labels, pairs, weights
-
-
-def _listed_rows(groups: tuple[list[str], np.ndarray], nodes: tuple[list[str], np.ndarray],
-                 ids: array, weights: array) -> Rows:
-    """``_ranked_rows`` of the (group, u, v) id triples and the weights that
-    the per-line readers collect."""
-    ids = np.asarray(ids).reshape(-1, 3)
-    return _ranked_rows(groups, nodes, ids[:, 0], ids[:, 1] << 32 | ids[:, 2], np.array(weights))
+def _ranked(labels: list[str]) -> tuple[list[str], np.ndarray]:
+    """``labels`` sorted, and for each id (a position in ``labels``) its label's sorted position."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return [labels[i] for i in order], np.argsort(order)
 
 
 # _LEADING[n] keeps the n leading bytes of a big-endian word.
@@ -266,10 +243,10 @@ class _Lookup:
             slots = np.searchsorted(self.keys, keys)
         return self.ids[slots]
 
-    def ranked(self) -> tuple[list[str], np.ndarray]:
-        """The labels seen, sorted, and each id's position, as ``_ranked`` gives them."""
-        labels = _key_strings(self.keys[1:]).tolist()
-        return [label.decode() for label in labels], np.argsort(self.ids[1:])
+    def labels(self) -> list[str]:
+        """The labels seen, in the order of their ids."""
+        keys = _key_strings(self.keys[1:])[np.argsort(self.ids[1:])]
+        return [key.decode() for key in keys.tolist()]
 
 
 def _weights(keys: np.ndarray) -> np.ndarray | None:
@@ -296,12 +273,13 @@ def _text_chunks(text: str) -> Iterator[bytes]:
 def _file_chunks(file) -> Iterator[bytes]:
     """The chunks ``_text_chunks`` makes of a binary file's text."""
     while chunk := file.read(_CHUNK_BYTES):
-        yield chunk + file.readline()
+        chunk += file.readline()  # frees the read, which yielding the sum would hold
+        yield chunk
 
 
 def _parse_chunk(chunk: bytes, sep: str, width: int,
                  targets: list) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The group ids, packed (u, v) node ids (see ``_ranked_rows``) and
+    """The group ids, packed (u, v) node ids (see ``Rows``) and
     weights of a chunk of body lines of ``width`` fields; None if the chunk
     is not regular (see ``_chunk_rows``).  Each field is keyed by its bytes
     (see ``_field_keys``), the label fields looked up in ``targets`` (group 0
@@ -325,7 +303,7 @@ def _parse_chunk(chunk: bytes, sep: str, width: int,
     if gaps.min() < 2:
         return None
     widest = int(gaps.max()) - 1
-    del gaps
+    del gaps, seps
     if widest * ends.size > 8 * len(chunk):
         return None  # keys as wide as the widest field would dwarf the chunk
     # words[i]: the 8 bytes from byte i as a big-endian uint64, zeros past
@@ -362,14 +340,13 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
     looked up among those already seen, so only new ones are decoded, and
     each distinct weight token of a chunk is read once.
 
-    A row is held as 20 bytes: its int32 group id, its packed int64 (u, v)
-    node ids, which ``_ranked_rows`` turns into its key in place, and its
-    weight.  Each column goes into one slab of ``lines`` rows, as many as
-    a regular body can hold, cut to the rows read at the end.  A body with
-    more rows (its file changed after the newlines were counted) is left
-    to the per-line reader.  A slab is one large allocation, which the
-    allocator returns to the system when it is freed; many chunk-sized
-    blocks would stay on its heap.
+    A row is held as 20 bytes, as ``Rows`` has it: its int32 group id, its
+    packed int64 (u, v) node ids and its weight.  Each column goes into one
+    slab of ``lines`` rows, as many as a regular body can hold, cut to the
+    rows read at the end.  A body with more rows (its file changed after the
+    newlines were counted) is left to the per-line reader.  A slab is one
+    large allocation, which the allocator returns to the system when it is
+    freed; many chunk-sized blocks would stay on its heap.
     """
     is_csv = sep == ","
     groups, nodes = _Lookup(), _Lookup()
@@ -412,8 +389,7 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
         return None
     for slab in slabs:
         slab.resize(filled, refcheck=False)  # in place; no view of a slab is left
-    return _ranked_rows(([""], np.zeros(1, dtype=np.int64)) if is_csv else groups.ranked(),
-                        nodes.ranked(), *slabs)
+    return [""] if is_csv else groups.labels(), nodes.labels(), *slabs
 
 
 def _regular_rows(text: str, sep: str) -> Rows | None:
@@ -422,17 +398,28 @@ def _regular_rows(text: str, sep: str) -> Rows | None:
 
 
 def _network(rows: Rows) -> MultilayerNetwork:
-    """The network of ``rows``: one layer per group, named by the group
-    names, over the universe of the labels.  A repeated (group, pair) keeps
-    its last row and raises one DuplicateEdgeWarning carrying the count.
-    Keys that do not rise strictly already (those of every file mapnet
-    writes do) are sorted in place with their weights.  Each layer's keys
-    become its pair codes in place, and the keys and weights are made
-    read-only, so the layers take slices of them and the rows are never
-    held twice."""
-    names, labels, keys, weights = rows
+    """The network of ``rows``: one layer per group, the layers and the
+    universe in the sorted order of the group names and labels.
+
+    Both are ranked by ``_ranked``, and each row's packed ids are overwritten
+    by its key g·N² + i·N + j, for its group's position g and the pair code
+    i·N + j over the label positions, ``_WRITE_ROWS`` rows at a time, so no
+    temporary is as long as the rows.  The group ids are then freed, in place,
+    before any sort.  A repeated (group, pair) keeps its last row and raises
+    one DuplicateEdgeWarning carrying the count.  Keys that do not rise
+    strictly already (those of every file mapnet writes do) are sorted in
+    place with their weights.  Each layer's keys become its pair codes in
+    place, and the keys and weights are made read-only, so the layers take
+    slices of them and the rows are never held twice."""
+    names, labels, group_ids, keys, weights = rows
+    (names, group_rank), (labels, node_rank) = _ranked(names), _ranked(labels)
     universe = NodeUniverse(tuple(labels))
-    cells = universe.size ** 2
+    n, cells = universe.size, universe.size ** 2
+    for at in range(0, len(keys), _WRITE_ROWS):
+        part = keys[at:at + _WRITE_ROWS]
+        part[:] = pair_codes(node_rank[part >> 32], node_rank[part & 0xFFFFFFFF], n)
+        part += group_rank[group_ids[at:at + _WRITE_ROWS]] * cells
+    group_ids.resize(0, refcheck=False)  # the caller's rows hold it too
     if not np.all(keys[1:] > keys[:-1]):
         order = np.argsort(keys, kind="stable")
         keys[:] = keys[order]
@@ -455,8 +442,7 @@ def _edgelist_rows(text: str) -> Rows:
     """Rows of an edge list, read line by line; raises on the first bad line."""
     layer_ids: dict[str, int] = {}
     nodes: dict[str, int] = {}
-    ids = array("q")
-    weights = array("d")
+    groups, pairs, weights = array("i"), array("q"), array("d")
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
@@ -468,11 +454,11 @@ def _edgelist_rows(text: str) -> Rows:
         if u == v:
             raise ParseError(f"self-loop on {u!r}", line=lineno)
         weights.append(_parse_weight(fields[3], lineno, column=4) if len(fields) == 4 else 1.0)
-        ids.extend((layer_ids.setdefault(fields[0], len(layer_ids)),
-                    nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
+        groups.append(layer_ids.setdefault(fields[0], len(layer_ids)))
+        pairs.append(nodes.setdefault(u, len(nodes)) << 32 | nodes.setdefault(v, len(nodes)))
     if not weights:
         raise ParseError("no edges found")
-    return _listed_rows(_ranked(layer_ids), _ranked(nodes), ids, weights)
+    return list(layer_ids), list(nodes), np.array(groups), np.array(pairs), np.array(weights)
 
 
 def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
@@ -619,8 +605,7 @@ def _layer_csv_rows(text: str) -> Rows:
     rows = _csv_rows(text)
     next(rows, None)  # header
     nodes: dict[str, int] = {}
-    ids = array("q")
-    weights = array("d")
+    pairs, weights = array("q"), array("d")
     for lineno, row in rows:
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, found {len(row)}", line=lineno)
@@ -628,10 +613,11 @@ def _layer_csv_rows(text: str) -> Rows:
         if u == v:
             raise ParseError(f"self-loop on {u!r}", line=lineno)
         weights.append(_parse_weight(row[2], lineno, column=3))
-        ids.extend((0, nodes.setdefault(u, len(nodes)), nodes.setdefault(v, len(nodes))))
+        pairs.append(nodes.setdefault(u, len(nodes)) << 32 | nodes.setdefault(v, len(nodes)))
     if not weights:
         raise ParseError("expected a header and at least one edge row")
-    return _listed_rows(([""], np.zeros(1, dtype=np.int64)), _ranked(nodes), ids, weights)
+    groups = np.zeros(len(weights), dtype=np.int32)
+    return [""], list(nodes), groups, np.array(pairs), np.array(weights)
 
 
 def parse_layer_csv(text: str) -> LayerGraph:

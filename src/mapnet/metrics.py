@@ -161,30 +161,22 @@ def weight_cdf(values) -> np.ndarray:
     return np.column_stack((uniq, np.cumsum(counts) / arr.size))
 
 
-def _two_distinct(arr: np.ndarray) -> bool:
-    """Whether ``arr`` holds two distinct values, NaN counting as one value as
-    np.unique counts it; np.unique itself imports numpy.ma under numpy >= 2.3."""
-    nan = np.isnan(arr)
-    real = arr[~nan]
-    kinds = int(nan.any()) + (real.size > 0) + (real.size > 0 and real.min() < real.max())
-    return kinds >= 2
-
-
 def exponential_fit_r2(values, theta: float) -> float:
     """Coefficient of determination of an exponential CDF against the data.
 
     Residuals are empirical CDF minus 1 - exp(-theta * v) at the sorted
     distinct values; the total sum of squares is taken about the mean
-    empirical CDF.
+    empirical CDF.  NaN counts as one distinct value, as np.unique counts it.
     """
     if theta <= 0:
         raise DomainError("theta must be positive")
     arr = np.asarray(values, dtype=float)
-    if not _two_distinct(arr):
+    cdf = weight_cdf(arr) if arr.size else []
+    if len(cdf) < 2:
         raise DegenerateValues("need at least two distinct values")
     if arr.min() <= 0:
         raise DomainError("values must be positive")
-    points, empirical = weight_cdf(arr).T
+    points, empirical = cdf.T
     model = 1.0 - np.exp(-theta * points)
     ss_res = float(((empirical - model) ** 2).sum())
     ss_tot = float(((empirical - empirical.mean()) ** 2).sum())

@@ -19,6 +19,7 @@ from mapnet import (
     LayerGraph,
     NodeUniverse,
     aggregate_network,
+    build_avenet,
     build_correlation_network,
     compare_networks,
     parse_aggregated_csv,
@@ -27,9 +28,11 @@ from mapnet import (
     parse_multiplex_edgelist,
     recovery_metrics,
     run_subset_experiment,
+    serialize_multiplex_edgelist,
     weight_cdf,
 )
 from mapnet.cli import main
+from mapnet.ingest import serialize_layer_csv
 from mapnet.synth import truth_from_csv
 from mapnet.errors import BracketingFailure, DegenerateAllZero, UniverseMismatch
 from conftest import coded, expression_csv, make_expression_dataset, pair_dict
@@ -85,6 +88,16 @@ class TestBuildLayers:
         assert net.layer_names == ("set1", "set2", "set3")
         assert main(argv) == 0
         assert out.read_bytes() == first
+
+    def test_quantize_zero_keeps_raw_coefficients(self, dataset_files, tmp_path):
+        out, quantized = tmp_path / "layers.txt", tmp_path / "quantized.txt"
+        assert main(["build-layers", *dataset_files, "-o", str(out), "--quantize", "0"]) == 0
+        assert main(["build-layers", *dataset_files, "-o", str(quantized)]) == 0
+        datasets = [parse_expression_csv(Path(p).read_text(encoding="utf-8"), name=Path(p).stem)
+                    for p in dataset_files]
+        net = build_correlation_network(datasets, CorrelationConfig(quantize_levels=None))
+        assert out.read_text(encoding="utf-8") == serialize_multiplex_edgelist(net)
+        assert out.read_bytes() != quantized.read_bytes()
 
 
 class TestAggregate:
@@ -187,6 +200,14 @@ class TestBaseline:
         assert main(["baseline", "ave", multiplex_file, "-o", str(out)]) == 0
         layer = parse_layer_csv(out.read_text(encoding="utf-8"))
         assert layer.measurable
+
+    def test_avenet_over_all_layers(self, multiplex_file, tmp_path):
+        out, measurable = tmp_path / "avenet.csv", tmp_path / "measurable.csv"
+        assert main(["baseline", "ave", multiplex_file, "-o", str(out), "--denominator", "all"]) == 0
+        assert main(["baseline", "ave", multiplex_file, "-o", str(measurable)]) == 0
+        net = parse_multiplex_edgelist(Path(multiplex_file).read_text(encoding="utf-8"))
+        assert out.read_text(encoding="utf-8") == serialize_layer_csv(build_avenet(net, "all_layers"))
+        assert out.read_bytes() != measurable.read_bytes()
 
 
 class TestMetricsCommand:

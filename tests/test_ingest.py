@@ -1,3 +1,4 @@
+import inspect
 import io
 import subprocess
 import sys
@@ -296,6 +297,26 @@ class TestErrorsDeepInLargeInput:
         assert pair_dict(layer0)[label_pair(net.universe, "n000", "n001")] == 9.0
         assert pair_dict(layer0)[label_pair(net.universe, u, v)] == 8.0
         assert sum(layer.codes.size for layer in net.layers) == (BAD_LINE - 1) + 1  # + L9
+
+
+# (parser, separator, text with a repeated pair, whether the chunk reader takes it)
+DUPLICATE_CASES = [
+    (parse_multiplex_edgelist, " ", "L1 a b 1\nL1 b a 2\n", True),
+    (parse_multiplex_edgelist, " ", "L1\ta\tb\t1\nL1 b a 2\n", False),
+    (parse_layer_csv, ",", "node_u,node_v,weight\na,b,1\nb,a,2\n", True),
+    (parse_layer_csv, ",", 'node_u,node_v,weight\n"a",b,1\nb,a,2\n', False),
+]
+
+
+@pytest.mark.parametrize("parse, sep, text, fast", DUPLICATE_CASES)
+def test_duplicate_warning_points_at_the_caller(parse, sep, text, fast):
+    """On either reader's path, the DuplicateEdgeWarning names the file and
+    line that called the parser."""
+    assert (ingest._regular_rows(text, sep) is not None) == fast
+    with pytest.warns(DuplicateEdgeWarning) as records:
+        line = inspect.currentframe().f_lineno + 1
+        parse(text)
+    assert [(r.filename, r.lineno) for r in records] == [(__file__, line)]
 
 
 def _outcome(parse, text):
