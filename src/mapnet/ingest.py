@@ -8,19 +8,18 @@ infinite values are rejected.  Multiplex edge list: whitespace-separated
 weight defaults to 1, an explicit weight of 0 records a measured-but-zero
 observation, and a non-finite weight is rejected.
 
-Edge lists and ``node_u,node_v,weight`` layer CSVs with a regular body (see
-``_chunk_rows``) are read by numpy in chunks of about 256 KB of whole
-lines, from a text or, for the CLI's edge lists, straight from the binary
-file, so the file's text is never held; a file that cannot seek, such as a
-pipe, is read into memory first.  The rows go into slabs sized from the
-input's newline count.  Each field of a chunk is keyed by its bytes,
+Edge lists and ``node_u,node_v,weight`` layer CSVs are read by ``_rows`` in
+chunks of about 256 KB of whole lines, from a text or, for the CLI's edge
+lists, straight from the binary file, so no file but a pipe is read whole.
+A regular body (see ``_chunk_rows``) is read by numpy into slabs sized from
+the input's newline count.  Each field of a chunk is keyed by its bytes,
 zero-padded to the 8·k bytes of the widest field of its column (one uint64
 when that is 8 bytes or fewer), so long labels take this path too:
 labels are looked up among those already seen, and only new ones are
 decoded, and each distinct weight token of a chunk is read by float() once.
 Any other input falls back to the per-line reader, the only source of
-errors; a file is then read again whole.  Both readers hand ``_network``
-the same ``Rows``, 20 bytes a row, and ``_network`` alone sorts the
+errors, which reads the lines of the same chunks.  Both readers hand
+``_network`` the same ``Rows``, 20 bytes a row, and ``_network`` alone sorts the
 labels, turns each row into one int64 key (layer, pair), keeps the last of
 repeated rows and splits the layers; keys that already rise, as in every
 file mapnet writes, are not sorted again, and the layers keep read-only
@@ -119,10 +118,14 @@ def _parse_weight(token: str, line: int, column: int) -> float:
     return weight
 
 
-def _csv_rows(text: str):
-    """The non-blank rows of a CSV text, each with the physical line it ends on."""
-    reader = csv.reader(text.splitlines())
-    return ((reader.line_num, row) for row in reader if row and any(c.strip() for c in row))
+def _csv_rows(lines: Iterable[str]):
+    """The non-blank rows of CSV lines, each with the physical line it ends on.  A line's CR
+    or LF end is kept, for csv.reader to keep in a quoted field, and any other break dropped."""
+    reader = csv.reader(line.rstrip("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") for line in lines)
+    try:
+        yield from ((reader.line_num, row) for row in reader if any(c.strip() for c in row))
+    except csv.Error as err:  # such as a field over the csv module's limit
+        raise ParseError(str(err), line=reader.line_num) from None
 
 
 def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
@@ -133,7 +136,7 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
     column counts CSV fields) on malformed or infinite numbers or ragged
     rows, and DuplicateLabel on repeated gene or condition labels.
     """
-    rows = list(_csv_rows(text))
+    rows = list(_csv_rows(text.splitlines(keepends=True)))
     if not rows:
         raise ParseError("empty input", line=1)
     header_line, header = rows[0]
@@ -261,19 +264,26 @@ def _weights(keys: np.ndarray) -> np.ndarray | None:
 
 
 def _text_chunks(text: str) -> Iterator[bytes]:
-    """An ASCII text's bytes in chunks of whole lines: each runs to the first
-    newline at least ``_CHUNK_BYTES`` past its start."""
+    """A text's UTF-8 bytes (lone surrogates kept) in chunks of whole lines:
+    each runs to the first newline at least ``_CHUNK_BYTES`` past its start."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
-        yield text[start:end].encode("ascii")
+        yield text[start:end].encode("utf-8", "surrogatepass")
         start = end
 
 
 def _file_chunks(file) -> Iterator[bytes]:
-    """The chunks ``_text_chunks`` makes of a binary file's text."""
+    """The chunks ``_text_chunks`` makes of a binary file's text, read from its start; one
+    that is not UTF-8 raises what decoding the whole text does, in ``_rows``' first pass."""
+    file.seek(0)
     while chunk := file.read(_CHUNK_BYTES):
         chunk += file.readline()  # frees the read, which yielding the sum would hold
+        try:
+            chunk.isascii() or chunk.decode("utf-8")
+        except UnicodeDecodeError:  # the file's first bad byte: a chunk ends after a newline
+            file.seek(0)
+            file.read().decode("utf-8")
         yield chunk
 
 
@@ -392,9 +402,13 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
     return [""] if is_csv else groups.labels(), nodes.labels(), *slabs
 
 
-def _regular_rows(text: str, sep: str) -> Rows | None:
-    """``_chunk_rows`` of a text."""
-    return _chunk_rows(_text_chunks(text), sep, text.count("\n")) if text.isascii() else None
+def _rows(chunks, sep: str, per_line) -> Rows:
+    """Rows of the chunks each ``chunks()`` yields: by ``_chunk_rows``, given the newline count
+    of a first pass, or else by ``per_line`` from their lines, ends kept, one chunk decoded at a
+    time (every chunk ends after a newline, so these are the lines str.splitlines gives)."""
+    lines = sum(chunk.count(b"\n") for chunk in chunks())
+    return _chunk_rows(chunks(), sep, lines) or per_line(
+        line for chunk in chunks() for line in chunk.decode("utf-8", "surrogatepass").splitlines(True))
 
 
 def _network(rows: Rows) -> MultilayerNetwork:
@@ -438,12 +452,12 @@ def _network(rows: Rows) -> MultilayerNetwork:
     return MultilayerNetwork(universe, layers, tuple(names))
 
 
-def _edgelist_rows(text: str) -> Rows:
-    """Rows of an edge list, read line by line; raises on the first bad line."""
+def _edgelist_rows(lines: Iterable[str]) -> Rows:
+    """Rows of an edge list's lines; raises on the first bad line."""
     layer_ids: dict[str, int] = {}
     nodes: dict[str, int] = {}
     groups, pairs, weights = array("i"), array("q"), array("d")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -470,28 +484,15 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
     edge-list input the measurable set of a layer equals its recorded
     pairs (absence of a line means no measurement, not a zero).
     """
-    return _network(_regular_rows(text, " ") or _edgelist_rows(text))
+    return _network(_rows(lambda: _text_chunks(text), " ", _edgelist_rows))
 
 
 def _read_multiplex_edgelist(file) -> MultilayerNetwork:
-    """parse_multiplex_edgelist of a binary file's UTF-8 text.
-
-    The file's newlines are counted in one pass, and it is then read in
-    chunks, so a regular body is never held as text; at the first irregular
-    chunk the file is read again whole, from the start, by the per-line
-    reader.  A file that cannot seek, such as a pipe, is read into memory
-    first and then read the same way.
-    """
+    """parse_multiplex_edgelist of a binary file's UTF-8 text, read by ``_rows`` a chunk at a
+    time (see ``_file_chunks``); a file that cannot seek, such as a pipe, is read whole first."""
     if not file.seekable():
         file = io.BytesIO(file.read())
-    file.seek(0)
-    lines = sum(chunk.count(b"\n") for chunk in _file_chunks(file))
-    file.seek(0)
-    rows = _chunk_rows(_file_chunks(file), " ", lines)
-    if rows is None:
-        file.seek(0)
-        rows = _edgelist_rows(file.read().decode("utf-8"))
-    return _network(rows)
+    return _network(_rows(lambda: _file_chunks(file), " ", _edgelist_rows))
 
 
 def _quoted(label: str) -> str:
@@ -600,9 +601,9 @@ def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
     return "".join(_layer_csv_chunks(layer, value_name))
 
 
-def _layer_csv_rows(text: str) -> Rows:
-    """Rows of a layer CSV, read row by row; raises on the first bad row."""
-    rows = _csv_rows(text)
+def _layer_csv_rows(lines: Iterable[str]) -> Rows:
+    """Rows of a layer CSV's lines, read row by row; raises on the first bad row."""
+    rows = _csv_rows(lines)
     next(rows, None)  # header
     nodes: dict[str, int] = {}
     pairs, weights = array("q"), array("d")
@@ -627,7 +628,7 @@ def parse_layer_csv(text: str) -> LayerGraph:
     non-blank row is the header; blank rows are skipped, and line numbers
     in errors count every physical line.
     """
-    return _network(_regular_rows(text, ",") or _layer_csv_rows(text)).layers[0]
+    return _network(_rows(lambda: _text_chunks(text), ",", _layer_csv_rows)).layers[0]
 
 
 _SIDECAR_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number")}

@@ -487,6 +487,18 @@ class TestErrorHandling:
                        "message": "layer name '#A' is empty or starts with '#'"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("metrics", 'node_u,node_v,weight\n"' + "x" * 200_000 + '",b,1\n'),
+        ("build-layers", "gene,c1,c2\n" + "g" * 200_000 + ",1,2\n"),
+    ], ids=["metrics", "build_layers"])
+    def test_field_over_the_csv_limit(self, tmp_path, capsys, command, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ParseError",
+                                    "message": "field larger than field limit (131072) (line 2)"}
+
     def test_writer_error_leaves_the_output_untouched(self, tmp_path, capsys):
         # the writer raises before it opens the file: gene 'g 1' would be read back as two fields
         rng = np.random.default_rng(5)

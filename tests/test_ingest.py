@@ -171,7 +171,7 @@ class TestSharedLastStep:
         monkeypatch.setattr(ingest, "_WRITE_ROWS", block)
         for fast in (True, False):
             if not fast:
-                monkeypatch.setattr(ingest, "_regular_rows", lambda text, sep: None)
+                monkeypatch.setattr(ingest, "_chunk_rows", lambda chunks, sep, lines: None)
             with warnings.catch_warnings(record=True) as records:
                 warnings.simplefilter("always")
                 net = parse_multiplex_edgelist(text)
@@ -312,7 +312,7 @@ DUPLICATE_CASES = [
 def test_duplicate_warning_points_at_the_caller(parse, sep, text, fast):
     """On either reader's path, the DuplicateEdgeWarning names the file and
     line that called the parser."""
-    assert (ingest._regular_rows(text, sep) is not None) == fast
+    assert (_text_rows(text, sep) is not None) == fast
     with pytest.warns(DuplicateEdgeWarning) as records:
         line = inspect.currentframe().f_lineno + 1
         parse(text)
@@ -334,13 +334,20 @@ def _outcome(parse, text):
 
 
 def _per_line(parse, text, monkeypatch):
+    """``_outcome`` of the per-line reader, handed the whole text as one chunk."""
     with monkeypatch.context() as patch:
-        patch.setattr(ingest, "_regular_rows", lambda text, sep: None)
+        patch.setattr(ingest, "_chunk_rows", lambda chunks, sep, lines: None)
+        patch.setattr(ingest, "_CHUNK_BYTES", len(text) + 1)
         return _outcome(parse, text)
 
 
+def _text_rows(text, sep):
+    """What the chunk reader makes of a text: its rows, or None."""
+    return ingest._chunk_rows(ingest._text_chunks(text), sep, text.count("\n"))
+
+
 EDGE = "# layer u v w\n"
-# (text, whether the whole-text reader takes it)
+# (text, whether the chunk reader takes it)
 EDGELIST_CASES = [
     (EDGE + "L1 a b 1\nL1 b c 2.5\nL2 a c 0\n", True),
     ("L1 a b\nL2 b c\n", True),
@@ -426,14 +433,14 @@ LAYER_CSV_CASES = [
 
 
 class TestWholeTextReader:
-    """The whole-text reader gives what the per-line reader gives, or leaves the text to it."""
+    """The chunk reader of a text gives what the per-line reader gives, or leaves the text to it."""
 
     @pytest.mark.parametrize("chunk", [None, 12])
     @pytest.mark.parametrize("text, fast", EDGELIST_CASES)
     def test_edgelist(self, text, fast, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
-        assert (ingest._regular_rows(text, " ") is not None) == fast
+        assert (_text_rows(text, " ") is not None) == fast
         assert _outcome(parse_multiplex_edgelist, text) == _per_line(
             parse_multiplex_edgelist, text, monkeypatch
         )
@@ -443,7 +450,7 @@ class TestWholeTextReader:
     def test_layer_csv(self, text, fast, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
-        assert (ingest._regular_rows(text, ",") is not None) == fast
+        assert (_text_rows(text, ",") is not None) == fast
         assert _outcome(parse_layer_csv, text) == _per_line(parse_layer_csv, text, monkeypatch)
 
     def test_field_far_longer_than_its_lines(self, monkeypatch):
@@ -453,7 +460,7 @@ class TestWholeTextReader:
         rows = "".join(f"L1 a{t} b{t} 1\n" for t in range(2000))
         for width, fast in [(50, True), (5000, False)]:
             text = rows + f"L1 {'x' * width} a1 2\n"
-            assert (ingest._regular_rows(text, " ") is not None) == fast
+            assert (_text_rows(text, " ") is not None) == fast
             assert _outcome(parse_multiplex_edgelist, text) == _per_line(
                 parse_multiplex_edgelist, text, monkeypatch
             )
@@ -474,7 +481,7 @@ class TestWholeTextReader:
                   (parse_layer_csv, rates), (parse_layer_csv, ave)]
         expected = [_per_line(parse, text, monkeypatch) for parse, text in inputs]
 
-        def per_line(text):
+        def per_line(lines):
             raise AssertionError("fell back to the per-line reader")
 
         monkeypatch.setattr(ingest, "_edgelist_rows", per_line)
@@ -531,7 +538,7 @@ class TestChunkedFileReader:
         if chunk is not None:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         data = text.encode("utf-8")
-        assert _same_rows(_file_rows(data, " "), ingest._regular_rows(text, " "))
+        assert _same_rows(_file_rows(data, " "), _text_rows(text, " "))
         expected = _per_line(parse_multiplex_edgelist, text, monkeypatch)
         path = tmp_path / "net.txt"
         path.write_bytes(data)
@@ -546,7 +553,7 @@ class TestChunkedFileReader:
         if chunk is not None:
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         data = text.encode("utf-8")
-        assert _same_rows(_file_rows(data, ","), ingest._regular_rows(text, ","))
+        assert _same_rows(_file_rows(data, ","), _text_rows(text, ","))
 
     @pytest.mark.parametrize("sep", [" ", "\t"])  # the chunked and the per-line reader
     def test_layers_share_the_parsed_rows(self, sep):
@@ -589,7 +596,7 @@ class TestChunkedFileReader:
         ],
     )
     def test_irregular_line_many_chunks_in(self, bad, monkeypatch):
-        """The per-line reader then reads the whole file again from the start."""
+        """The per-line reader then reads the file's chunks again from the start."""
         monkeypatch.setattr(ingest, "_CHUNK_BYTES", 12)
         text = "\n".join(_good_rows(300, " ", layered=True) + [bad, "L1 n003 n004 1"]) + "\n"
         expected = _per_line(parse_multiplex_edgelist, text, monkeypatch)
@@ -597,14 +604,17 @@ class TestChunkedFileReader:
         assert _outcome(parse_multiplex_edgelist, text) == expected
 
     def test_non_utf8_file_raises_as_decoding_it_whole(self, monkeypatch):
+        """Also before the ParseError of a malformed line in an earlier chunk."""
         monkeypatch.setattr(ingest, "_CHUNK_BYTES", 12)
-        data = ("\n".join(_good_rows(300, " ", layered=True)) + "\nL1 a \xff 1\n").encode("latin-1")
-        with pytest.raises(UnicodeDecodeError) as whole:
-            data.decode("utf-8")
-        for file in (io.BytesIO(data), _Pipe(data)):
-            with pytest.raises(UnicodeDecodeError) as err:
-                _read_file(file)
-            assert str(err.value) == str(whole.value)
+        good = "\n".join(_good_rows(300, " ", layered=True))
+        for text in (good + "\nL1 a \xff 1\n", "L1 n001\n" + good + "\nL1 a \xff 1\n"):
+            data = text.encode("latin-1")
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            for file in (io.BytesIO(data), _Pipe(data)):
+                with pytest.raises(UnicodeDecodeError) as err:
+                    _read_file(file)
+                assert str(err.value) == str(whole.value)
 
     @pytest.mark.parametrize("chunk", [None, 64])
     @pytest.mark.parametrize("repeats", [0, 30])
@@ -629,7 +639,48 @@ class TestChunkedFileReader:
                 assert counts == ([repeats] if repeats else [])
 
 
-# Tokens that the whole-text reader must either read as the per-line reader
+@pytest.mark.parametrize("chunk", [None, 12])
+def test_lone_surrogate_keeps_its_label(chunk, monkeypatch):
+    """Texts are read as UTF-8 with lone surrogates passed through, as str holds them."""
+    if chunk is not None:
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+    assert parse_multiplex_edgelist("L1 a\ud800 b 1\n").universe.labels == ("a\ud800", "b")
+    assert parse_layer_csv("u,v,w\na\ud800,b,1\n").universe.labels == ("a\ud800", "b")
+
+
+def test_quoted_line_break_across_chunks(monkeypatch):
+    """A quoted CSV field whose line break ends a chunk reads as from the whole text,
+    line break included."""
+    text = 'node_u,node_v,weight\na,b,1\n"long label\nd",b,2\n'
+    whole = _outcome(parse_layer_csv, text)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 12)
+    assert list(ingest._text_chunks(text))[1].endswith(b'"long label\n')
+    assert _outcome(parse_layer_csv, text) == whole
+    assert whole[0].universe.labels == ("a", "b", "long label\nd")
+
+
+def test_csv_line_breaks():
+    """CSV lines end at every break str.splitlines knows; a quoted CR or LF
+    stays in its field, as csv.QUOTE_MINIMAL writes it, and any other break
+    is dropped."""
+    for end in ["\x0b", "\x1c", "\x85", "\u2028"]:
+        layer = parse_layer_csv(f'u,v,w{end}a,b,1{end}"c{end}d",a,2{end}')
+        assert (layer.universe.labels, layer.values.tolist()) == (("a", "b", "cd"), [1.0, 2.0])
+    layer = parse_layer_csv('u,v,w\n"c\r\nd",a,1\n"e\rf",a,2\r\n')
+    assert layer.universe.labels == ("a", "c\r\nd", "e\rf")
+    assert parse_expression_csv('gene,c1\n"g\n1",1\n').genes == ("g\n1",)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_layer_csv, 'node_u,node_v,weight\n"' + "x" * 200_000 + '",b,1\n'),
+    (parse_expression_csv, "gene,c1\n" + "g" * 200_000 + ",1\n"),
+], ids=["layer_csv", "expression_csv"])
+def test_field_over_the_csv_limit(parse, text):
+    with pytest.raises(ParseError, match=r"^field larger than field limit \(131072\) \(line 2\)$"):
+        parse(text)
+
+
+# Tokens that the chunk reader must either read as the per-line reader
 # does or leave to it.  PLAIN tokens are regular; LONG ones are regular
 # labels and layer names of 1 to 24 bytes, many the prefix of another, and
 # repr floats of 9 to 23 bytes; SUBTLE ones are made of regular bytes but
@@ -710,7 +761,8 @@ def layer_csv_texts(draw):
     return text[:-1] if draw(st.integers(0, 3)) == 0 and text.endswith("\n") else text
 
 
-FUZZ_ENDS = ["\n", "\n", "\n", "\n", "\r\n", "\r"]
+# line breaks of each kind str.splitlines knows (ASCII, C1, Unicode), for chunk ends to meet
+FUZZ_ENDS = ["\n", "\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
 FUZZ_CHUNKS = [1, 7, 12, None]
 
 
@@ -732,7 +784,7 @@ class TestReadersAgreeOnGeneratedText:
                 assert _outcome(parse_multiplex_edgelist, text) == expected
                 assert _outcome(_read_file, io.BytesIO(data)) == expected
                 assert _outcome(_read_file, _Pipe(data)) == expected
-                assert _same_rows(_file_rows(data, " "), ingest._regular_rows(text, " "))
+                assert _same_rows(_file_rows(data, " "), _text_rows(text, " "))
 
     @settings(max_examples=200, deadline=None)
     @given(text=layer_csv_texts())
@@ -745,7 +797,7 @@ class TestReadersAgreeOnGeneratedText:
                     patch.setattr(ingest, "_CHUNK_BYTES", chunk)
                 assert _outcome(parse_layer_csv, text) == expected
                 assert _same_rows(_file_rows(text.encode("utf-8"), ","),
-                                  ingest._regular_rows(text, ","))
+                                  _text_rows(text, ","))
 
 
 def test_failing_generated_test_prints_its_example(tmp_path):

@@ -106,11 +106,21 @@ def test_parse_holds_its_rows_once(dense):
 
 def test_per_line_parse_of_tabbed_text(dense):
     """Tab-separated files, the commonest input the chunk reader leaves to
-    the per-line reader, which holds the text's lines as a list."""
+    the per-line reader, which reads the lines of one chunk at a time."""
     text = "".join(edge_chunks(dense)).replace(" ", "\t")
     net, peak = traced_peak(parse_multiplex_edgelist, text)
     assert net == dense
-    assert peak < 45.0  # 37.4 MB; 42.0 when the rows were collected as id triples
+    # 15.4 MB; 37.4 when the text's lines were held as one list, and 42.0
+    # when the rows were collected as id triples
+    assert peak < 18.5
+
+
+def test_per_line_file_read_of_tabbed_text(dense, tmp_path):
+    path = tmp_path / "tabs.txt"
+    path.write_text("".join(edge_chunks(dense)).replace(" ", "\t"), encoding="utf-8")
+    net, peak = traced_peak(_read_edgelist, path)
+    assert net == dense
+    assert peak < 18.5  # 15.4 MB; 45.7 when the file was read and decoded whole
 
 
 def test_summaries_fold_the_layers(dense):
@@ -158,6 +168,12 @@ with open(net, "rb") as short, open(long, "wb") as relabelled:
         relabelled.write((chunk + short.readline()).replace(b" n", b" ENSG00000"))
 peaks["aggregate, 12-byte labels"] = peak_mb("-m", "mapnet", "aggregate", long,
                                              "-o", os.path.join(out, "long.csv"))
+tabs = os.path.join(out, "tabs.txt")  # the per-line reader's commonest input
+with open(net, "rb") as spaced, open(tabs, "wb") as tabbed:
+    while chunk := spaced.read(1 << 20):
+        tabbed.write(chunk.replace(b" ", b"\t"))
+peaks["aggregate, tabs"] = peak_mb("-m", "mapnet", "aggregate", tabs,
+                                   "-o", os.path.join(out, "tabs.csv"))
 print(json.dumps(peaks))
 """
 
@@ -187,6 +203,8 @@ def test_command_peaks_above_the_import(tmp_path):
     # 5.6-6.2 MB, as the 4-byte labels; the per-line reader, which held the
     # text and its lines, took 72.3
     assert above["aggregate, 12-byte labels"] <= 1.5 * above["aggregate"]
+    # 16.5 MB; 47.3-47.9 when the per-line reader held the text and its lines
+    assert above["aggregate, tabs"] < 19.8
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +222,8 @@ def test_command_peaks_above_the_import_at_1000_nodes(peaks_at_1000_nodes):
     assert above["synth gen"] < 62.0
     assert above["aggregate"] < 122.0
     assert above["baseline ave"] < 118.0
+    # 165 MB; 561 when the per-line reader held the text and its lines
+    assert above["aggregate, tabs"] < 198.0
 
 
 @pytest.mark.slow

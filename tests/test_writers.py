@@ -80,8 +80,9 @@ WEIGHTS = st.one_of(
 )
 NODE_TEXT = st.text(min_size=1, max_size=5)
 SPACELESS = NODE_TEXT.filter(lambda s: not any(ch.isspace() for ch in s))
-# labels without line breaks; the CSV writer rejects those the reader would strip
-CSV_LABELS = st.text(st.sampled_from('ab,"# é中\t'), min_size=1, max_size=4)
+# labels with the characters that csv.QUOTE_MINIMAL quotes; the CSV writer
+# rejects those with whitespace at an edge, which the reader would strip
+CSV_LABELS = st.text(st.sampled_from('ab,"# é中\t\n\r'), min_size=1, max_size=4)
 PADDED = "node labels must not start or end with whitespace"
 
 
