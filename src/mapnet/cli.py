@@ -6,11 +6,13 @@ networks, compute metrics and plot data, run the subset-size experiment,
 and generate/score synthetic instances.  Every subcommand is
 deterministic given its flags and seed, emits plot *data* (CSV/JSON, not
 images), and exits nonzero with a machine-readable error line on failure.
+``run`` is the process entry of both ``mapnet`` and ``python -m mapnet``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import warnings
@@ -306,5 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """``main``, then the heap frozen, so that the cyclic collections of finalization skip it."""
+    code = main()
+    gc.freeze()
+    return code

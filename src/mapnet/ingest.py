@@ -121,7 +121,7 @@ def _parse_weight(token: str, line: int, column: int) -> float:
 def _csv_rows(lines: Iterable[str]):
     """The non-blank rows of CSV lines, each with the physical line it ends on.  A line's CR
     or LF end is kept, for csv.reader to keep in a quoted field, and any other break dropped."""
-    reader = csv.reader(line.rstrip("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") for line in lines)
+    reader = csv.reader(line.rstrip(_BREAKS) for line in lines)
     try:
         yield from ((reader.line_num, row) for row in reader if any(c.strip() for c in row))
     except csv.Error as err:  # such as a field over the csv module's limit
@@ -183,6 +183,7 @@ _IRREGULAR = b'\0"#\t\r\x0b\x0c\x1c\x1d\x1e\x1f'
 # The comment lines or CSV header may hold anything but NUL, quotes and
 # line breaks other than newline.
 _HEAD_IRREGULAR = '\0"\r\x0b\x0c\x1c\x1d\x1e'
+_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines but CR and LF
 
 
 def _ranked(labels: list[str]) -> tuple[list[str], np.ndarray]:
@@ -350,18 +351,17 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
     looked up among those already seen, so only new ones are decoded, and
     each distinct weight token of a chunk is read once.
 
-    A row is held as 20 bytes, as ``Rows`` has it: its int32 group id, its
-    packed int64 (u, v) node ids and its weight.  Each column goes into one
-    slab of ``lines`` rows, as many as a regular body can hold, cut to the
-    rows read at the end.  A body with more rows (its file changed after the
-    newlines were counted) is left to the per-line reader.  A slab is one
-    large allocation, which the allocator returns to the system when it is
-    freed; many chunk-sized blocks would stay on its heap.
+    A row is held as 20 bytes, as ``Rows`` has it: its int32 group id, its packed int64 (u, v)
+    node ids and its weight.  Each column goes into one slab of ``lines`` rows, as many as a
+    regular body can hold, cut to the rows read at the end.  A body with more rows (its file
+    changed after the newlines were counted) is left to the per-line reader.  A slab is one
+    large allocation, which the allocator returns to the system when freed; many chunk-sized
+    blocks would stay on its heap.  The slabs are made only once a first block has parsed, as
+    freeing them raises glibc's mmap threshold and so keeps a per-line read's columns on the heap.
     """
     is_csv = sep == ","
     groups, nodes = _Lookup(), _Lookup()
     targets = [nodes, nodes] if is_csv else [groups, nodes, nodes]  # looked up per label field
-    slabs = [np.empty(lines, dtype=np.int32), np.empty(lines, dtype=np.int64), np.empty(lines)]
     read = width = filled = 0  # bytes read, fields per line, rows in the slab
     head = True
     for chunk in chunks:
@@ -392,6 +392,8 @@ def _chunk_rows(chunks: Iterator[bytes], sep: str, lines: int) -> Rows | None:
         rows = len(block[0])
         if filled + rows > lines:
             return None
+        if not filled:
+            slabs = [np.empty(lines, dtype=np.int32), np.empty(lines, dtype=np.int64), np.empty(lines)]
         for slab, column in zip(slabs, block):
             slab[filled:filled + rows] = column
         filled += rows
@@ -588,16 +590,18 @@ def _layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator
     """The chunks of serialize_layer_csv; raises before the first."""
     labels = layer.universe.labels
     i, j = pair_indices(layer.codes, layer.universe.size)
-    padded = np.array([label != label.strip() for label in labels], dtype=bool)
-    if padded[i].any() or padded[j].any():
-        raise ValueError("node labels must not start or end with whitespace")
+    unread = np.array([label != label.strip() or any(c in label for c in _BREAKS)
+                       for label in labels], dtype=bool)  # labels the reader strips or splits
+    if unread[i].any() or unread[j].any():
+        raise ValueError("node labels must not start or end with whitespace, nor hold a line"
+                         " break other than CR and LF")
     return _write_rows(f"node_u,node_v,{value_name}", [(labels, i), (labels, j), layer.values], ",")
 
 
 def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
     """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros
-    included.  ValueError for a written node label with leading or trailing
-    whitespace, which the reader would strip."""
+    included.  ValueError for a written node label that the reader would strip
+    (whitespace at an edge) or split (a line break but CR and LF, which are quoted)."""
     return "".join(_layer_csv_chunks(layer, value_name))
 
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -523,7 +525,9 @@ class TestErrorHandling:
             env=_child_env(),
         )
         assert proc.returncode == 1
-        assert json.loads(proc.stderr.strip())["error"] == "FileNotFoundError"
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "FileNotFoundError"
+        assert proc.stdout == ""
 
 
 def _child_env() -> dict:
@@ -531,6 +535,44 @@ def _child_env() -> dict:
     src = str(Path(mapnet.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+class TestProcessEntry:
+    """``run`` is the one process entry: ``main``, then the heap frozen for exit."""
+
+    def test_main_in_process_freezes_nothing(self, multiplex_file, tmp_path):
+        assert main(["aggregate", multiplex_file, "-o", str(tmp_path / "agg.csv")]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_run_freezes_the_heap(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sys, "argv", ["mapnet", "metrics", str(tmp_path / "nope.csv"), "-o", "x"])
+        try:
+            assert mapnet.cli.run() == 1
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+    def test_child_writes_what_main_writes(self, multiplex_file, tmp_path, capsys):
+        argv = ["aggregate", multiplex_file, "--max-iter", "1", "-o"]
+        assert main([*argv, str(tmp_path / "main.csv")]) == 0
+        warning = capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-m", "mapnet", *argv, str(tmp_path / "child.csv")],
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", warning)
+        assert json.loads(warning)["warning"] == "NotConverged"
+        for suffix in (".csv", ".json"):
+            main_bytes = (tmp_path / f"main{suffix}").read_bytes()
+            assert (tmp_path / f"child{suffix}").read_bytes() == main_bytes
+
+    def test_script_and_module_call_one_function(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        (name,) = re.findall(r'^mapnet = "mapnet\.cli:(\w+)"$', pyproject, re.MULTILINE)
+        module = Path(mapnet.__file__).with_name("__main__.py").read_text(encoding="utf-8")
+        assert f"from .cli import {name}\n" in module and f"sys.exit({name}())" in module
+        assert name == "run"
+        # no third entry: cli.py runs nothing when executed as a script
+        assert "__main__" not in Path(mapnet.cli.__file__).read_text(encoding="utf-8")
 
 
 class TestEdgeListFiles:

@@ -33,7 +33,7 @@ from mapnet import (
     parse_multiplex_edgelist,
 )
 from mapnet.cli import _read_edgelist, _write
-from mapnet.ingest import _edgelist_chunks, _layer_csv_chunks
+from mapnet.ingest import _chunk_rows, _edgelist_chunks, _layer_csv_chunks, _text_chunks
 
 MB = 2**20
 
@@ -123,6 +123,17 @@ def test_per_line_file_read_of_tabbed_text(dense, tmp_path):
     assert peak < 18.5  # 15.4 MB; 45.7 when the file was read and decoded whole
 
 
+def test_chunk_reader_gives_up_before_making_its_slabs(dense):
+    """A tabbed text is irregular at its first chunk, before any row slab is made: freed,
+    the slabs would raise glibc's mmap threshold, so the per-line reader's columns would
+    grow on the heap (16.5 MB above the import for launcher ``aggregate, tabs``)."""
+    text = "".join(edge_chunks(dense)).replace(" ", "\t")
+    lines = text.count("\n")
+    rows, peak = traced_peak(_chunk_rows, _text_chunks(text), " ", lines)
+    assert rows is None
+    assert peak * MB < 20 * lines  # 0.50 MB, the first chunk and its copy; 8.03 with the slabs
+
+
 def test_summaries_fold_the_layers(dense):
     inp, peak = traced_peak(observation_summaries, dense)
     assert inp.counts.sum() == sum(layer.codes.size for layer in dense.layers)
@@ -203,7 +214,8 @@ def test_command_peaks_above_the_import(tmp_path):
     # 5.6-6.2 MB, as the 4-byte labels; the per-line reader, which held the
     # text and its lines, took 72.3
     assert above["aggregate, 12-byte labels"] <= 1.5 * above["aggregate"]
-    # 16.5 MB; 47.3-47.9 when the per-line reader held the text and its lines
+    # 11.2-11.3 MB; 13.7-13.8 (16.5 when this budget was set) when the chunk reader made its
+    # slabs before it gave up, and 47.3-47.9 when the per-line reader held the text and its lines
     assert above["aggregate, tabs"] < 19.8
 
 

@@ -80,17 +80,24 @@ WEIGHTS = st.one_of(
 )
 NODE_TEXT = st.text(min_size=1, max_size=5)
 SPACELESS = NODE_TEXT.filter(lambda s: not any(ch.isspace() for ch in s))
-# labels with the characters that csv.QUOTE_MINIMAL quotes; the CSV writer
-# rejects those with whitespace at an edge, which the reader would strip
-CSV_LABELS = st.text(st.sampled_from('ab,"# é中\t\n\r'), min_size=1, max_size=4)
-PADDED = "node labels must not start or end with whitespace"
+# labels with the characters that csv.QUOTE_MINIMAL quotes and line breaks that it does not;
+# the CSV writer rejects those with whitespace at an edge, which the reader would strip, and
+# those with a line break other than CR and LF, at which the reader would split the line
+CSV_LABELS = st.text(st.sampled_from('ab,"# é中\t\n\r\x1c\x85\u2028'), min_size=1, max_size=4)
+UNREAD = "node labels must not start or end with whitespace, nor hold a line break other than CR and LF"
 
 
-def _writes_padded_label(layer):
-    """Whether a row of the layer names a label with whitespace at an edge."""
+def _unread(label):
+    """Whether the layer-CSV reader would strip ``label`` or split its line in it."""
+    unquoted = label.replace("\r", "").replace("\n", "")  # quoted, and kept in the field
+    return label != label.strip() or bool(unquoted) and unquoted.splitlines() != [unquoted]
+
+
+def _writes_unread_label(layer):
+    """Whether a row of the layer names a label that the reader would not read back."""
     i, j = pair_indices(layer.codes, layer.universe.size)
     written = {layer.universe.labels[n] for n in [*i.tolist(), *j.tolist()]}
-    return any(label != label.strip() for label in written)
+    return any(map(_unread, written))
 
 
 def _column(draw, values, size):
@@ -189,8 +196,8 @@ class TestSameBytes:
     @settings(max_examples=150, deadline=None)
     @given(layer=layers(), chunk=CHUNKS, name=st.sampled_from(["weight", "lambda"]))
     def test_layer_csv(self, layer, chunk, name):
-        if _writes_padded_label(layer):
-            with pytest.raises(ValueError, match=PADDED):
+        if _writes_unread_label(layer):
+            with pytest.raises(ValueError, match=UNREAD):
                 serialize_layer_csv(layer, name)
             return
         assert _chunked(chunk, serialize_layer_csv, layer, name) == _layer_csv_oracle(layer, name)
@@ -261,11 +268,21 @@ class TestSameBytes:
     @pytest.mark.parametrize("labels", [(" x", "b"), ("a", "a "), ("a\t", "b")])
     def test_layer_csv_rejects_labels_the_reader_strips(self, labels):
         # ' x,b,1.0' reads back over ('b', 'x'), and 'a,a ,1.0' as a self-loop on 'a'
-        with pytest.raises(ValueError, match=PADDED):
+        with pytest.raises(ValueError, match=UNREAD):
             serialize_layer_csv(LayerGraph(NodeUniverse(labels), [1], [1.0]))
         # such a label is fine while no written row uses it
         n = len(labels) + 2
         layer = LayerGraph(NodeUniverse((*labels, "y", "z")), [(n - 2) * n + n - 1], [1.0])
+        assert serialize_layer_csv(layer) == "node_u,node_v,weight\ny,z,1.0\n"
+
+    @pytest.mark.parametrize("brk", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_layer_csv_rejects_labels_the_reader_splits(self, brk):
+        # written unquoted, 'a\x1cb,z,1.0' would read as the lines 'a' and 'b,z,1.0'
+        assert _unread(f"a{brk}b") and not _unread("a\r\nb")
+        with pytest.raises(ValueError, match=UNREAD):
+            serialize_layer_csv(LayerGraph(NodeUniverse((f"a{brk}b", "z")), [1], [1.0]))
+        # such a label is fine while no written row uses it
+        layer = LayerGraph(NodeUniverse((f"a{brk}b", "y", "z")), [5], [1.0])
         assert serialize_layer_csv(layer) == "node_u,node_v,weight\ny,z,1.0\n"
 
     @pytest.mark.parametrize("names", [("#A", "B"), ("#", "B"), ("A", "#B"), ("", "B")])
@@ -304,8 +321,8 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(layer=layers(CSV_LABELS, min_pairs=1), chunk=CHUNKS)
     def test_layer_csv(self, layer, chunk):
-        if _writes_padded_label(layer):
-            with pytest.raises(ValueError, match=PADDED):
+        if _writes_unread_label(layer):
+            with pytest.raises(ValueError, match=UNREAD):
                 serialize_layer_csv(layer)
             return
         again = parse_layer_csv(_chunked(chunk, serialize_layer_csv, layer))
