@@ -36,11 +36,15 @@ from .correlation import (
 )
 from .ingest import (
     ExpressionDataset,
+    edgelist_chunks,
+    layer_csv_chunks,
     parse_aggregated_csv,
     parse_expression_csv,
     parse_layer_csv,
     parse_multiplex_edgelist,
+    read_multiplex_edgelist,
     serialize_multiplex_edgelist,
+    table_chunks,
 )
 from .metrics import (
     EntropySpectrum,
@@ -51,7 +55,13 @@ from .metrics import (
     von_neumann_entropy,
     weight_cdf,
 )
-from .synth import RecoveryMetrics, SyntheticTruth, generate_synthetic, recovery_metrics
+from .synth import (
+    RecoveryMetrics,
+    SyntheticTruth,
+    generate_synthetic,
+    recovery_metrics,
+    synthetic_layers,
+)
 
 __version__ = "0.1.0"
 
@@ -60,11 +70,13 @@ __all__ = [
     "EmConfig", "EntropySpectrum", "ExpressionDataset", "LayerGraph", "MultilayerNetwork",
     "NetworkReport", "NodeUniverse", "RecoveryMetrics", "SubsetResult", "SyntheticTruth",
     "aggregate_network", "build_avenet", "build_connet", "build_correlation_layer",
-    "build_correlation_network", "compare_networks", "conflate", "em_aggregate",
-    "exponential_fit_r2", "generate_synthetic", "log_posterior",
-    "network_report", "node_strengths", "observation_summaries", "parse_aggregated_csv",
-    "parse_expression_csv", "parse_layer_csv", "parse_multiplex_edgelist",
-    "pearson_pairwise_complete", "presence_summaries", "recovery_metrics", "relabel",
-    "run_subset_experiment", "serialize_multiplex_edgelist", "theta_fixed_point_oracle",
-    "union_nodes", "von_neumann_entropy", "weight_cdf", "zscore_normalize",
+    "build_correlation_network", "compare_networks", "conflate", "edgelist_chunks",
+    "em_aggregate", "exponential_fit_r2", "generate_synthetic", "layer_csv_chunks",
+    "log_posterior", "network_report", "node_strengths", "observation_summaries",
+    "parse_aggregated_csv", "parse_expression_csv", "parse_layer_csv",
+    "parse_multiplex_edgelist", "pearson_pairwise_complete", "presence_summaries",
+    "read_multiplex_edgelist", "recovery_metrics", "relabel", "run_subset_experiment",
+    "serialize_multiplex_edgelist", "synthetic_layers", "table_chunks",
+    "theta_fixed_point_oracle", "union_nodes", "von_neumann_entropy", "weight_cdf",
+    "zscore_normalize",
 ]

@@ -29,16 +29,16 @@ from .correlation import CorrelationConfig, build_correlation_network
 from .errors import MapnetError, UniverseMismatch
 from .ingest import (
     ExpressionDataset,
-    _edgelist_chunks,
-    _layer_csv_chunks,
-    _read_multiplex_edgelist,
-    _write_rows,
+    edgelist_chunks,
+    layer_csv_chunks,
     parse_aggregated_csv,
     parse_expression_csv,
     parse_layer_csv,
+    read_multiplex_edgelist,
+    table_chunks,
 )
 from .metrics import network_report, weight_cdf
-from .synth import _synthetic_layers, recovery_metrics, truth_from_csv, truth_meta
+from .synth import recovery_metrics, synthetic_layers, truth_from_csv, truth_meta
 
 _LOG_BASES = {"e": "natural", "2": "base2"}
 _COUNT_MODES = {"measurable": "measurable", "nonzero": "nonzero_only", "presence": "presence"}
@@ -55,7 +55,7 @@ def _read(path: str) -> str:
 def _read_edgelist(path: str) -> MultilayerNetwork:
     """The multiplex edge list at ``path``, read in chunks (see ingest)."""
     with open(path, "rb") as file:
-        return _read_multiplex_edgelist(file)
+        return read_multiplex_edgelist(file)
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
@@ -95,7 +95,7 @@ def _corr_config(args) -> CorrelationConfig:
 def _cmd_build_layers(args) -> None:
     datasets = _load_datasets(args.datasets)
     net = build_correlation_network(datasets, _corr_config(args))
-    _write(args.output, _edgelist_chunks(net.universe, net.layer_names, net.layers))
+    _write(args.output, edgelist_chunks(net.universe, net.layer_names, net.layers))
 
 
 def _cmd_aggregate(args) -> None:
@@ -106,7 +106,7 @@ def _cmd_aggregate(args) -> None:
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     agg = aggregate_network(net, em, count_mode, pair_count_mode)
-    _write(args.output, _layer_csv_chunks(agg.to_layer(), "lambda"))
+    _write(args.output, layer_csv_chunks(agg.to_layer(), "lambda"))
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
             "pair_count_mode": pair_count_mode, "count_mode": count_mode,
             "final_objective": agg.final_objective}
@@ -126,7 +126,7 @@ def _cmd_baseline(args) -> None:
         net = _read_edgelist(args.inputs[0])
         denominator = "measurable_layers" if args.denominator == "measurable" else "all_layers"
         layer = build_avenet(net, denominator)
-    _write(args.output, _layer_csv_chunks(layer))
+    _write(args.output, layer_csv_chunks(layer))
 
 
 def _cmd_metrics(args) -> None:
@@ -135,7 +135,7 @@ def _cmd_metrics(args) -> None:
     report = network_report(layer, _LOG_BASES[args.log_base])
     _write_json(args.output, report.to_dict())
     if args.cdf:
-        _write(args.cdf, _write_rows("value,fraction", [*weight_cdf(layer.values).T], ","))
+        _write(args.cdf, table_chunks("value,fraction", [*weight_cdf(layer.values).T]))
 
 
 def _cmd_compare(args) -> None:
@@ -152,9 +152,9 @@ def _cmd_compare(args) -> None:
     for name, (i, j, *weights) in (("con", bundle.scatter_con), ("ave", bundle.scatter_ave)):
         header = f"node_u,node_v,map_weight,{name}_weight"
         columns = [(universe.labels, i), (universe.labels, j), *weights]
-        _write(str(out / f"scatter_map_vs_{name}.csv"), _write_rows(header, columns, ","))
+        _write(str(out / f"scatter_map_vs_{name}.csv"), table_chunks(header, columns))
     for name, cdf in bundle.strength_cdfs.items():
-        _write(str(out / f"strength_cdf_{name}.csv"), _write_rows("strength,fraction", [*cdf.T], ","))
+        _write(str(out / f"strength_cdf_{name}.csv"), table_chunks("strength,fraction", [*cdf.T]))
     reports = {name: report.to_dict() for name, report in bundle.reports.items()}
     _write_json(str(out / "reports.json"), reports)
 
@@ -170,16 +170,16 @@ def _cmd_experiment(args) -> None:
         np.array([r.mean_theta for r in rows]),
         np.array([r.mean_r2 for r in rows]),
     ]
-    _write(args.output, _write_rows("size,mean_theta,mean_r2", columns, ","))
+    _write(args.output, table_chunks("size,mean_theta,mean_r2", columns))
 
 
 def _cmd_synth_gen(args) -> None:
     meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
     _distinct(args.output, args.truth, meta_path)
-    truth, names, layers = _synthetic_layers(args.nodes, args.layers, args.theta, args.coverage,
-                                             args.seed)
-    _write(args.output, _edgelist_chunks(truth.universe, names, layers))
-    _write(args.truth, _layer_csv_chunks(truth.rates, "lambda_star"))
+    truth, names, layers = synthetic_layers(args.nodes, args.layers, args.theta, args.coverage,
+                                            args.seed)
+    _write(args.output, edgelist_chunks(truth.universe, names, layers))
+    _write(args.truth, layer_csv_chunks(truth.rates, "lambda_star"))
     _write_json(meta_path, truth_meta(truth))
 
 

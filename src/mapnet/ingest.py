@@ -25,16 +25,16 @@ repeated rows and splits the layers; keys that already rise, as in every
 file mapnet writes, are not sorted again, and the layers keep read-only
 slices of the keys and weights, so no row is held twice.
 
-One column writer, ``_write_rows``, writes every text output, the CLI's
-tables included: each label is formatted once, each distinct number of a
-chunk of rows once by repr, and each chunk is joined at once and yielded.
-The edge-list writer takes, formats and drops one layer at a time, so
-``synth gen`` writes each layer as it is drawn.  The CLI writes the
-chunks to the open file one at a time, so no output is held whole;
-``serialize_*`` join them.  Their ``_*_chunks`` forms raise on a name the
-reader would misread before the first chunk, so before the CLI opens the
-file.  CSV labels holding a comma, quote, CR or LF are quoted as
-csv.QUOTE_MINIMAL does.
+One column writer, ``_row_chunks``, writes every text output: each label
+is formatted once, each distinct number of a chunk of rows once by repr,
+and each chunk is joined at once and yielded.  ``edgelist_chunks`` formats
+and drops one layer at a time, so ``synth gen`` writes each layer as it is
+drawn; layer CSVs and the CLI's tables go through ``table_chunks``.  The
+CLI writes the chunks to the open file one at a time, so no output is held
+whole; ``serialize_*`` join them.  ``edgelist_chunks`` and
+``layer_csv_chunks`` raise on a name the reader would misread before the
+first chunk, so before the CLI opens the file.  CSV labels holding a
+comma, quote, CR or LF are quoted as csv.QUOTE_MINIMAL does.
 """
 
 from __future__ import annotations
@@ -474,7 +474,9 @@ def _edgelist_rows(lines: Iterable[str]) -> Rows:
         pairs.append(nodes.setdefault(u, len(nodes)) << 32 | nodes.setdefault(v, len(nodes)))
     if not weights:
         raise ParseError("no edges found")
-    return list(layer_ids), list(nodes), np.array(groups), np.array(pairs), np.array(weights)
+    columns = [groups, pairs, weights]
+    del groups, pairs, weights  # each array is freed once its copy is made
+    return list(layer_ids), list(nodes), *(np.array(columns.pop(0)) for _ in range(3))
 
 
 def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
@@ -489,7 +491,7 @@ def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
     return _network(_rows(lambda: _text_chunks(text), " ", _edgelist_rows))
 
 
-def _read_multiplex_edgelist(file) -> MultilayerNetwork:
+def read_multiplex_edgelist(file) -> MultilayerNetwork:
     """parse_multiplex_edgelist of a binary file's UTF-8 text, read by ``_rows`` a chunk at a
     time (see ``_file_chunks``); a file that cannot seek, such as a pipe, is read whole first."""
     if not file.seekable():
@@ -502,11 +504,11 @@ def _quoted(label: str) -> str:
     return '"' + label.replace('"', '""') + '"' if any(c in label for c in ',"\r\n') else label
 
 
-def _write_rows(header: str, columns: list, sep: str) -> Iterator[str]:
-    """``header`` and one line per row, fields ``sep`` apart, yielded a chunk
-    of rows at a time (see ``_row_chunks``)."""
+def table_chunks(header: str, columns: list) -> Iterator[str]:
+    """``header`` and one CSV line per row, yielded a chunk of rows at a time
+    (see ``_row_chunks``)."""
     yield header + "\n"
-    yield from _row_chunks(columns, sep)
+    yield from _row_chunks(columns, ",")
 
 
 def _row_chunks(columns: list, sep: str) -> Iterator[str]:
@@ -538,8 +540,8 @@ def _row_chunks(columns: list, sep: str) -> Iterator[str]:
         yield "".join(part.ravel().tolist())
 
 
-def _edgelist_chunks(universe: NodeUniverse, layer_names: Sequence[str],
-                     layers: Iterable[LayerGraph]) -> Iterator[str]:
+def edgelist_chunks(universe: NodeUniverse, layer_names: Sequence[str],
+                    layers: Iterable[LayerGraph]) -> Iterator[str]:
     """The chunks of serialize_multiplex_edgelist, each layer formatted on
     its own; every name and written label is checked before the first.
 
@@ -583,10 +585,10 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     holds whitespace, and a written node label that is empty or holds
     whitespace.
     """
-    return "".join(_edgelist_chunks(net.universe, net.layer_names, net.layers))
+    return "".join(edgelist_chunks(net.universe, net.layer_names, net.layers))
 
 
-def _layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator[str]:
+def layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator[str]:
     """The chunks of serialize_layer_csv; raises before the first."""
     labels = layer.universe.labels
     i, j = pair_indices(layer.codes, layer.universe.size)
@@ -595,14 +597,14 @@ def _layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator
     if unread[i].any() or unread[j].any():
         raise ValueError("node labels must not start or end with whitespace, nor hold a line"
                          " break other than CR and LF")
-    return _write_rows(f"node_u,node_v,{value_name}", [(labels, i), (labels, j), layer.values], ",")
+    return table_chunks(f"node_u,node_v,{value_name}", [(labels, i), (labels, j), layer.values])
 
 
 def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
     """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros
     included.  ValueError for a written node label that the reader would strip
     (whitespace at an edge) or split (a line break but CR and LF, which are quoted)."""
-    return "".join(_layer_csv_chunks(layer, value_name))
+    return "".join(layer_csv_chunks(layer, value_name))
 
 
 def _layer_csv_rows(lines: Iterable[str]) -> Rows:
@@ -622,7 +624,9 @@ def _layer_csv_rows(lines: Iterable[str]) -> Rows:
     if not weights:
         raise ParseError("expected a header and at least one edge row")
     groups = np.zeros(len(weights), dtype=np.int32)
-    return [""], list(nodes), groups, np.array(pairs), np.array(weights)
+    columns = [pairs, weights]
+    del pairs, weights  # each array is freed once its copy is made
+    return [""], list(nodes), groups, *(np.array(columns.pop(0)) for _ in range(2))
 
 
 def parse_layer_csv(text: str) -> LayerGraph:
@@ -638,7 +642,7 @@ def parse_layer_csv(text: str) -> LayerGraph:
 _SIDECAR_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number")}
 
 
-def _sidecar_value(sidecar, name: str, kind=float, finite: bool = True):
+def sidecar_value(sidecar, name: str, kind=float, finite: bool = True):
     """Field ``name`` of a JSON sidecar as ``kind``: a JSON boolean for bool,
     an integer for int and any number for float, where a boolean is no
     number.  ParseError naming the field when the sidecar is not an object,
@@ -667,8 +671,8 @@ def parse_aggregated_csv(text: str, sidecar: dict) -> AggregatedNetwork:
     ParseError names a sidecar field that is missing, of another type or not
     finite."""
     layer = parse_layer_csv(text)
-    solver = (_sidecar_value(sidecar, "theta"), _sidecar_value(sidecar, "iterations", int),
-              _sidecar_value(sidecar, "converged", bool))
-    objective = (_sidecar_value(sidecar, "final_objective", finite=False)
+    solver = (sidecar_value(sidecar, "theta"), sidecar_value(sidecar, "iterations", int),
+              sidecar_value(sidecar, "converged", bool))
+    objective = (sidecar_value(sidecar, "final_objective", finite=False)
                  if "final_objective" in sidecar else np.nan)
     return AggregatedNetwork(layer.universe, layer.codes, layer.values, *solver, objective)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes
 from .errors import DegenerateValues, UniverseMismatch
-from .ingest import _sidecar_value, parse_layer_csv, serialize_layer_csv
+from .ingest import parse_layer_csv, serialize_layer_csv, sidecar_value
 
 _POISSON_INVERSION_MAX = 30.0
 
@@ -81,19 +81,19 @@ def _rounded_normal(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.maximum(np.rint(lam + np.sqrt(lam) * z), 0.0).astype(np.int64)
 
 
-def _synthetic_layers(
+def synthetic_layers(
     n: int,
     d: int,
     theta_star: float = 1.0,
     coverage: float = 1.0,
     seed: int = 0,
 ) -> tuple[SyntheticTruth, tuple[str, ...], Iterator[LayerGraph]]:
-    """The truth and layer names of ``generate_synthetic``, and an iterator
-    that draws its layers one at a time.
+    """The truth, the layer names and an iterator that draws the layers one at
+    a time; ``generate_synthetic`` adds only gathering them into one network.
 
     The arguments are checked and the rates drawn before this returns; each
-    layer is drawn when the iterator reaches it, so a caller that writes
-    and drops each layer holds one at a time.
+    layer is drawn when the iterator reaches it, so a caller that writes and
+    drops each layer (``mapnet synth gen``) holds one at a time.
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 nodes and d >= 1 layers")
@@ -157,7 +157,7 @@ def generate_synthetic(
     Zero-weight observations are kept in the measurable sets, so the
     derived observation counts see them as evidence.
     """
-    truth, names, layers = _synthetic_layers(n, d, theta_star, coverage, seed)
+    truth, names, layers = synthetic_layers(n, d, theta_star, coverage, seed)
     return MultilayerNetwork(truth.universe, tuple(layers), names), truth
 
 
@@ -193,7 +193,7 @@ def truth_from_csv(text: str, meta: dict) -> SyntheticTruth:
     finite."""
     return SyntheticTruth(
         rates=parse_layer_csv(text),
-        theta_star=_sidecar_value(meta, "theta_star"),
-        coverage=_sidecar_value(meta, "coverage"),
-        seed=_sidecar_value(meta, "seed", int),
+        theta_star=sidecar_value(meta, "theta_star"),
+        coverage=sidecar_value(meta, "coverage"),
+        seed=sidecar_value(meta, "seed", int),
     )

@@ -487,8 +487,8 @@ class TestWholeTextReader:
         monkeypatch.setattr(ingest, "_edgelist_rows", per_line)
         monkeypatch.setattr(ingest, "_layer_csv_rows", per_line)
         assert parse_multiplex_edgelist(edges) == net
-        assert ingest._read_multiplex_edgelist(io.BytesIO(edges.encode())) == net
-        assert ingest._read_multiplex_edgelist(_Pipe(edges.encode())) == net
+        assert ingest.read_multiplex_edgelist(io.BytesIO(edges.encode())) == net
+        assert ingest.read_multiplex_edgelist(_Pipe(edges.encode())) == net
         assert parse_layer_csv(rates) == truth.rates
         assert [_outcome(parse, text) for parse, text in inputs] == expected
 
@@ -514,7 +514,7 @@ class _Growing(io.BytesIO):
 
 
 def _read_file(file):
-    return ingest._read_multiplex_edgelist(file)
+    return ingest.read_multiplex_edgelist(file)
 
 
 def _file_rows(data, sep):

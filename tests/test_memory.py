@@ -33,7 +33,7 @@ from mapnet import (
     parse_multiplex_edgelist,
 )
 from mapnet.cli import _read_edgelist, _write
-from mapnet.ingest import _chunk_rows, _edgelist_chunks, _layer_csv_chunks, _text_chunks
+from mapnet.ingest import _chunk_rows, _text_chunks, edgelist_chunks, layer_csv_chunks
 
 MB = 2**20
 
@@ -49,7 +49,7 @@ def traced_peak(fn, *args):
 
 
 def edge_chunks(net):
-    return _edgelist_chunks(net.universe, net.layer_names, net.layers)
+    return edgelist_chunks(net.universe, net.layer_names, net.layers)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def test_edge_list_streams_to_the_file(dense, tmp_path):
 def test_truth_csv_streams_to_the_file(tmp_path):
     truth = generate_synthetic(n=300, d=11, theta_star=1.0, coverage=0.8, seed=1)[1]
     path = tmp_path / "truth.csv"
-    _, peak = traced_peak(lambda: _write(path, _layer_csv_chunks(truth.rates, "lambda_star")))
+    _, peak = traced_peak(lambda: _write(path, layer_csv_chunks(truth.rates, "lambda_star")))
     assert path.stat().st_size > 1 * MB
     assert peak < 1.9  # 1.6 MB, of which the label positions of its 44,850 pairs take 0.7
 
@@ -110,9 +110,9 @@ def test_per_line_parse_of_tabbed_text(dense):
     text = "".join(edge_chunks(dense)).replace(" ", "\t")
     net, peak = traced_peak(parse_multiplex_edgelist, text)
     assert net == dense
-    # 15.4 MB; 37.4 when the text's lines were held as one list, and 42.0
-    # when the rows were collected as id triples
-    assert peak < 18.5
+    # 10.8 MB; 15.4 when the row columns were copied all at once, 37.4 when the
+    # text's lines were held as one list, and 42.0 when the rows were collected as id triples
+    assert peak < 13.0
 
 
 def test_per_line_file_read_of_tabbed_text(dense, tmp_path):
@@ -120,7 +120,9 @@ def test_per_line_file_read_of_tabbed_text(dense, tmp_path):
     path.write_text("".join(edge_chunks(dense)).replace(" ", "\t"), encoding="utf-8")
     net, peak = traced_peak(_read_edgelist, path)
     assert net == dense
-    assert peak < 18.5  # 15.4 MB; 45.7 when the file was read and decoded whole
+    # 10.8 MB; 15.4 when the row columns were copied all at once, and 45.7 when the file
+    # was read and decoded whole
+    assert peak < 13.0
 
 
 def test_chunk_reader_gives_up_before_making_its_slabs(dense):
@@ -214,8 +216,9 @@ def test_command_peaks_above_the_import(tmp_path):
     # 5.6-6.2 MB, as the 4-byte labels; the per-line reader, which held the
     # text and its lines, took 72.3
     assert above["aggregate, 12-byte labels"] <= 1.5 * above["aggregate"]
-    # 11.2-11.3 MB; 13.7-13.8 (16.5 when this budget was set) when the chunk reader made its
-    # slabs before it gave up, and 47.3-47.9 when the per-line reader held the text and its lines
+    # 6.2-6.3 MB; 11.2-11.3 when the per-line reader copied its columns all at once, 13.7-13.8
+    # (16.5 when this budget was set) when the chunk reader made its slabs before it gave up,
+    # and 47.3-47.9 when the per-line reader held the text and its lines
     assert above["aggregate, tabs"] < 19.8
 
 

@@ -20,7 +20,7 @@ from mapnet import LayerGraph, MultilayerNetwork, NodeUniverse, generate_synthet
 from mapnet import ingest, parse_layer_csv, parse_multiplex_edgelist, serialize_multiplex_edgelist
 from mapnet.cli import main
 from mapnet.core import pair_indices, reindexed
-from mapnet.ingest import _write_rows, serialize_layer_csv
+from mapnet.ingest import serialize_layer_csv, table_chunks
 from mapnet.synth import SyntheticTruth, truth_meta, truth_to_csv
 
 
@@ -150,7 +150,7 @@ TABLE_KINDS = {
 
 @st.composite
 def tables(draw):
-    """Columns as ``_write_rows`` takes them, and the same table as rows.
+    """Columns as ``table_chunks`` takes them, and the same table as rows.
 
     A label column indexes a drawn label list, which may hold repeated and
     unused labels, as a universe's labels hold unused ones."""
@@ -179,9 +179,9 @@ def _chunked(chunk, write, *args):
         return write(*args)
 
 
-def _table_text(header, columns, sep):
-    """The chunks ``_write_rows`` yields, joined."""
-    return "".join(_write_rows(header, columns, sep))
+def _table_text(header, columns):
+    """The chunks ``table_chunks`` yields, joined."""
+    return "".join(table_chunks(header, columns))
 
 
 # -- byte equality with the per-row writers -----------------------------------
@@ -207,7 +207,7 @@ class TestSameBytes:
     def test_table(self, table, chunk):
         columns, rows = table
         header = "a,b,c,d"
-        assert _chunked(chunk, _table_text, header, columns, ",") == _table_oracle(header, rows)
+        assert _chunked(chunk, _table_text, header, columns) == _table_oracle(header, rows)
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_chunk_boundaries(self, chunk, monkeypatch):
@@ -220,12 +220,12 @@ class TestSameBytes:
                     _table_oracle("h", rows))
         monkeypatch.setattr(ingest, "_WRITE_ROWS", chunk)
         assert (serialize_multiplex_edgelist(net), truth_to_csv(truth),
-                _table_text("h", columns, ",")) == expected
+                _table_text("h", columns)) == expected
 
     def test_zero_signs_and_nan_keep_their_text(self):
         rows = [(0.0, 1), (-0.0, 2), (math.nan, 3), (0.0, 4), (-0.0, 5), (-math.nan, 6)]
         x = np.array([0.0, -0.0, math.nan, 0.0, -0.0, -math.nan])
-        text = _table_text("x,k", [x, np.arange(1, 7)], ",")
+        text = _table_text("x,k", [x, np.arange(1, 7)])
         assert text == "x,k\n0.0,1\n-0.0,2\nnan,3\n0.0,4\n-0.0,5\nnan,6\n"
         assert text == _table_oracle("x,k", rows)
 
@@ -235,7 +235,7 @@ class TestSameBytes:
         empty = MultilayerNetwork(layer.universe, (layer,), ("L1",))
         assert serialize_multiplex_edgelist(empty) == "# layer node_u node_v weight\n"
         columns = [np.array([], dtype=np.int64), np.array([]), np.array([])]
-        assert _table_text("size,mean_theta,mean_r2", columns, ",") == "size,mean_theta,mean_r2\n"
+        assert _table_text("size,mean_theta,mean_r2", columns) == "size,mean_theta,mean_r2\n"
 
     def test_non_ascii_and_quoted_labels(self):
         universe = NodeUniverse(("é", "中文", "a,b", 'say "hi"', "x\ny"))
