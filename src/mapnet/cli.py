@@ -24,7 +24,7 @@ import numpy as np
 from .aggregate import EmConfig, aggregate_network
 from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
-from .core import MultilayerNetwork, NodeUniverse, reindexed
+from .core import MultilayerNetwork, reindexed, union_nodes
 from .correlation import CorrelationConfig, build_correlation_network
 from .errors import MapnetError, UniverseMismatch
 from .ingest import (
@@ -84,12 +84,7 @@ def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
 
 
 def _corr_config(args) -> CorrelationConfig:
-    levels = args.quantize if args.quantize else None
-    return CorrelationConfig(
-        min_pairs=args.min_pairs,
-        quantize_levels=levels,
-        zscore=getattr(args, "zscore", False),
-    )
+    return CorrelationConfig(args.min_pairs, args.quantize or None, getattr(args, "zscore", False))
 
 
 def _cmd_build_layers(args) -> None:
@@ -142,8 +137,7 @@ def _cmd_compare(args) -> None:
     agg = parse_aggregated_csv(_read(args.map_csv), json.loads(_read(args.map_meta)))
     con = parse_layer_csv(_read(args.con))
     ave = parse_layer_csv(_read(args.ave))
-    labels = {*agg.universe.labels, *con.universe.labels, *ave.universe.labels}
-    universe = NodeUniverse(tuple(sorted(labels)))
+    universe = union_nodes(net.universe.labels for net in (agg, con, ave))
     networks = (reindexed(net, universe) for net in (agg, con, ave))
     bundle = compare_networks(*networks, _LOG_BASES[args.log_base])
 
@@ -197,13 +191,15 @@ def _cmd_synth_score(args) -> None:
 
 
 def _add_corr_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--min-pairs", type=int, default=5, help="minimum shared conditions per pair")
-    p.add_argument("--quantize", type=int, default=10, help="integer weight levels; 0 keeps raw values")
+    p.add_argument("--min-pairs", type=int, default=CorrelationConfig.min_pairs,
+                   help="minimum shared conditions per pair")
+    p.add_argument("--quantize", type=int, default=CorrelationConfig.quantize_levels,
+                   help="integer weight levels; 0 keeps raw values")
 
 
 def _add_em_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="relative theta tolerance")
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=EmConfig.tol, help="relative theta tolerance")
+    p.add_argument("--max-iter", type=int, default=EmConfig.max_iter)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["con", "ave"])
     p.add_argument("inputs", nargs="+", help="expression CSVs (con) or a multiplex edge list (ave)")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--min-pairs", type=int, default=5, help="minimum shared conditions per pair (con)")
+    p.add_argument("--min-pairs", type=int, default=CorrelationConfig.min_pairs,
+                   help="minimum shared conditions per pair (con)")
     p.add_argument("--denominator", choices=["measurable", "all"], default="measurable")
     p.set_defaults(func=_cmd_baseline)
 

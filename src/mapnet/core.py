@@ -5,16 +5,18 @@ node universe.  Aggregation consumes per-pair summaries: how many layers
 observed a pair (k) and the total weight those layers reported (S).
 
 A node pair ``(i, j)``, ``i < j``, indexes the universe's labels and is
-stored as the int64 code ``i·N + j``, so code order is tuple order.  Each
-type keeps a sorted, unique code array beside its value arrays, and its
-one constructor takes and validates those arrays.  It copies them unless
-they are already read-only to the array that owns their data; a caller
-that hands arrays over that way must not make them writeable again.  All
-types are immutable after construction and safe to share across threads.
+stored as the int64 code ``i·N + j``, so code order is tuple order.  Only
+``reindexed`` moves codes between universes; the readers' ``_network`` ranks
+its own rows.  Each type keeps a sorted, unique code array beside its value
+arrays, and its one constructor takes and validates those arrays.  It copies
+them unless they are already read-only to the array that owns their data; a
+caller that hands arrays over that way must not make them writeable again.
+All types are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -124,27 +126,17 @@ def equal_fields(self, other) -> bool:
     )
 
 
-def remap_codes(codes: np.ndarray, n: int, new_index: np.ndarray, m: int):
-    """Recode pairs of an N-node universe into an M-node one through an injective node map.
-
-    Returns the sorted new codes and the order that carries values along.
-    """
-    i, j = pair_indices(codes, n)
-    new = pair_codes(new_index[i], new_index[j], m)
-    order = np.argsort(new)
-    return new[order], order
-
-
-def _recoded(obj, universe: NodeUniverse, new_index: np.ndarray):
-    codes, order = remap_codes(obj.codes, obj.universe.size, new_index, universe.size)
-    return replace(obj, universe=universe, codes=codes, values=obj.values[order])
-
-
 def reindexed(obj, universe: NodeUniverse):
     """A LayerGraph or AggregatedNetwork recoded by label into a universe that holds
-    all of its labels (KeyError on a missing one); other fields are kept."""
-    index = [universe.index(label) for label in obj.universe.labels]
-    return _recoded(obj, universe, np.array(index, dtype=np.int64))
+    all of its labels (KeyError on a missing one), codes and values read-only, other fields
+    kept.  The one recoder of pairs, but for ``ingest._network``'s ranking of rows in place."""
+    index = np.array([universe.index(label) for label in obj.universe.labels], dtype=np.int64)
+    i, j = pair_indices(obj.codes, obj.universe.size)
+    codes = pair_codes(index[i], index[j], universe.size)
+    order = np.argsort(codes)
+    codes, values = codes[order], obj.values[order]
+    codes.flags.writeable = values.flags.writeable = False
+    return replace(obj, universe=universe, codes=codes, values=values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +179,8 @@ class MultilayerNetwork:
             raise ValueError("a multilayer network needs at least one layer")
         if len(self.layer_names) != len(self.layers):
             raise ValueError("layer_names and layers differ in length")
+        if repeated := [name for name, count in Counter(self.layer_names).items() if count > 1]:
+            raise ValueError(f"layer name {repeated[0]!r} is repeated")
         for layer in self.layers:
             if layer.universe != self.universe:
                 raise ValueError("all layers must share the network universe")
@@ -345,7 +339,6 @@ def relabel(net: MultilayerNetwork, mapping: Mapping[str, str]) -> MultilayerNet
     new_labels = tuple(mapping[label] for label in net.universe.labels)
     if len(set(new_labels)) != len(new_labels):
         raise ValueError("relabeling must be a bijection")
-    universe = NodeUniverse(tuple(sorted(new_labels)))
-    old_to_new = np.array([universe.index(label) for label in new_labels], dtype=np.int64)
-    layers = tuple(_recoded(layer, universe, old_to_new) for layer in net.layers)
+    universe, renamed = NodeUniverse(tuple(sorted(new_labels))), NodeUniverse(new_labels)
+    layers = tuple(reindexed(replace(layer, universe=renamed), universe) for layer in net.layers)
     return MultilayerNetwork(universe, layers, net.layer_names)

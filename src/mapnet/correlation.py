@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, remap_codes, union_nodes
+from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, reindexed, union_nodes
 from .errors import DegenerateConditionWarning, LengthMismatch
 from .ingest import ExpressionDataset
 
@@ -196,8 +196,9 @@ def build_correlation_layer(
 
     A pair is measurable when its pairwise-complete correlation exists;
     its weight is the clamped (and optionally quantized) coefficient, so
-    anti-correlated pairs are measured zeros rather than absent.  The
-    optional ``universe`` places the layer in a larger shared node set.
+    anti-correlated pairs are measured zeros rather than absent.  It is built
+    over the genes in dataset order, then placed by ``reindexed`` into
+    ``universe``, by default the sorted genes.
     """
     if universe is None:
         universe = NodeUniverse(tuple(sorted(ds.genes)))
@@ -206,11 +207,9 @@ def build_correlation_layer(
     w = np.maximum(w, 0.0)
     if cfg.quantize_levels is not None:
         w = _round_half_away(cfg.quantize_levels * w)
-
-    gene_index = np.array([universe.index(g) for g in ds.genes], dtype=np.int64)
-    codes, order = remap_codes(pair_codes(a, b, ds.n_genes), ds.n_genes, gene_index, universe.size)
-    # zero weights stay in the layer as measured zeros
-    return LayerGraph(universe, codes, w[order])
+    codes = pair_codes(a, b, ds.n_genes)  # row-major a < b, so sorted
+    codes.flags.writeable = w.flags.writeable = False  # handed over, not copied
+    return reindexed(LayerGraph(NodeUniverse(ds.genes), codes, w), universe)
 
 
 def build_correlation_network(
@@ -233,17 +232,15 @@ def conflate(datasets: list[ExpressionDataset]) -> ExpressionDataset:
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    genes = union_nodes(ds.genes for ds in datasets).labels
-    gene_row = {g: r for r, g in enumerate(genes)}
+    universe = union_nodes(ds.genes for ds in datasets)
     conditions: list[str] = []
     blocks: list[np.ndarray] = []
     for idx, ds in enumerate(datasets):
         prefix = ds.name or f"ds{idx + 1}"
         conditions.extend(f"{prefix}:{c}" for c in ds.conditions)
-        block = np.full((len(genes), ds.n_conditions), np.nan)
-        rows = [gene_row[g] for g in ds.genes]
-        block[rows, :] = ds.values
+        block = np.full((universe.size, ds.n_conditions), np.nan)
+        block[[universe.index(g) for g in ds.genes], :] = ds.values
         blocks.append(block)
     if len(set(conditions)) != len(conditions):
         raise ValueError("conflated condition labels collide; give datasets distinct names")
-    return ExpressionDataset(genes, tuple(conditions), np.hstack(blocks), name="conflated")
+    return ExpressionDataset(universe.labels, tuple(conditions), np.hstack(blocks), name="conflated")

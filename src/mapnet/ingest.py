@@ -460,7 +460,7 @@ def _edgelist_rows(lines: Iterable[str]) -> Rows:
     nodes: dict[str, int] = {}
     groups, pairs, weights = array("i"), array("q"), array("d")
     for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
+        fields = (line.removeprefix("\ufeff") if lineno == 1 else line).split()  # as utf-8-sig does
         if not fields or fields[0].startswith("#"):
             continue
         if len(fields) not in (3, 4):

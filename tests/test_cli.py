@@ -489,6 +489,18 @@ class TestErrorHandling:
                        "message": "layer name '#A' is empty or starts with '#'"}
         assert not out.exists()
 
+    def test_repeated_layer_name_is_rejected(self, dataset_files, tmp_path, capsys):
+        # build-layers names layers by file stem; two x.csv files would merge into one layer
+        paths = []
+        for folder, source in zip("ab", dataset_files):
+            (tmp_path / folder).mkdir()
+            paths.append(str(Path(source).rename(tmp_path / folder / "x.csv")))
+        out = tmp_path / "layers.txt"
+        assert main(["build-layers", *paths, "-o", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ValueError", "message": "layer name 'x' is repeated"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text", [
         ("metrics", 'node_u,node_v,weight\n"' + "x" * 200_000 + '",b,1\n'),
         ("build-layers", "gene,c1,c2\n" + "g" * 200_000 + ",1,2\n"),

@@ -54,6 +54,14 @@ class TestNodeUniverse:
             NodeUniverse(("a", "a"))
 
 
+class TestMultilayerNetwork:
+    def test_repeated_layer_name_rejected(self):
+        uni = NodeUniverse(("a", "b"))
+        layer = LayerGraph(uni, [1], [1.0])
+        with pytest.raises(ValueError, match="layer name 'x' is repeated"):
+            MultilayerNetwork(uni, (layer, layer, layer), ("x", "y", "x"))
+
+
 class TestLayerGraph:
     def test_zero_weight_moves_to_measurable(self):
         uni = NodeUniverse(("a", "b", "c"))
@@ -351,3 +359,13 @@ class TestReindexed:
         layer = LayerGraph(NodeUniverse(("a", "z")), [1], [1.0])
         with pytest.raises(KeyError):
             reindexed(layer, NodeUniverse(("a", "b")))
+
+
+class TestRelabel:
+    def test_mapping_that_is_not_a_bijection_raises(self):
+        with pytest.raises(ValueError, match="relabeling must be a bijection"):
+            relabel(two_layer_net(), {"a": "x", "b": "y", "c": "x"})
+
+    def test_mapping_that_lacks_a_label_raises_key_error(self):
+        with pytest.raises(KeyError):
+            relabel(two_layer_net(), {"a": "x", "b": "y"})

@@ -648,6 +648,22 @@ def test_lone_surrogate_keeps_its_label(chunk, monkeypatch):
     assert parse_layer_csv("u,v,w\na\ud800,b,1\n").universe.labels == ("a\ud800", "b")
 
 
+@pytest.mark.parametrize("head", ["", "# layer node_u node_v weight\n", "# u v\n"],
+                         ids=["no_head", "head", "three_token_head"])
+def test_byte_order_mark_is_dropped(head, tmp_path):
+    """One U+FEFF opening the text, as a utf-8-sig writer puts it, is read as
+    the codec drops it: not as part of the first line's first field."""
+    text = head + "L1 a b 1\nL1 b c 2\n"
+    plain = parse_multiplex_edgelist(text)
+    assert plain.layer_names == ("L1",)
+    assert parse_multiplex_edgelist("\ufeff" + text) == plain
+    path = tmp_path / "net.txt"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    with open(path, "rb") as file:
+        assert ingest.read_multiplex_edgelist(file) == plain
+
+
 def test_quoted_line_break_across_chunks(monkeypatch):
     """A quoted CSV field whose line break ends a chunk reads as from the whole text,
     line break included."""
