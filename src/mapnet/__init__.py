@@ -23,7 +23,6 @@ from .core import (
     MultilayerNetwork,
     NodeUniverse,
     observation_summaries,
-    relabel,
     union_nodes,
 )
 from .correlation import (
@@ -31,7 +30,6 @@ from .correlation import (
     build_correlation_layer,
     build_correlation_network,
     conflate,
-    pearson_pairwise_complete,
     zscore_normalize,
 )
 from .ingest import (
@@ -74,8 +72,8 @@ __all__ = [
     "em_aggregate", "exponential_fit_r2", "generate_synthetic", "layer_csv_chunks",
     "log_posterior", "network_report", "node_strengths", "observation_summaries",
     "parse_aggregated_csv", "parse_expression_csv", "parse_layer_csv",
-    "parse_multiplex_edgelist", "pearson_pairwise_complete", "presence_summaries",
-    "read_multiplex_edgelist", "recovery_metrics", "relabel", "run_subset_experiment",
+    "parse_multiplex_edgelist", "presence_summaries",
+    "read_multiplex_edgelist", "recovery_metrics", "run_subset_experiment",
     "serialize_multiplex_edgelist", "synthetic_layers", "table_chunks",
     "theta_fixed_point_oracle", "union_nodes", "von_neumann_entropy", "weight_cdf",
     "zscore_normalize",

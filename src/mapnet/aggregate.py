@@ -56,17 +56,6 @@ class EmConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _objective(k: np.ndarray, s: np.ndarray, lam: np.ndarray, theta: float, pair_count: int) -> float:
-    if np.any((s > 0) & (lam <= 0)):
-        raise DomainError("lambda must be positive wherever the weight sum is positive")
-    positive = lam > 0
-    slog = np.zeros_like(lam)
-    slog[positive] = s[positive] * np.log(lam[positive])
-    return float(
-        -(k * lam).sum() + slog.sum() - theta * lam.sum() + pair_count * math.log(theta)
-    )
-
-
 def log_posterior(inp: AggregationInput, lam, theta: float) -> float:
     """Log-posterior (up to constants) of an estimate ``lam``, one value per
     pair of ``inp.codes`` (as ``AggregatedNetwork.values`` is).
@@ -81,7 +70,15 @@ def log_posterior(inp: AggregationInput, lam, theta: float) -> float:
         raise ValueError(f"need one lambda per pair code, got {lam.shape} for {inp.codes.shape}")
     if np.any(lam < 0):
         raise DomainError("lambda must be non-negative")
-    return _objective(inp.counts.astype(float), inp.sums, lam, theta, inp.pair_count)
+    s = inp.sums
+    if np.any((s > 0) & (lam <= 0)):
+        raise DomainError("lambda must be positive wherever the weight sum is positive")
+    positive = lam > 0
+    slog = np.zeros_like(lam)
+    slog[positive] = s[positive] * np.log(lam[positive])
+    return float(
+        -(inp.counts * lam).sum() + slog.sum() - theta * lam.sum() + inp.pair_count * math.log(theta)
+    )
 
 
 def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> AggregatedNetwork:
@@ -132,7 +129,7 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     theta = pair_count / float(lam.sum())
 
     return AggregatedNetwork(inp.universe, inp.codes, lam, theta, iterations, converged,
-                             _objective(k, s, lam, theta, pair_count), tuple(trace))
+                             log_posterior(inp, lam, theta), tuple(trace))
 
 
 def theta_fixed_point_oracle(inp: AggregationInput) -> float:

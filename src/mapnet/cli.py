@@ -52,6 +52,11 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_json(path: str):
+    """A JSON sidecar; a byte order mark before it is skipped."""
+    return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+
+
 def _read_edgelist(path: str) -> MultilayerNetwork:
     """The multiplex edge list at ``path``, read in chunks (see ingest)."""
     with open(path, "rb") as file:
@@ -134,7 +139,7 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    agg = parse_aggregated_csv(_read(args.map_csv), json.loads(_read(args.map_meta)))
+    agg = parse_aggregated_csv(_read(args.map_csv), _read_json(args.map_meta))
     con = parse_layer_csv(_read(args.con))
     ave = parse_layer_csv(_read(args.ave))
     universe = union_nodes(net.universe.labels for net in (agg, con, ave))
@@ -178,8 +183,8 @@ def _cmd_synth_gen(args) -> None:
 
 
 def _cmd_synth_score(args) -> None:
-    truth = truth_from_csv(_read(args.truth), json.loads(_read(args.truth_meta)))
-    est = parse_aggregated_csv(_read(args.est), json.loads(_read(args.est_meta)))
+    truth = truth_from_csv(_read(args.truth), _read_json(args.truth_meta))
+    est = parse_aggregated_csv(_read(args.est), _read_json(args.est_meta))
     try:
         est = reindexed(est, truth.universe)
     except KeyError as exc:

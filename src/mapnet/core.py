@@ -333,12 +333,3 @@ def observation_summaries(
         s[slot] += values
     return AggregationInput(net.universe, pairs, k, s, pair_count)
 
-
-def relabel(net: MultilayerNetwork, mapping: Mapping[str, str]) -> MultilayerNetwork:
-    """Rename nodes; indices follow the new lexicographic order."""
-    new_labels = tuple(mapping[label] for label in net.universe.labels)
-    if len(set(new_labels)) != len(new_labels):
-        raise ValueError("relabeling must be a bijection")
-    universe, renamed = NodeUniverse(tuple(sorted(new_labels))), NodeUniverse(new_labels)
-    layers = tuple(reindexed(replace(layer, universe=renamed), universe) for layer in net.layers)
-    return MultilayerNetwork(universe, layers, net.layer_names)

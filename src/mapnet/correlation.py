@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, reindexed, union_nodes
-from .errors import DegenerateConditionWarning, LengthMismatch
+from .errors import DegenerateConditionWarning
 from .ingest import ExpressionDataset
 
 
@@ -86,20 +86,6 @@ def _pearson_masked(x: np.ndarray, y: np.ndarray, min_pairs: int) -> float | Non
         return None
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
-
-
-def pearson_pairwise_complete(x, y, min_pairs: int = 5) -> float | None:
-    """Pearson correlation over positions where both series have values.
-
-    Missing entries may be None or NaN.  Returns None (not zero) when
-    fewer than ``min_pairs`` positions are shared or when either paired
-    sub-vector has zero variance.
-    """
-    xa = np.asarray([np.nan if v is None else v for v in x], dtype=float)
-    ya = np.asarray([np.nan if v is None else v for v in y], dtype=float)
-    if xa.shape != ya.shape:
-        raise LengthMismatch(f"sequences differ in length: {len(xa)} vs {len(ya)}")
-    return _pearson_masked(xa, ya, min_pairs)
 
 
 def zscore_normalize(ds: ExpressionDataset) -> ExpressionDataset:

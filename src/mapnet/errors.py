@@ -29,10 +29,6 @@ class NegativeWeight(ParseError):
     """An edge weight is negative."""
 
 
-class LengthMismatch(MapnetError):
-    """Paired sequences have different lengths."""
-
-
 class EmptyNetwork(MapnetError):
     """No pair of nodes is observed in any layer."""
 

@@ -31,7 +31,7 @@ and each chunk is joined at once and yielded.  ``edgelist_chunks`` formats
 and drops one layer at a time, so ``synth gen`` writes each layer as it is
 drawn; layer CSVs and the CLI's tables go through ``table_chunks``.  The
 CLI writes the chunks to the open file one at a time, so no output is held
-whole; ``serialize_*`` join them.  ``edgelist_chunks`` and
+whole; ``serialize_multiplex_edgelist`` joins them.  ``edgelist_chunks`` and
 ``layer_csv_chunks`` raise on a name the reader would misread before the
 first chunk, so before the CLI opens the file.  CSV labels holding a
 comma, quote, CR or LF are quoted as csv.QUOTE_MINIMAL does.
@@ -589,7 +589,10 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
 
 
 def layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator[str]:
-    """The chunks of serialize_layer_csv; raises before the first."""
+    """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros
+    included.  ValueError, before the first chunk, for a written node label that
+    the reader would strip (whitespace at an edge) or split (a line break but CR
+    and LF, which are quoted)."""
     labels = layer.universe.labels
     i, j = pair_indices(layer.codes, layer.universe.size)
     unread = np.array([label != label.strip() or any(c in label for c in _BREAKS)
@@ -598,13 +601,6 @@ def layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator[
         raise ValueError("node labels must not start or end with whitespace, nor hold a line"
                          " break other than CR and LF")
     return table_chunks(f"node_u,node_v,{value_name}", [(labels, i), (labels, j), layer.values])
-
-
-def serialize_layer_csv(layer: LayerGraph, value_name: str = "weight") -> str:
-    """A layer as ``node_u,node_v,<value_name>`` rows in pair order, zeros
-    included.  ValueError for a written node label that the reader would strip
-    (whitespace at an edge) or split (a line break but CR and LF, which are quoted)."""
-    return "".join(layer_csv_chunks(layer, value_name))
 
 
 def _layer_csv_rows(lines: Iterable[str]) -> Rows:

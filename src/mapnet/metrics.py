@@ -91,11 +91,8 @@ def _entropy_spectrum(a: np.ndarray, log_base: str) -> EntropySpectrum:
 
 
 def _weighted_clustering_avg(a: np.ndarray) -> float:
-    # geometric-mean triangle intensity with weights scaled by the max
-    max_w = a.max()
-    if max_w <= 0:
-        return 0.0
-    cbrt = np.cbrt(a / max_w)
+    # geometric-mean triangle intensity, weights scaled by the max (> 0, as network_report checks)
+    cbrt = np.cbrt(a / a.max())
     triangles = ((cbrt @ cbrt) * cbrt).sum(axis=1)  # diag(C³), as C is symmetric
     degree = (a > 0).sum(axis=1)
     coeff = np.zeros(a.shape[0])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes
 from .errors import DegenerateValues, UniverseMismatch
-from .ingest import parse_layer_csv, serialize_layer_csv, sidecar_value
+from .ingest import layer_csv_chunks, parse_layer_csv, sidecar_value
 
 _POISSON_INVERSION_MAX = 30.0
 
@@ -180,7 +180,7 @@ def recovery_metrics(est: AggregatedNetwork, truth: SyntheticTruth) -> RecoveryM
 
 def truth_to_csv(truth: SyntheticTruth) -> str:
     """Rate table as ``node_u,node_v,lambda_star`` rows (all pairs)."""
-    return serialize_layer_csv(truth.rates, "lambda_star")
+    return "".join(layer_csv_chunks(truth.rates, "lambda_star"))
 
 
 def truth_meta(truth: SyntheticTruth) -> dict:

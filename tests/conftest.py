@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mapnet import ExpressionDataset
+from mapnet import ExpressionDataset, layer_csv_chunks
 
 
 def make_expression_dataset(
@@ -103,6 +103,11 @@ def label_pair(universe, u: str, v: str) -> tuple[int, int]:
     """Index pair ``(i, j)``, i < j, of two node labels."""
     i, j = universe.index(u), universe.index(v)
     return (i, j) if i < j else (j, i)
+
+
+def layer_csv(layer, value_name: str = "weight") -> str:
+    """The text ``layer_csv_chunks`` yields, joined."""
+    return "".join(layer_csv_chunks(layer, value_name))
 
 
 def expression_csv(ds: ExpressionDataset) -> str:

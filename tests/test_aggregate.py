@@ -8,6 +8,8 @@ import pytest
 from mapnet import (
     AggregationInput,
     EmConfig,
+    LayerGraph,
+    MultilayerNetwork,
     NodeUniverse,
     em_aggregate,
     generate_synthetic,
@@ -179,6 +181,10 @@ class TestEmAggregate:
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             EmConfig(tol=tol)
+
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            EmConfig(max_iter=0)
 
     def test_seeded_start_lies_below_the_default_start(self):
         # the profile log-posterior rises up to the root, so a lower start scores lower
@@ -359,8 +365,8 @@ class TestObjectiveTrace:
     def test_steps_do_not_evaluate_the_per_pair_objective(self, monkeypatch):
         # the trace is summed over the k-strata; only final_objective sums over pairs
         calls = []
-        objective = aggregate_module._objective
-        monkeypatch.setattr(aggregate_module, "_objective",
+        objective = aggregate_module.log_posterior
+        monkeypatch.setattr(aggregate_module, "log_posterior",
                             lambda *args: calls.append(1) or objective(*args))
         agg = em_aggregate(near_edge_input())
         assert agg.iterations > 1
@@ -436,3 +442,9 @@ class TestUnweightedMode:
         n = net.universe.size
         assert len(inp.k) == n * (n - 1) // 2
         assert all(count == net.depth for count in inp.k.values())
+
+    def test_one_node_universe_is_degenerate(self):
+        uni = NodeUniverse(("a",))
+        net = MultilayerNetwork(uni, (LayerGraph(uni, [], []),), ("one",))
+        with pytest.raises(DegenerateAllZero, match="fewer than two nodes"):
+            presence_summaries(net)

@@ -78,6 +78,10 @@ class TestBuildAvenet:
         ave = build_avenet(self.make_net(), denominator="all_layers")
         assert pair_dict(ave)[(0, 1)] == pytest.approx(10.0 / 3.0)
 
+    def test_unknown_denominator_rejected(self):
+        with pytest.raises(ValueError, match="unknown denominator 'x'"):
+            build_avenet(self.make_net(), "x")
+
     def test_single_layer_identity(self):
         uni = NodeUniverse(("a", "b", "c"))
         layer = LayerGraph(uni, *coded(uni, {(0, 1): 2.5, (1, 2): 0.0}))

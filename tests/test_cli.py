@@ -34,10 +34,9 @@ from mapnet import (
     weight_cdf,
 )
 from mapnet.cli import main
-from mapnet.ingest import serialize_layer_csv
 from mapnet.synth import truth_from_csv
 from mapnet.errors import BracketingFailure, DegenerateAllZero, UniverseMismatch
-from conftest import coded, expression_csv, make_expression_dataset, pair_dict
+from conftest import coded, expression_csv, layer_csv, make_expression_dataset, pair_dict
 
 
 @pytest.fixture()
@@ -208,8 +207,15 @@ class TestBaseline:
         assert main(["baseline", "ave", multiplex_file, "-o", str(out), "--denominator", "all"]) == 0
         assert main(["baseline", "ave", multiplex_file, "-o", str(measurable)]) == 0
         net = parse_multiplex_edgelist(Path(multiplex_file).read_text(encoding="utf-8"))
-        assert out.read_text(encoding="utf-8") == serialize_layer_csv(build_avenet(net, "all_layers"))
+        assert out.read_text(encoding="utf-8") == layer_csv(build_avenet(net, "all_layers"))
         assert out.read_bytes() != measurable.read_bytes()
+
+    def test_avenet_takes_one_edge_list(self, multiplex_file, tmp_path, capsys):
+        out = tmp_path / "avenet.csv"
+        assert main(["baseline", "ave", multiplex_file, multiplex_file, "-o", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MapnetError", "message": "baseline ave takes exactly one multiplex edge list"}
+        assert not out.exists()
 
 
 class TestMetricsCommand:
@@ -342,6 +348,16 @@ class TestExperimentCommand:
         many = run_subset_experiment(datasets, [3], reps=9, seed=99)
         assert few[0] == many[0]
 
+    @pytest.mark.parametrize("sizes, reps, message", [
+        ([1], 0, "reps must be at least 1"),
+        ([0], 1, r"subset size 0 out of range 1\.\.3"),
+        ([1, 4], 1, r"subset size 4 out of range 1\.\.3"),
+    ])
+    def test_sizes_and_reps_checked(self, dataset_files, sizes, reps, message):
+        datasets = [parse_expression_csv(Path(p).read_text(encoding="utf-8")) for p in dataset_files]
+        with pytest.raises(ValueError, match=message):
+            run_subset_experiment(datasets, sizes, reps, seed=0)
+
     def test_seed_determinism_in_library(self, dataset_files):
         datasets = [
             parse_expression_csv(Path(p).read_text(encoding="utf-8"), name=f"d{i}")
@@ -430,6 +446,19 @@ class TestSynthCommands:
         score = json.loads(score_path.read_text(encoding="utf-8"))
         assert score["pearson_lambda"] > 0.85
         assert score["theta_rel_err"] < 0.5
+
+    def test_estimate_node_missing_from_truth(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "est.csv").write_text("node_u,node_v,lambda\na,b,1.0\na,z,3.0\n", encoding="utf-8")
+        (tmp_path / "truth.csv").write_text("node_u,node_v,lambda_star\na,b,1.0\n", encoding="utf-8")
+        (tmp_path / "est.json").write_text(json.dumps(MAP_META), encoding="utf-8")
+        (tmp_path / "truth.json").write_text(json.dumps(TRUTH_META), encoding="utf-8")
+        argv = ["synth", "score", "--est", "est.csv", "--est-meta", "est.json", "--truth",
+                "truth.csv", "--truth-meta", "truth.json", "-o", "score.json"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UniverseMismatch", "message": "estimate node 'z' missing from truth"}
+        assert not (tmp_path / "score.json").exists()
 
 
 class TestErrorHandling:
@@ -676,6 +705,7 @@ SIDECAR_FAULTS = [
     ("theta", [0.5], "sidecar field 'theta' is not a number: [0.5]"),
     ("theta", float("nan"), "sidecar field 'theta' is not finite: nan"),
     ("theta", float("inf"), "sidecar field 'theta' is not finite: inf"),
+    ("theta", 10**400, f"sidecar field 'theta' is not finite: {10**400}"),
     ("theta", True, "sidecar field 'theta' is not a number: True"),
     ("theta", "0.5", "sidecar field 'theta' is not a number: '0.5'"),
     ("iterations", "x", "sidecar field 'iterations' is not an integer: 'x'"),
@@ -698,9 +728,11 @@ class TestSidecarErrors:
             (tmp_path / name).write_text(layer, encoding="utf-8")
         return tmp_path
 
-    def run(self, files, command, map_meta, truth_meta=TRUTH_META):
+    def run(self, files, command, map_meta, truth_meta=TRUTH_META, bom=()):
         (files / "map.json").write_text(json.dumps(map_meta), encoding="utf-8")
         (files / "truth.json").write_text(json.dumps(truth_meta), encoding="utf-8")
+        for name in bom:
+            (files / name).write_bytes(b"\xef\xbb\xbf" + (files / name).read_bytes())
         if command == "compare":
             argv = ["compare", "--map-csv", files / "map.csv", "--map-meta", files / "map.json",
                     "--con", files / "con.csv", "--ave", files / "ave.csv",
@@ -710,6 +742,23 @@ class TestSidecarErrors:
                     "--truth", files / "truth.csv", "--truth-meta", files / "truth.json",
                     "-o", files / "score.json"]
         return main([str(arg) for arg in argv])
+
+    @pytest.mark.parametrize("command, bom", [
+        ("compare", ["map.json"]),
+        ("synth score", ["map.json"]),
+        ("synth score", ["truth.json"]),
+        ("synth score", ["map.json", "truth.json"]),
+    ], ids=["compare-map", "score-map", "score-truth", "score-both"])
+    def test_byte_order_mark_is_skipped(self, files, capsys, command, bom):
+        def outputs():
+            paths = sorted((files / "cmp").iterdir()) if command == "compare" else [files / "score.json"]
+            return {path.name: path.read_bytes() for path in paths}
+
+        assert self.run(files, command, MAP_META) == 0
+        plain = outputs()
+        assert self.run(files, command, MAP_META, bom=bom) == 0
+        assert outputs() == plain
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["compare", "synth score"])
     @pytest.mark.parametrize("field, value, message", SIDECAR_FAULTS)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mapnet import (
     NodeUniverse,
     observation_summaries,
     presence_summaries,
-    relabel,
     union_nodes,
 )
 from mapnet.core import reindexed
@@ -61,6 +62,22 @@ class TestMultilayerNetwork:
         with pytest.raises(ValueError, match="layer name 'x' is repeated"):
             MultilayerNetwork(uni, (layer, layer, layer), ("x", "y", "x"))
 
+    @pytest.mark.parametrize("layers, names, message", [
+        (0, (), "needs at least one layer"),
+        (2, ("x",), "layer_names and layers differ in length"),
+        (1, ("x", "y"), "layer_names and layers differ in length"),
+    ])
+    def test_layer_and_name_counts_checked(self, layers, names, message):
+        uni = NodeUniverse(("a", "b"))
+        with pytest.raises(ValueError, match=message):
+            MultilayerNetwork(uni, (LayerGraph(uni, [1], [1.0]),) * layers, names)
+
+    def test_layer_over_another_universe_rejected(self):
+        uni = NodeUniverse(("a", "b"))
+        other = LayerGraph(NodeUniverse(("a", "c")), [1], [1.0])
+        with pytest.raises(ValueError, match="all layers must share the network universe"):
+            MultilayerNetwork(uni, (LayerGraph(uni, [1], [1.0]), other), ("x", "y"))
+
 
 class TestLayerGraph:
     def test_zero_weight_moves_to_measurable(self):
@@ -93,6 +110,7 @@ class TestLayerGraph:
         assert by_codes.measurable == frozenset({(0, 1), (0, 2), (1, 3), (2, 3)})
         assert by_pairs != LayerGraph(uni, [1, 2, 7, 11], [0.0, 2.0, 0.0, 1.25])
         assert by_pairs != LayerGraph(uni, [1, 2, 7], [0.0, 2.0, 0.0])
+        assert by_pairs.__eq__(3) is NotImplemented and by_pairs != 3
 
     @pytest.mark.parametrize(
         "codes",
@@ -275,7 +293,11 @@ class TestObservationSummaries:
     def test_permutation_equivariance(self):
         net = two_layer_net()
         mapping = {"a": "zz", "b": "aa", "c": "mm"}
-        permuted = relabel(net, mapping)
+        renamed = NodeUniverse(tuple(mapping[label] for label in net.universe.labels))
+        universe = NodeUniverse(tuple(sorted(renamed.labels)))
+        permuted = MultilayerNetwork(universe, tuple(
+            reindexed(replace(layer, universe=renamed), universe) for layer in net.layers),
+            net.layer_names)
         base = observation_summaries(net)
         other = observation_summaries(permuted)
 
@@ -299,6 +321,8 @@ class TestAggregationInput:
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(ValueError):
             AggregationInput(uni, [1], [0], [1.0], 1)
+        with pytest.raises(ValueError, match="pair_count must be positive"):
+            AggregationInput(uni, [1], [1], [1.0], 0)
 
     @pytest.mark.parametrize("k", [1.5, float("nan"), float("inf")])
     def test_rejects_non_integer_count(self, k):
@@ -359,13 +383,3 @@ class TestReindexed:
         layer = LayerGraph(NodeUniverse(("a", "z")), [1], [1.0])
         with pytest.raises(KeyError):
             reindexed(layer, NodeUniverse(("a", "b")))
-
-
-class TestRelabel:
-    def test_mapping_that_is_not_a_bijection_raises(self):
-        with pytest.raises(ValueError, match="relabeling must be a bijection"):
-            relabel(two_layer_net(), {"a": "x", "b": "y", "c": "x"})
-
-    def test_mapping_that_lacks_a_label_raises_key_error(self):
-        with pytest.raises(KeyError):
-            relabel(two_layer_net(), {"a": "x", "b": "y"})

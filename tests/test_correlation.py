@@ -12,36 +12,42 @@ from mapnet import (
     LayerGraph,
     NodeUniverse,
     build_correlation_layer,
+    build_correlation_network,
     conflate,
-    pearson_pairwise_complete,
     zscore_normalize,
 )
 from mapnet.correlation import _pearson_masked
-from mapnet.errors import DegenerateConditionWarning, LengthMismatch
+from mapnet.errors import DegenerateConditionWarning
 from conftest import coded, label_pair, make_expression_dataset, pair_dict
 
 NAN = float("nan")
 
 
+def pearson(x, y, min_pairs=5):
+    """The per-pair formula on two sequences whose missing entries are None or NaN."""
+    x, y = ([np.nan if v is None else v for v in seq] for seq in (x, y))
+    return _pearson_masked(np.asarray(x, dtype=float), np.asarray(y, dtype=float), min_pairs)
+
+
 class TestPearsonPairwiseComplete:
     def test_perfect_correlation(self):
-        assert pearson_pairwise_complete([1, 2, 3], [1, 2, 3], min_pairs=2) == 1.0
+        assert pearson([1, 2, 3], [1, 2, 3], min_pairs=2) == 1.0
 
     def test_perfect_anticorrelation(self):
-        assert pearson_pairwise_complete([1, 2, 3], [3, 2, 1], min_pairs=2) == -1.0
+        assert pearson([1, 2, 3], [3, 2, 1], min_pairs=2) == -1.0
 
     def test_overlap_rule(self):
         x = [1, None, 3, 4, None]
         y = [None, 2, 3, 4, 5]
-        assert pearson_pairwise_complete(x, y, min_pairs=5) is None
+        assert pearson(x, y, min_pairs=5) is None
         # only positions 2 and 3 are shared
-        assert pearson_pairwise_complete(x, y, min_pairs=2) is not None
+        assert pearson(x, y, min_pairs=2) is not None
 
     def test_textbook_oracle_value(self):
         # frozen from the plain covariance/variance formula: r = 10 / sqrt(148)
         x = [1, 2, 3, 4, 5]
         y = [2, 1, 4, 3, 6]
-        r = pearson_pairwise_complete(x, y, min_pairs=2)
+        r = pearson(x, y, min_pairs=2)
         assert r == pytest.approx(10 / math.sqrt(148), abs=1e-15)
         assert r == pytest.approx(scipy.stats.pearsonr(x, y).statistic, abs=1e-12)
 
@@ -54,7 +60,7 @@ class TestPearsonPairwiseComplete:
             x[rng.random(n) < 0.25] = np.nan
             y[rng.random(n) < 0.25] = np.nan
             both = ~(np.isnan(x) | np.isnan(y))
-            r = pearson_pairwise_complete(x, y, min_pairs=3)
+            r = pearson(x, y, min_pairs=3)
             if both.sum() < 3:
                 assert r is None
             else:
@@ -65,17 +71,17 @@ class TestPearsonPairwiseComplete:
         rng = np.random.default_rng(3)
         x = rng.normal(size=20)
         y = rng.normal(size=20)
-        r = pearson_pairwise_complete(x, y, min_pairs=2)
-        assert pearson_pairwise_complete(y, x, min_pairs=2) == pytest.approx(r, abs=1e-15)
-        assert pearson_pairwise_complete(3.7 * x + 2, y, min_pairs=2) == pytest.approx(
+        r = pearson(x, y, min_pairs=2)
+        assert pearson(y, x, min_pairs=2) == pytest.approx(r, abs=1e-15)
+        assert pearson(3.7 * x + 2, y, min_pairs=2) == pytest.approx(
             r, abs=1e-12
         )
-        assert pearson_pairwise_complete(x, 0.01 * y - 5, min_pairs=2) == pytest.approx(
+        assert pearson(x, 0.01 * y - 5, min_pairs=2) == pytest.approx(
             r, abs=1e-12
         )
 
     def test_zero_variance_gives_absent(self):
-        assert pearson_pairwise_complete([1, 1, 1], [1, 2, 3], min_pairs=2) is None
+        assert pearson([1, 1, 1], [1, 2, 3], min_pairs=2) is None
 
     @pytest.mark.parametrize("value, n", [(0.1, 6), (0.7, 7)])
     def test_constant_whose_mean_does_not_round_exactly_is_absent(self, value, n):
@@ -83,21 +89,17 @@ class TestPearsonPairwiseComplete:
         # deviations are tiny but nonzero; this is still zero variance
         assert np.mean([value] * n) != value
         y = np.random.default_rng(5).normal(size=n)
-        assert pearson_pairwise_complete([value] * n, y, min_pairs=5) is None
-        assert pearson_pairwise_complete(y, [value] * n, min_pairs=5) is None
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            pearson_pairwise_complete([1, 2], [1, 2, 3], min_pairs=2)
+        assert pearson([value] * n, y, min_pairs=5) is None
+        assert pearson(y, [value] * n, min_pairs=5) is None
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_extreme_scale_gives_the_unscaled_r(self, scale):
         # sxx * syy under- or overflows at these scales
         x = np.array([1, 2, 3, 4, 5, 7], dtype=float)
         y = np.array([2, 1, 4, 3, 6, 5], dtype=float)
-        r = pearson_pairwise_complete(x, y)
-        assert abs(pearson_pairwise_complete(x * scale, y * scale) - r) <= 1e-12
-        assert abs(pearson_pairwise_complete(x * scale, y) - r) <= 1e-12
+        r = pearson(x, y)
+        assert abs(pearson(x * scale, y * scale) - r) <= 1e-12
+        assert abs(pearson(x * scale, y) - r) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e-78, 1e150])
     @pytest.mark.parametrize("levels", [10, None])
@@ -130,6 +132,14 @@ class TestPearsonPairwiseComplete:
 
 
 class TestBuildCorrelationLayer:
+    @pytest.mark.parametrize("knobs, message", [
+        ({"min_pairs": 1}, "min_pairs must be at least 2"),
+        ({"quantize_levels": 0}, "quantize_levels must be at least 1 when set"),
+    ])
+    def test_config_out_of_range_rejected(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            CorrelationConfig(**knobs)
+
     def make_dataset(self, values, genes=None):
         values = np.asarray(values, dtype=float)
         genes = genes or tuple(f"g{i}" for i in range(values.shape[0]))
@@ -445,6 +455,20 @@ class TestConflate:
         return ExpressionDataset(
             tuple(genes), tuple(f"c{j}" for j in range(n_cond)), values, name=name
         )
+
+    def test_no_dataset_rejected(self):
+        with pytest.raises(ValueError, match="need at least one dataset"):
+            conflate([])
+        with pytest.raises(ValueError, match="need at least one dataset"):
+            build_correlation_network([], CorrelationConfig())
+
+    def test_colliding_condition_labels_rejected(self):
+        # dataset "x" with condition "y:c0" and dataset "x:y" with "c0" both give "x:y:c0"
+        first = ExpressionDataset(("a",), ("y:c0",), [[1.0]], name="x")
+        with pytest.raises(ValueError, match="conflated condition labels collide"):
+            conflate([first, self.make(["a"], 1, "x:y")])
+        with pytest.raises(ValueError, match="conflated condition labels collide"):
+            conflate([self.make(["a"], 2, "x"), self.make(["b"], 3, "x")])
 
     def test_condition_concatenation(self):
         out = conflate([self.make(["a"], 17, "x"), self.make(["a"], 12, "y")])

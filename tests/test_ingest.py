@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapnet import (
+    ExpressionDataset,
     generate_synthetic,
     ingest,
     parse_aggregated_csv,
@@ -25,9 +26,8 @@ from mapnet.errors import (
     NegativeWeight,
     ParseError,
 )
-from mapnet.ingest import serialize_layer_csv
 from mapnet.synth import truth_to_csv
-from conftest import label_pair, pair_dict
+from conftest import label_pair, layer_csv, pair_dict
 
 
 class TestParseExpressionCsv:
@@ -45,6 +45,25 @@ class TestParseExpressionCsv:
     def test_header_only_rejected(self):
         with pytest.raises(ParseError):
             parse_expression_csv("gene,c1,c2")
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ParseError, match="empty input") as err:
+            parse_expression_csv("")
+        assert (err.value.line, err.value.column) == (1, None)
+
+    def test_empty_gene_label_has_position(self):
+        with pytest.raises(ParseError, match="empty gene label") as err:
+            parse_expression_csv("gene,c1,c2\ng1,1.0,2.0\n  ,3.0,4.0\n")
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    @pytest.mark.parametrize("genes, conditions, shape, message", [
+        (("g1", "g2"), ("c1",), (1, 1), "matrix shape does not match label counts"),
+        ((), ("c1", "c2"), (0, 2), "need at least one gene and one condition"),
+        (("g1",), (), (1, 0), "need at least one gene and one condition"),
+    ])
+    def test_dataset_shape_checked(self, genes, conditions, shape, message):
+        with pytest.raises(ValueError, match=message):
+            ExpressionDataset(genes, conditions, np.zeros(shape))
 
     def test_malformed_number_has_position(self):
         with pytest.raises(ParseError) as err:
@@ -475,7 +494,7 @@ class TestWholeTextReader:
             " ".join(line.split()[:3]) + "\n" for line in edges.splitlines()[1:]
         )
         rates = truth_to_csv(truth)
-        ave = serialize_layer_csv(net.layers[0], "weight")
+        ave = layer_csv(net.layers[0], "weight")
         assert len(edges) > 4 * ingest._CHUNK_BYTES
         inputs = [(parse_multiplex_edgelist, edges), (parse_multiplex_edgelist, presence),
                   (parse_layer_csv, rates), (parse_layer_csv, ave)]

@@ -19,7 +19,7 @@ from mapnet import (
     von_neumann_entropy,
     weight_cdf,
 )
-from mapnet.errors import DegenerateValues, EmptyGraph
+from mapnet.errors import DegenerateValues, DomainError, EmptyGraph
 from mapnet.metrics import _principal_eigenvector, adjacency_matrix
 from conftest import coded, make_expression_collection, pair_dict
 
@@ -92,6 +92,11 @@ class TestVonNeumannEntropy:
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(EmptyGraph):
             von_neumann_entropy(LayerGraph(uni, [1], [0.0]))
+
+    def test_unknown_log_base_rejected(self):
+        uni = NodeUniverse(("a", "b"))
+        with pytest.raises(ValueError, match="unknown log_base 'x'"):
+            von_neumann_entropy(LayerGraph(uni, [1], [1.0]), "x")
 
 
 def einsum_clustering_avg(a):
@@ -339,6 +344,16 @@ class TestExponentialFitR2:
     def test_fewer_than_two_distinct_rejected(self, values):
         with pytest.raises(DegenerateValues, match="two distinct values"):
             exponential_fit_r2(values, 1.0)
+
+    @pytest.mark.parametrize("values, theta, message", [
+        ([1.0, 2.0], 0.0, "theta must be positive"),
+        ([1.0, 2.0], -0.5, "theta must be positive"),
+        ([0.0, 2.0], 1.0, "values must be positive"),
+        ([-1.0, 2.0], 1.0, "values must be positive"),
+    ])
+    def test_outside_the_domain_rejected(self, values, theta, message):
+        with pytest.raises(DomainError, match=message):
+            exponential_fit_r2(values, theta)
 
     @pytest.mark.parametrize("values", [[1.0, 2.0, np.nan], [1.0, np.nan], [1.0, 1.0, np.nan]])
     def test_nan_counts_as_a_distinct_value(self, values):

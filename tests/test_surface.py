@@ -1,10 +1,15 @@
 """The library's modules reach one another through public names only, so the
-CLI uses the same streaming readers and writers as any other caller."""
+CLI uses the same streaming readers and writers as any other caller, and
+each public function has a caller outside the tests."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import mapnet
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_module_imports_another_modules_private_name():
@@ -15,3 +20,31 @@ def test_no_module_imports_another_modules_private_name():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def _names_used(tree) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a caller is another library module, the README's Python code or a function the
+    # benchmark's traced run wraps; the package's __init__ only re-exports
+    used = {path.stem: _names_used(ast.parse(path.read_text(encoding="utf-8")))
+            for path in Path(mapnet.__file__).parent.glob("*.py") if path.name != "__init__.py"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = _names_used(ast.parse("".join(re.findall(r"```python\n(.*?)```", readme, re.S))))
+    trace_boot = ast.parse((ROOT / "perfbench" / "trace_boot.py").read_text(encoding="utf-8"))
+    entries = next(node.value.elts for node in trace_boot.body if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "WRAPPED")
+    wrapped = {entry.elts[1].value for entry in entries}
+    uncalled = []
+    for name in mapnet.__all__:
+        fn = getattr(mapnet, name)
+        if not inspect.isfunction(fn):
+            continue
+        home = fn.__module__.rsplit(".", 1)[1]
+        if not (name in examples or name in wrapped
+                or any(name in names for module, names in used.items() if module != home)):
+            uncalled.append(name)
+    assert uncalled == []

@@ -16,12 +16,11 @@ from mapnet import (
     serialize_multiplex_edgelist,
 )
 from mapnet.cli import main
-from mapnet.errors import NegativeWeight, ParseError, UniverseMismatch
+from mapnet.errors import DegenerateValues, NegativeWeight, ParseError, UniverseMismatch
 from mapnet.core import pair_codes
 from mapnet.synth import _poisson_from_uniform, _rounded_normal
-from mapnet.ingest import serialize_layer_csv
 from mapnet.synth import truth_from_csv, truth_meta, truth_to_csv
-from conftest import coded, pair_dict
+from conftest import coded, layer_csv, pair_dict
 
 
 class TestGenerateSynthetic:
@@ -196,7 +195,7 @@ class TestStreamedSynthGen:
         expected, rates, normal_cells = whole_grid_synthetic(*case)
         assert normal_cells > 0
         assert net.read_text() == serialize_multiplex_edgelist(expected)
-        assert truth.read_text() == serialize_layer_csv(rates, "lambda_star")
+        assert truth.read_text() == layer_csv(rates, "lambda_star")
 
 
 class TestRecoveryMetrics:
@@ -256,6 +255,12 @@ class TestRecoveryMetrics:
                                 1.0, 3, True, 0.0)
         with pytest.raises(UniverseMismatch):
             recovery_metrics(est, partial)
+
+    def test_fewer_than_two_pairs_rejected(self):
+        _, truth = generate_synthetic(n=6, d=2, seed=11)
+        est = AggregatedNetwork(truth.universe, [1], [0.4], 1.0, 3, True, 0.0)
+        with pytest.raises(DegenerateValues, match="at least two observed pairs"):
+            recovery_metrics(est, truth)
 
     def test_more_evidence_reduces_error(self):
         # pairs observed more often shrink less, so their errors are smaller

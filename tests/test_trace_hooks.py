@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import expression_csv, make_expression_dataset
+from conftest import expression_csv, layer_csv, make_expression_dataset
 from mapnet import (
     CorrelationConfig,
     em_aggregate,
@@ -20,7 +20,6 @@ from mapnet import (
     observation_summaries,
     serialize_multiplex_edgelist,
 )
-from mapnet.ingest import serialize_layer_csv
 
 TRACE_BOOT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_boot.py"
 
@@ -42,14 +41,14 @@ def test_counters_read_real_results():
     inp = observation_summaries(net)
     agg = em_aggregate(inp)
     ds = make_expression_dataset(np.random.default_rng(0), [f"g{i}" for i in range(8)], 10, "d")
-    layer_csv = serialize_layer_csv(agg.to_layer(), "lambda")
+    agg_csv = layer_csv(agg.to_layer(), "lambda")
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged}
     args = {
         "parse_multiplex_edgelist": (serialize_multiplex_edgelist(net),),
         "serialize_multiplex_edgelist": (net,),
         "parse_expression_csv": (expression_csv(ds),),
-        "parse_layer_csv": (layer_csv,),
-        "parse_aggregated_csv": (layer_csv, meta),
+        "parse_layer_csv": (agg_csv,),
+        "parse_aggregated_csv": (agg_csv, meta),
         "observation_summaries": (net,),
         "em_aggregate": (inp,),
         "build_correlation_layer": (ds, CorrelationConfig()),

@@ -20,8 +20,9 @@ from mapnet import LayerGraph, MultilayerNetwork, NodeUniverse, generate_synthet
 from mapnet import ingest, parse_layer_csv, parse_multiplex_edgelist, serialize_multiplex_edgelist
 from mapnet.cli import main
 from mapnet.core import pair_indices, reindexed
-from mapnet.ingest import serialize_layer_csv, table_chunks
+from mapnet.ingest import table_chunks
 from mapnet.synth import SyntheticTruth, truth_meta, truth_to_csv
+from conftest import layer_csv
 
 
 # -- the per-row writers the column writer replaced, kept as oracles --------
@@ -198,9 +199,9 @@ class TestSameBytes:
     def test_layer_csv(self, layer, chunk, name):
         if _writes_unread_label(layer):
             with pytest.raises(ValueError, match=UNREAD):
-                serialize_layer_csv(layer, name)
+                layer_csv(layer, name)
             return
-        assert _chunked(chunk, serialize_layer_csv, layer, name) == _layer_csv_oracle(layer, name)
+        assert _chunked(chunk, layer_csv, layer, name) == _layer_csv_oracle(layer, name)
 
     @settings(max_examples=150, deadline=None)
     @given(table=tables(), chunk=CHUNKS)
@@ -231,7 +232,7 @@ class TestSameBytes:
 
     def test_empty_layer_and_table(self):
         layer = LayerGraph(NodeUniverse(("a", "b")), [], [])
-        assert serialize_layer_csv(layer) == "node_u,node_v,weight\n"
+        assert layer_csv(layer) == "node_u,node_v,weight\n"
         empty = MultilayerNetwork(layer.universe, (layer,), ("L1",))
         assert serialize_multiplex_edgelist(empty) == "# layer node_u node_v weight\n"
         columns = [np.array([], dtype=np.int64), np.array([]), np.array([])]
@@ -240,7 +241,7 @@ class TestSameBytes:
     def test_non_ascii_and_quoted_labels(self):
         universe = NodeUniverse(("é", "中文", "a,b", 'say "hi"', "x\ny"))
         layer = LayerGraph(universe, [1, 2, 3, 4, 7], [1.0, 2.5, 0.0, 1e16, 7.0])
-        assert serialize_layer_csv(layer) == (
+        assert layer_csv(layer) == (
             "node_u,node_v,weight\n"
             "é,中文,1.0\n"
             'é,"a,b",2.5\n'
@@ -248,7 +249,7 @@ class TestSameBytes:
             'é,"x\ny",1e+16\n'
             '中文,"a,b",7.0\n'
         )
-        assert serialize_layer_csv(layer) == _layer_csv_oracle(layer)
+        assert layer_csv(layer) == _layer_csv_oracle(layer)
         net = MultilayerNetwork(universe, (layer,), ("é",))
         with pytest.raises(ValueError, match="node labels must not contain whitespace"):
             serialize_multiplex_edgelist(net)
@@ -269,21 +270,21 @@ class TestSameBytes:
     def test_layer_csv_rejects_labels_the_reader_strips(self, labels):
         # ' x,b,1.0' reads back over ('b', 'x'), and 'a,a ,1.0' as a self-loop on 'a'
         with pytest.raises(ValueError, match=UNREAD):
-            serialize_layer_csv(LayerGraph(NodeUniverse(labels), [1], [1.0]))
+            layer_csv(LayerGraph(NodeUniverse(labels), [1], [1.0]))
         # such a label is fine while no written row uses it
         n = len(labels) + 2
         layer = LayerGraph(NodeUniverse((*labels, "y", "z")), [(n - 2) * n + n - 1], [1.0])
-        assert serialize_layer_csv(layer) == "node_u,node_v,weight\ny,z,1.0\n"
+        assert layer_csv(layer) == "node_u,node_v,weight\ny,z,1.0\n"
 
     @pytest.mark.parametrize("brk", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
     def test_layer_csv_rejects_labels_the_reader_splits(self, brk):
         # written unquoted, 'a\x1cb,z,1.0' would read as the lines 'a' and 'b,z,1.0'
         assert _unread(f"a{brk}b") and not _unread("a\r\nb")
         with pytest.raises(ValueError, match=UNREAD):
-            serialize_layer_csv(LayerGraph(NodeUniverse((f"a{brk}b", "z")), [1], [1.0]))
+            layer_csv(LayerGraph(NodeUniverse((f"a{brk}b", "z")), [1], [1.0]))
         # such a label is fine while no written row uses it
         layer = LayerGraph(NodeUniverse((f"a{brk}b", "y", "z")), [5], [1.0])
-        assert serialize_layer_csv(layer) == "node_u,node_v,weight\ny,z,1.0\n"
+        assert layer_csv(layer) == "node_u,node_v,weight\ny,z,1.0\n"
 
     @pytest.mark.parametrize("names", [("#A", "B"), ("#", "B"), ("A", "#B"), ("", "B")])
     def test_layer_names_read_as_comments_or_fields_are_rejected(self, names):
@@ -323,9 +324,9 @@ class TestRoundTrip:
     def test_layer_csv(self, layer, chunk):
         if _writes_unread_label(layer):
             with pytest.raises(ValueError, match=UNREAD):
-                serialize_layer_csv(layer)
+                layer_csv(layer)
             return
-        again = parse_layer_csv(_chunked(chunk, serialize_layer_csv, layer))
+        again = parse_layer_csv(_chunked(chunk, layer_csv, layer))
         assert reindexed(again, layer.universe) == layer
 
 
