@@ -49,7 +49,6 @@ def compare_networks(map_net: AggregatedNetwork, con_net: LayerGraph, ave_net: L
     """Scatter data, strength CDFs, and reports for the three networks."""
     if con_net.universe != map_net.universe or ave_net.universe != map_net.universe:
         raise UniverseMismatch("networks must share one universe")
-    map_layer = map_net.to_layer()
 
     def scaled(layer: LayerGraph, codes: np.ndarray) -> np.ndarray:
         # codes is sorted and holds all of the layer's codes
@@ -59,11 +58,11 @@ def compare_networks(map_net: AggregatedNetwork, con_net: LayerGraph, ave_net: L
         return values / top if top > 0 else values
 
     def scatter(other: LayerGraph) -> tuple[np.ndarray, ...]:
-        codes = sorted_distinct(np.concatenate([map_layer.codes, other.codes]))
+        codes = sorted_distinct(np.concatenate([map_net.codes, other.codes]))
         i, j = pair_indices(codes, map_net.universe.size)
-        return i, j, scaled(map_layer, codes), scaled(other, codes)
+        return i, j, scaled(map_net, codes), scaled(other, codes)
 
-    networks = {"map": map_layer, "con": con_net, "ave": ave_net}
+    networks = {"map": map_net, "con": con_net, "ave": ave_net}
     return ComparisonBundle(
         scatter_con=scatter(con_net),
         scatter_ave=scatter(ave_net),

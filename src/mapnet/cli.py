@@ -16,6 +16,7 @@ import gc
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
@@ -106,7 +107,7 @@ def _cmd_aggregate(args) -> None:
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     agg = aggregate_network(net, em, count_mode, pair_count_mode)
-    _write(args.output, layer_csv_chunks(agg.to_layer(), "lambda"))
+    _write(args.output, layer_csv_chunks(agg, "lambda"))
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
             "pair_count_mode": pair_count_mode, "count_mode": count_mode,
             "final_objective": agg.final_objective}
@@ -133,7 +134,7 @@ def _cmd_metrics(args) -> None:
     _distinct(args.output, args.cdf)
     layer = parse_layer_csv(_read(args.network))
     report = network_report(layer, _LOG_BASES[args.log_base])
-    _write_json(args.output, report.to_dict())
+    _write_json(args.output, asdict(report))
     if args.cdf:
         _write(args.cdf, table_chunks("value,fraction", [*weight_cdf(layer.values).T]))
 
@@ -154,7 +155,7 @@ def _cmd_compare(args) -> None:
         _write(str(out / f"scatter_map_vs_{name}.csv"), table_chunks(header, columns))
     for name, cdf in bundle.strength_cdfs.items():
         _write(str(out / f"strength_cdf_{name}.csv"), table_chunks("strength,fraction", [*cdf.T]))
-    reports = {name: report.to_dict() for name, report in bundle.reports.items()}
+    reports = {name: asdict(report) for name, report in bundle.reports.items()}
     _write_json(str(out / "reports.json"), reports)
 
 
@@ -178,7 +179,7 @@ def _cmd_synth_gen(args) -> None:
     truth, names, layers = synthetic_layers(args.nodes, args.layers, args.theta, args.coverage,
                                             args.seed)
     _write(args.output, edgelist_chunks(truth.universe, names, layers))
-    _write(args.truth, layer_csv_chunks(truth.rates, "lambda_star"))
+    _write(args.truth, layer_csv_chunks(truth, "lambda_star"))
     _write_json(meta_path, truth_meta(truth))
 
 
@@ -189,7 +190,7 @@ def _cmd_synth_score(args) -> None:
         est = reindexed(est, truth.universe)
     except KeyError as exc:
         raise UniverseMismatch(f"estimate node {exc.args[0]!r} missing from truth") from None
-    _write_json(args.output, recovery_metrics(est, truth).to_dict())
+    _write_json(args.output, asdict(recovery_metrics(est, truth)))
 
 
 # -- argument parsing -------------------------------------------------------

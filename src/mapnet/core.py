@@ -2,7 +2,9 @@
 
 A multilayer network is a list of sparse weighted layers over one shared
 node universe.  Aggregation consumes per-pair summaries: how many layers
-observed a pair (k) and the total weight those layers reported (S).
+observed a pair (k) and the total weight those layers reported (S), and
+yields a layer too: ``AggregatedNetwork`` (like ``synth.SyntheticTruth``)
+subclasses ``LayerGraph`` and adds only its own fields.
 
 A node pair ``(i, j)``, ``i < j``, indexes the universe's labels and is
 stored as the int64 code ``i·N + j``, so code order is tuple order.  Only
@@ -127,9 +129,10 @@ def equal_fields(self, other) -> bool:
 
 
 def reindexed(obj, universe: NodeUniverse):
-    """A LayerGraph or AggregatedNetwork recoded by label into a universe that holds
-    all of its labels (KeyError on a missing one), codes and values read-only, other fields
-    kept.  The one recoder of pairs, but for ``ingest._network``'s ranking of rows in place."""
+    """A LayerGraph, or a subclass such as an estimate, recoded by label into a universe
+    that holds all of its labels (KeyError on a missing one), codes and values read-only,
+    other fields kept.  The one recoder of pairs, but for ``ingest._network``'s ranking
+    of rows in place."""
     index = np.array([universe.index(label) for label in obj.universe.labels], dtype=np.int64)
     i, j = pair_indices(obj.codes, obj.universe.size)
     codes = pair_codes(index[i], index[j], universe.size)
@@ -230,33 +233,19 @@ class AggregationInput:
 
 
 @dataclass(frozen=True, eq=False)
-class AggregatedNetwork:
-    """MAP estimate of the single-layer network.
-
-    ``values`` holds the estimated weight of every observed pair (k >= 1)
-    in ``codes``, zeros included; unobserved pairs are absent and
-    implicitly zero.  ``objective_trace`` holds the solver's profile
-    log-posterior at its start and after each step (None when read back).
+class AggregatedNetwork(LayerGraph):
+    """MAP estimate of the single-layer network: a layer whose ``values`` hold
+    the estimated weight of every observed pair (k >= 1) in ``codes``, zeros
+    included; unobserved pairs are absent and implicitly zero.
+    ``objective_trace`` holds the solver's profile log-posterior at its start
+    and after each step (None when read back).
     """
 
-    universe: NodeUniverse
-    codes: np.ndarray
-    values: np.ndarray
     theta: float
     iterations: int
     converged: bool
     final_objective: float
     objective_trace: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        codes, values = _checked(self.universe, self.codes, self.values, "lambda")
-        self.__dict__.update(codes=codes, values=values)
-
-    __eq__ = equal_fields
-
-    def to_layer(self) -> LayerGraph:
-        """View the estimate as a plain layer (for metrics and export)."""
-        return LayerGraph(self.universe, self.codes, self.values)
 
 
 def union_nodes(layer_node_lists: Iterable[Sequence[str]]) -> NodeUniverse:

@@ -665,10 +665,13 @@ def sidecar_value(sidecar, name: str, kind=float, finite: bool = True):
 def parse_aggregated_csv(text: str, sidecar: dict) -> AggregatedNetwork:
     """Rebuild an aggregated network from its CSV and sidecar metadata.
     ParseError names a sidecar field that is missing, of another type or not
-    finite."""
+    finite, or a theta that is not positive."""
     layer = parse_layer_csv(text)
     solver = (sidecar_value(sidecar, "theta"), sidecar_value(sidecar, "iterations", int),
               sidecar_value(sidecar, "converged", bool))
     objective = (sidecar_value(sidecar, "final_objective", finite=False)
                  if "final_objective" in sidecar else np.nan)
-    return AggregatedNetwork(layer.universe, layer.codes, layer.values, *solver, objective)
+    est = AggregatedNetwork(layer.universe, layer.codes, layer.values, *solver, objective)
+    if est.theta <= 0:
+        raise ParseError(f"sidecar field 'theta' is not positive: {est.theta!r}")
+    return est

@@ -9,7 +9,7 @@ higher.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class NetworkReport:
     entropy: float
     log_base: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def adjacency_matrix(g: LayerGraph) -> np.ndarray:
     """Dense symmetric weighted adjacency over the full universe."""
@@ -71,17 +68,14 @@ def von_neumann_entropy(g: LayerGraph, log_base: str = "natural") -> EntropySpec
     """Spectrum and entropy of the Laplacian scaled to unit trace.
 
     Eigenvalues below 1e-12 (numerical negatives included) are clipped to
-    zero before the gamma*log(gamma) sum, with 0*log(0) = 0.
+    zero before the gamma*log(gamma) sum, with 0*log(0) = 0.  EmptyGraph
+    when no edge has a positive weight, before ``log_base`` is checked.
     """
-    return _entropy_spectrum(adjacency_matrix(g), log_base)
-
-
-def _entropy_spectrum(a: np.ndarray, log_base: str) -> EntropySpectrum:
-    """von_neumann_entropy of the graph with adjacency matrix ``a``."""
-    log = _log_fn(log_base)
+    a = adjacency_matrix(g)
     total = a.sum() / 2.0
     if total <= 0:
         raise EmptyGraph("graph has no positive edge weight")
+    log = _log_fn(log_base)
     lap = np.diag(a.sum(axis=1)) - a
     gammas = np.linalg.eigvalsh(lap / (2.0 * total))
     gammas = np.where(gammas < _EIG_CLIP, 0.0, gammas)
@@ -91,7 +85,8 @@ def _entropy_spectrum(a: np.ndarray, log_base: str) -> EntropySpectrum:
 
 
 def _weighted_clustering_avg(a: np.ndarray) -> float:
-    # geometric-mean triangle intensity, weights scaled by the max (> 0, as network_report checks)
+    # geometric-mean triangle intensity, weights scaled by the max (> 0: network_report checks
+    # that in von_neumann_entropy first)
     cbrt = np.cbrt(a / a.max())
     triangles = ((cbrt @ cbrt) * cbrt).sum(axis=1)  # diag(C³), as C is symmetric
     degree = (a > 0).sum(axis=1)
@@ -129,11 +124,11 @@ def network_report(g: LayerGraph, log_base: str = "natural") -> NetworkReport:
     Clustering uses the geometric-mean triangle form with weights divided
     by the maximum weight; nodes of degree < 2 count as zero.  Eigenvector
     centrality is summarized by the mean entry of the unit-norm principal
-    eigenvector.
+    eigenvector.  The entropy is ``von_neumann_entropy``'s, computed first, so
+    its matrices are freed before the report builds its own.
     """
+    entropy = von_neumann_entropy(g, log_base).entropy
     a = adjacency_matrix(g)
-    if a.sum() <= 0:
-        raise EmptyGraph("graph has no positive edge weight")
     strengths = a.sum(axis=1)
     centrality = _principal_eigenvector(a)
     return NetworkReport(
@@ -143,7 +138,7 @@ def network_report(g: LayerGraph, log_base: str = "natural") -> NetworkReport:
         strength_max=float(strengths.max()),
         clustering_avg=_weighted_clustering_avg(a),
         eigencentrality_mean=float(centrality.mean()),
-        entropy=_entropy_spectrum(a, log_base).entropy,
+        entropy=entropy,
         log_base=log_base,
     )
 

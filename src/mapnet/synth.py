@@ -2,38 +2,35 @@
 
 Per-pair rates are drawn i.i.d. from an exponential distribution, each
 layer observes a pair with a fixed coverage probability, and observed
-weights are Poisson draws around the pair's rate.  Recovering the rates
-from the generated layers validates the estimator end to end.
+weights are Poisson draws around the pair's rate.  The truth is a layer of
+those rates over every pair, like the estimate that recovers them, which
+validates the estimator end to end.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes
-from .errors import DegenerateValues, UniverseMismatch
+from .errors import DegenerateValues, ParseError, UniverseMismatch
 from .ingest import layer_csv_chunks, parse_layer_csv, sidecar_value
 
 _POISSON_INVERSION_MAX = 30.0
 
 
-@dataclass(frozen=True)
-class SyntheticTruth:
-    """Ground-truth rates (every pair's rate on the pair codes) and the
-    parameters that produced them."""
+@dataclass(frozen=True, eq=False)
+class SyntheticTruth(LayerGraph):
+    """Ground truth: a layer of every pair's rate, and the parameters that
+    produced them."""
 
-    rates: LayerGraph
     theta_star: float
     coverage: float
     seed: int
-
-    @property
-    def universe(self) -> NodeUniverse:
-        return self.rates.universe
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,6 @@ class RecoveryMetrics:
     pearson_lambda: float
     mean_abs_err: float
     theta_rel_err: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -99,8 +93,8 @@ def synthetic_layers(
         raise ValueError("need n >= 2 nodes and d >= 1 layers")
     if not (0.0 < coverage <= 1.0):
         raise ValueError("coverage must be in (0, 1]")
-    if theta_star <= 0:
-        raise ValueError("theta_star must be positive")
+    if not 0 < theta_star < math.inf:
+        raise ValueError("theta_star must be positive and finite")
 
     width = len(str(n - 1))
     universe = NodeUniverse(tuple(f"n{i:0{width}d}" for i in range(n)))
@@ -110,7 +104,7 @@ def synthetic_layers(
     rng = np.random.default_rng(seed)
     lam_star = -np.log1p(-rng.random(m)) / theta_star
     codes.flags.writeable = lam_star.flags.writeable = False
-    truth = SyntheticTruth(LayerGraph(universe, codes, lam_star), theta_star, coverage, seed)
+    truth = SyntheticTruth(universe, codes, lam_star, theta_star, coverage, seed)
     name_width = len(str(d))
     names = tuple(f"layer{alpha + 1:0{name_width}d}" for alpha in range(d))
 
@@ -167,10 +161,10 @@ def recovery_metrics(est: AggregatedNetwork, truth: SyntheticTruth) -> RecoveryM
         raise UniverseMismatch("estimate and truth use different universes")
     if est.codes.size < 2:
         raise DegenerateValues("need at least two observed pairs")
-    if not np.isin(est.codes, truth.rates.codes).all():
+    if not np.isin(est.codes, truth.codes).all():
         raise UniverseMismatch("estimate has pairs without a true rate")
     est_vals = est.values
-    true_vals = truth.rates.values[np.searchsorted(truth.rates.codes, est.codes)]
+    true_vals = truth.values[np.searchsorted(truth.codes, est.codes)]
     constant = est_vals.min() == est_vals.max() or true_vals.min() == true_vals.max()
     pearson = np.nan if constant else float(np.corrcoef(est_vals, true_vals)[0, 1])
     mean_abs_err = float(np.abs(est_vals - true_vals).mean())
@@ -180,7 +174,7 @@ def recovery_metrics(est: AggregatedNetwork, truth: SyntheticTruth) -> RecoveryM
 
 def truth_to_csv(truth: SyntheticTruth) -> str:
     """Rate table as ``node_u,node_v,lambda_star`` rows (all pairs)."""
-    return "".join(layer_csv_chunks(truth.rates, "lambda_star"))
+    return "".join(layer_csv_chunks(truth, "lambda_star"))
 
 
 def truth_meta(truth: SyntheticTruth) -> dict:
@@ -190,10 +184,13 @@ def truth_meta(truth: SyntheticTruth) -> dict:
 def truth_from_csv(text: str, meta: dict) -> SyntheticTruth:
     """Inverse of truth_to_csv + truth_meta; rates are read like layer weights.
     ParseError names a sidecar field that is missing, of another type or not
-    finite."""
-    return SyntheticTruth(
-        rates=parse_layer_csv(text),
-        theta_star=sidecar_value(meta, "theta_star"),
-        coverage=sidecar_value(meta, "coverage"),
-        seed=sidecar_value(meta, "seed", int),
-    )
+    finite, a theta_star that is not positive, or a coverage outside (0, 1]."""
+    rates = parse_layer_csv(text)
+    truth = SyntheticTruth(rates.universe, rates.codes, rates.values,
+                           sidecar_value(meta, "theta_star"), sidecar_value(meta, "coverage"),
+                           sidecar_value(meta, "seed", int))
+    if truth.theta_star <= 0:
+        raise ParseError(f"sidecar field 'theta_star' is not positive: {truth.theta_star!r}")
+    if not 0 < truth.coverage <= 1:
+        raise ParseError(f"sidecar field 'coverage' is not in (0, 1]: {truth.coverage!r}")
+    return truth

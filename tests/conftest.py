@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mapnet import ExpressionDataset, layer_csv_chunks
+from mapnet import ExpressionDataset, LayerGraph, layer_csv_chunks
 
 
 def make_expression_dataset(
@@ -97,6 +97,12 @@ def pair_dict(obj, values=None) -> dict:
     n = obj.universe.size
     values = obj.values if values is None else values
     return {divmod(code, n): value for code, value in zip(obj.codes.tolist(), values.tolist())}
+
+
+def plain(layer) -> LayerGraph:
+    """A plain LayerGraph of a layer's arrays, such as an estimate's or a
+    truth's; equality is type-strict, so a subclass never equals a layer."""
+    return LayerGraph(layer.universe, layer.codes, layer.values)
 
 
 def label_pair(universe, u: str, v: str) -> tuple[int, int]:

@@ -234,7 +234,7 @@ def test_c10_ordering(expression_collection):
     cfg = CorrelationConfig()
     net = build_correlation_network(expression_collection, cfg)
     agg = em_aggregate(observation_summaries(net))
-    map_report = network_report(agg.to_layer())
+    map_report = network_report(agg)
     con_report = network_report(build_connet(expression_collection, cfg))
     ave_report = network_report(build_avenet(net))
     assert map_report.entropy <= con_report.entropy

@@ -460,6 +460,16 @@ class TestSynthCommands:
             "error": "UniverseMismatch", "message": "estimate node 'z' missing from truth"}
         assert not (tmp_path / "score.json").exists()
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "0", "-1"])
+    def test_gen_takes_only_a_finite_positive_theta(self, tmp_path, capsys, monkeypatch, theta):
+        monkeypatch.chdir(tmp_path)
+        argv = ["synth", "gen", "--nodes", "5", "--layers", "2", "--theta", theta,
+                "-o", "net.txt", "--truth", "truth.csv"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "theta_star must be positive and finite"}
+        assert not any(tmp_path.iterdir())
+
 
 class TestErrorHandling:
     def test_missing_file_machine_readable(self, capsys, tmp_path):
@@ -708,6 +718,8 @@ SIDECAR_FAULTS = [
     ("theta", 10**400, f"sidecar field 'theta' is not finite: {10**400}"),
     ("theta", True, "sidecar field 'theta' is not a number: True"),
     ("theta", "0.5", "sidecar field 'theta' is not a number: '0.5'"),
+    ("theta", 0, "sidecar field 'theta' is not positive: 0.0"),
+    ("theta", -2.0, "sidecar field 'theta' is not positive: -2.0"),
     ("iterations", "x", "sidecar field 'iterations' is not an integer: 'x'"),
     ("iterations", float("inf"), "sidecar field 'iterations' is not an integer: inf"),
     ("iterations", 3.9, "sidecar field 'iterations' is not an integer: 3.9"),
@@ -784,6 +796,11 @@ class TestSidecarErrors:
         ({**TRUTH_META, "seed": True}, "sidecar field 'seed' is not an integer: True"),
         ({**TRUTH_META, "coverage": False}, "sidecar field 'coverage' is not a number: False"),
         ({"theta_star": 1.0}, "sidecar has no field 'coverage'"),
+        ({**TRUTH_META, "theta_star": 0}, "sidecar field 'theta_star' is not positive: 0.0"),
+        ({**TRUTH_META, "theta_star": -1}, "sidecar field 'theta_star' is not positive: -1.0"),
+        ({**TRUTH_META, "coverage": 7}, "sidecar field 'coverage' is not in (0, 1]: 7.0"),
+        ({**TRUTH_META, "coverage": 0.0}, "sidecar field 'coverage' is not in (0, 1]: 0.0"),
+        ({**TRUTH_META, "coverage": -0.5}, "sidecar field 'coverage' is not in (0, 1]: -0.5"),
         ("theta_star", "sidecar must be a JSON object, found str"),
     ])
     def test_truth_sidecar(self, files, capsys, meta, message):
@@ -861,7 +878,7 @@ class TestConstantEstimate:
         truth = truth_from_csv((files / "truth.csv").read_text(encoding="utf-8"), TRUTH_META)
         assert math.isnan(recovery_metrics(est, truth).pearson_lambda)
         varied = replace(est, values=np.array([1.0, 2.0, 4.0]))
-        flat = replace(truth, rates=LayerGraph(truth.universe, truth.rates.codes, np.ones(3)))
+        flat = replace(truth, values=np.ones(3))
         assert math.isnan(recovery_metrics(varied, flat).pearson_lambda)
         assert recovery_metrics(varied, truth).pearson_lambda == pytest.approx(3 / math.sqrt(84))
 

@@ -15,7 +15,7 @@ from mapnet import (
 )
 from mapnet.core import reindexed
 from mapnet.errors import EmptyNetwork
-from conftest import coded, pair_dict
+from conftest import coded, pair_dict, plain
 
 
 def two_layer_net():
@@ -176,8 +176,7 @@ class TestArrayAdoption:
         layer = LayerGraph(self.uni, codes[:], values[:])  # views of read-only owners
         assert np.shares_memory(layer.codes, codes) and np.shares_memory(layer.values, values)
         estimate = AggregatedNetwork(self.uni, codes, values, 1.0, 1, True, 0.0)
-        as_layer = estimate.to_layer()
-        assert np.shares_memory(as_layer.codes, codes) and np.shares_memory(as_layer.values, values)
+        assert np.shares_memory(estimate.codes, codes) and np.shares_memory(estimate.values, values)
 
     def test_read_only_view_of_a_writeable_base_is_copied(self):
         codes, values = np.array([1, 5]), np.array([1.0, 2.0])
@@ -362,7 +361,7 @@ class TestAggregationInput:
         est = AggregatedNetwork(uni, *coded(uni, {(1, 2): 0.5, (0, 1): 0.0}), 2.0, 7, True, -1.5)
         assert est == AggregatedNetwork(uni, [1, 5], [0.0, 0.5], 2.0, 7, True, -1.5)
         assert pair_dict(est) == {(0, 1): 0.0, (1, 2): 0.5}
-        assert est.to_layer() == LayerGraph(uni, [1, 5], [0.0, 0.5])
+        assert plain(est) == LayerGraph(uni, [1, 5], [0.0, 0.5])
         with pytest.raises(ValueError):
             AggregatedNetwork(uni, [5, 1], [0.5, 0.0], 2.0, 7, True, -1.5)
 

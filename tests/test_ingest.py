@@ -27,7 +27,7 @@ from mapnet.errors import (
     ParseError,
 )
 from mapnet.synth import truth_to_csv
-from conftest import label_pair, layer_csv, pair_dict
+from conftest import label_pair, layer_csv, pair_dict, plain
 
 
 class TestParseExpressionCsv:
@@ -508,7 +508,7 @@ class TestWholeTextReader:
         assert parse_multiplex_edgelist(edges) == net
         assert ingest.read_multiplex_edgelist(io.BytesIO(edges.encode())) == net
         assert ingest.read_multiplex_edgelist(_Pipe(edges.encode())) == net
-        assert parse_layer_csv(rates) == truth.rates
+        assert parse_layer_csv(rates) == plain(truth)
         assert [_outcome(parse, text) for parse, text in inputs] == expected
 
 

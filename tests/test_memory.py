@@ -72,7 +72,7 @@ def test_edge_list_streams_to_the_file(dense, tmp_path):
 def test_truth_csv_streams_to_the_file(tmp_path):
     truth = generate_synthetic(n=300, d=11, theta_star=1.0, coverage=0.8, seed=1)[1]
     path = tmp_path / "truth.csv"
-    _, peak = traced_peak(lambda: _write(path, layer_csv_chunks(truth.rates, "lambda_star")))
+    _, peak = traced_peak(lambda: _write(path, layer_csv_chunks(truth, "lambda_star")))
     assert path.stat().st_size > 1 * MB
     assert peak < 1.9  # 1.6 MB, of which the label positions of its 44,850 pairs take 0.7
 

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,20 +15,22 @@ from mapnet import (
     generate_synthetic,
     observation_summaries,
     recovery_metrics,
+    network_report,
     serialize_multiplex_edgelist,
+    synthetic_layers,
 )
 from mapnet.cli import main
 from mapnet.errors import DegenerateValues, NegativeWeight, ParseError, UniverseMismatch
-from mapnet.core import pair_codes
-from mapnet.synth import _poisson_from_uniform, _rounded_normal
+from mapnet.core import pair_codes, reindexed
+from mapnet.synth import SyntheticTruth, _poisson_from_uniform, _rounded_normal
 from mapnet.synth import truth_from_csv, truth_meta, truth_to_csv
-from conftest import coded, layer_csv, pair_dict
+from conftest import coded, layer_csv, pair_dict, plain
 
 
 class TestGenerateSynthetic:
     def test_rate_sample_mean(self):
         _, truth = generate_synthetic(n=200, d=1, theta_star=1.0, seed=101)
-        rates = truth.rates.values
+        rates = truth.values
         stderr = 1.0 / np.sqrt(rates.size)
         assert abs(rates.mean() - 1.0) < 3 * stderr
 
@@ -70,6 +74,9 @@ class TestGenerateSynthetic:
             generate_synthetic(n=5, d=2, coverage=0.0)
         with pytest.raises(ValueError):
             generate_synthetic(n=5, d=2, theta_star=-1.0)
+        for theta_star in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta_star must be positive and finite"):
+                synthetic_layers(5, 2, theta_star)
 
 
 class TestPoissonSampler:
@@ -177,7 +184,7 @@ class TestLayerByLayerDraws:
     def test_bit_identical_to_whole_grids(self, case):
         net, truth = generate_synthetic(*case)
         expected, rates, normal_cells = whole_grid_synthetic(*case)
-        assert net == expected and truth.rates == rates
+        assert net == expected and plain(truth) == rates
         assert (normal_cells > 0) == (case[2] < 1.0)
 
 
@@ -203,8 +210,8 @@ class TestRecoveryMetrics:
         _, truth = generate_synthetic(n=20, d=3, seed=9)
         est = AggregatedNetwork(
             universe=truth.universe,
-            codes=truth.rates.codes,
-            values=truth.rates.values,
+            codes=truth.codes,
+            values=truth.values,
             theta=truth.theta_star,
             iterations=0,
             converged=True,
@@ -234,8 +241,8 @@ class TestRecoveryMetrics:
         _, other = generate_synthetic(n=11, d=2, seed=11)
         est = AggregatedNetwork(
             universe=other.universe,
-            codes=other.rates.codes,
-            values=other.rates.values,
+            codes=other.codes,
+            values=other.values,
             theta=1.0,
             iterations=0,
             converged=True,
@@ -270,7 +277,7 @@ class TestRecoveryMetrics:
             inp = observation_summaries(net)
             agg = em_aggregate(inp)
             errors_low, errors_high = [], []
-            rates = pair_dict(truth.rates)
+            rates = pair_dict(truth)
             for pair, lam in pair_dict(agg).items():
                 err = abs(lam - rates[pair])
                 (errors_high if inp.k[pair] >= 5 else errors_low).append(err)
@@ -288,8 +295,8 @@ class TestTruthSerialization:
         assert again.theta_star == truth.theta_star
         assert again.coverage == truth.coverage
         assert again.seed == truth.seed
-        rates = pair_dict(again.rates)
-        for pair, value in pair_dict(truth.rates).items():
+        rates = pair_dict(again)
+        for pair, value in pair_dict(truth).items():
             assert rates[pair] == value
         assert again == truth
 
@@ -305,3 +312,50 @@ class TestTruthSerialization:
         with pytest.raises(NegativeWeight) as err:
             truth_from_csv(text, {"theta_star": 1.0, "seed": 0, "coverage": 1.0})
         assert str(err.value) == "negative weight -1.0 (line 3, column 3)"
+
+
+class TestEstimateAndTruthAreLayers:
+    """The estimate and the truth are LayerGraphs: the writer, the metrics and
+    the recoder take them as they are, and keep their own fields."""
+
+    @pytest.fixture()
+    def pair(self):
+        net, truth = generate_synthetic(n=15, d=4, coverage=0.7, seed=5)
+        return em_aggregate(observation_summaries(net)), truth
+
+    def test_each_declares_only_its_own_fields(self):
+        own = {AggregatedNetwork: ["theta", "iterations", "converged", "final_objective",
+                                   "objective_trace"],
+               SyntheticTruth: ["theta_star", "coverage", "seed"]}
+        for cls, names in own.items():
+            assert issubclass(cls, LayerGraph)
+            assert [f.name for f in fields(cls)] == ["universe", "codes", "values", *names]
+
+    def test_written_as_the_plain_layer(self, pair):
+        est, truth = pair
+        assert layer_csv(est, "lambda") == layer_csv(plain(est), "lambda")
+        assert layer_csv(truth, "lambda_star") == layer_csv(plain(truth), "lambda_star")
+        assert truth_to_csv(truth) == layer_csv(plain(truth), "lambda_star")
+
+    def test_reported_as_the_plain_layer(self, pair):
+        est, _ = pair
+        assert network_report(est) == network_report(plain(est))
+
+    def test_reindexed_keeps_own_fields(self, pair):
+        est, truth = pair
+        bigger = NodeUniverse(("a", *truth.universe.labels, "z"))
+        for obj, own in ((est, ("theta", "iterations", "converged", "final_objective",
+                                "objective_trace")), (truth, ("theta_star", "coverage", "seed"))):
+            moved = reindexed(obj, bigger)
+            assert type(moved) is type(obj) and moved.universe == bigger
+            assert [getattr(moved, name) for name in own] == [getattr(obj, name) for name in own]
+            assert pair_dict(moved) == {(i + 1, j + 1): v for (i, j), v in pair_dict(obj).items()}
+
+    def test_equality_is_type_strict(self, pair):
+        est, truth = pair
+        assert est != plain(est) and plain(est) != est
+        assert truth != plain(truth) and plain(truth) != truth
+        same = AggregatedNetwork(truth.universe, truth.codes, truth.values, truth.theta_star,
+                                 0, True, 0.0)
+        assert same != truth and truth != same
+        assert plain(same) == plain(truth)

@@ -41,7 +41,7 @@ def test_counters_read_real_results():
     inp = observation_summaries(net)
     agg = em_aggregate(inp)
     ds = make_expression_dataset(np.random.default_rng(0), [f"g{i}" for i in range(8)], 10, "d")
-    agg_csv = layer_csv(agg.to_layer(), "lambda")
+    agg_csv = layer_csv(agg, "lambda")
     meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged}
     args = {
         "parse_multiplex_edgelist": (serialize_multiplex_edgelist(net),),
@@ -52,7 +52,7 @@ def test_counters_read_real_results():
         "observation_summaries": (net,),
         "em_aggregate": (inp,),
         "build_correlation_layer": (ds, CorrelationConfig()),
-        "network_report": (agg.to_layer(),),
+        "network_report": (agg,),
     }
     counts = defaultdict(int)
     for module_name, fn_name, _, counter in load_trace_boot().WRAPPED:

@@ -217,7 +217,7 @@ class TestSameBytes:
         row = np.arange(23)
         labels = [f"n{k}" for k in range(23)]
         columns = [(labels, row), row % 3, row / 3, np.where(row % 2, -0.0, 0.0)]
-        expected = (_edgelist_oracle(net), _layer_csv_oracle(truth.rates, "lambda_star"),
+        expected = (_edgelist_oracle(net), _layer_csv_oracle(truth, "lambda_star"),
                     _table_oracle("h", rows))
         monkeypatch.setattr(ingest, "_WRITE_ROWS", chunk)
         assert (serialize_multiplex_edgelist(net), truth_to_csv(truth),
@@ -349,8 +349,8 @@ def test_cli_reads_back_labels_that_need_quoting(tmp_path):
     rows = list(csv.reader(scatter.splitlines()))
     assert [row[:2] for row in rows] == [["node_u", "node_v"], ['"q"', "c"], ["a,b", "c"],
                                          ["a,b", "d"], ["c", "d"]]
-    truth = SyntheticTruth(parse_layer_csv((tmp_path / "ave.csv").read_text(encoding="utf-8")),
-                           theta_star=1.0, coverage=1.0, seed=0)
+    ave = parse_layer_csv((tmp_path / "ave.csv").read_text(encoding="utf-8"))
+    truth = SyntheticTruth(ave.universe, ave.codes, ave.values, theta_star=1.0, coverage=1.0, seed=0)
     (tmp_path / "truth.csv").write_text(truth_to_csv(truth), encoding="utf-8")
     (tmp_path / "truth.json").write_text(json.dumps(truth_meta(truth)), encoding="utf-8")
     assert run("synth", "score", "--est", tmp_path / "agg.csv", "--est-meta", tmp_path / "agg.json",
