@@ -36,10 +36,11 @@ from .ingest import (
     parse_expression_csv,
     parse_layer_csv,
     read_multiplex_edgelist,
+    sidecar,
     table_chunks,
 )
 from .metrics import network_report, weight_cdf
-from .synth import recovery_metrics, synthetic_layers, truth_from_csv, truth_meta
+from .synth import recovery_metrics, synthetic_layers, truth_from_csv
 
 _LOG_BASES = {"e": "natural", "2": "base2"}
 _COUNT_MODES = {"measurable": "measurable", "nonzero": "nonzero_only", "presence": "presence"}
@@ -100,18 +101,16 @@ def _cmd_build_layers(args) -> None:
 
 
 def _cmd_aggregate(args) -> None:
-    sidecar = args.sidecar or str(Path(args.output).with_suffix(".json"))
-    _distinct(args.output, sidecar)
+    meta_path = args.sidecar or str(Path(args.output).with_suffix(".json"))
+    _distinct(args.output, meta_path)
     net = _read_edgelist(args.network)
     count_mode = _COUNT_MODES[args.count_mode or "measurable"]
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     agg = aggregate_network(net, em, count_mode, pair_count_mode)
     _write(args.output, layer_csv_chunks(agg, "lambda"))
-    meta = {"theta": agg.theta, "iterations": agg.iterations, "converged": agg.converged,
-            "pair_count_mode": pair_count_mode, "count_mode": count_mode,
-            "final_objective": agg.final_objective}
-    _write_json(sidecar, meta)
+    _write_json(meta_path, {**sidecar(agg), "pair_count_mode": pair_count_mode,
+                            "count_mode": count_mode})
     if not agg.converged:
         warning = {"warning": "NotConverged", "iterations": agg.iterations, "theta": agg.theta}
         print(json.dumps(warning), file=sys.stderr)
@@ -180,7 +179,7 @@ def _cmd_synth_gen(args) -> None:
                                             args.seed)
     _write(args.output, edgelist_chunks(truth.universe, names, layers))
     _write(args.truth, layer_csv_chunks(truth, "lambda_star"))
-    _write_json(meta_path, truth_meta(truth))
+    _write_json(meta_path, sidecar(truth))
 
 
 def _cmd_synth_score(args) -> None:

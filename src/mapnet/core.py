@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,14 +118,12 @@ def _checked(universe: NodeUniverse, codes, values, what: str) -> tuple[np.ndarr
 
 def equal_fields(self, other) -> bool:
     """``__eq__`` for dataclasses with array fields: arrays are equal when their
-    shapes and elements are, NaN matching NaN."""
+    shapes and elements are, and NaN matches NaN, in an array or as a field."""
     if type(other) is not type(self):
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(
-        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-        for a, b in pairs
-    )
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+               else a == b or a != a and b != b for a, b in pairs)  # only NaN differs from itself
 
 
 def reindexed(obj, universe: NodeUniverse):
@@ -240,6 +238,10 @@ class AggregatedNetwork(LayerGraph):
     ``objective_trace`` holds the solver's profile log-posterior at its start
     and after each step (None when read back).
     """
+
+    # the JSON sidecar's fields, kinds and ranges; see ingest.parse_result_csv
+    SIDECAR: ClassVar = (("theta", float, (0, np.inf)), ("iterations", int, (0, np.inf)),
+                         ("converged", bool, None), ("final_objective", float, None))
 
     theta: float
     iterations: int

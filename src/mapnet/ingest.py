@@ -1,5 +1,5 @@
 """Readers and writers for raw inputs and results: expression matrices,
-multiplex edge lists and layer CSVs.
+multiplex edge lists, layer CSVs and the JSON sidecars of results.
 
 Expression CSV: first row is a header of condition labels, first column
 holds gene labels, empty cells (or NA/NaN tokens) are missing values;
@@ -638,15 +638,15 @@ def parse_layer_csv(text: str) -> LayerGraph:
 _SIDECAR_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number")}
 
 
-def sidecar_value(sidecar, name: str, kind=float, finite: bool = True):
-    """Field ``name`` of a JSON sidecar as ``kind``: a JSON boolean for bool,
-    an integer for int and any number for float, where a boolean is no
-    number.  ParseError naming the field when the sidecar is not an object,
-    or the field is missing, has another type, or (a float, with ``finite``)
-    is not finite."""
-    if not isinstance(sidecar, dict):
-        raise ParseError(f"sidecar must be a JSON object, found {type(sidecar).__name__}")
+def sidecar(layer: LayerGraph) -> dict:
+    """The JSON sidecar of a result layer: each field its type lists in ``SIDECAR``."""
+    return {name: getattr(layer, name) for name, _, _ in type(layer).SIDECAR}
+
+
+def _sidecar_field(sidecar: dict, name: str, kind, bound):
     if name not in sidecar:
+        if kind is float and bound is None:
+            return math.nan
         raise ParseError(f"sidecar has no field {name!r}")
     value = sidecar[name]
     types, noun = _SIDECAR_TYPES[kind]
@@ -656,22 +656,28 @@ def sidecar_value(sidecar, name: str, kind=float, finite: bool = True):
         try:
             value = float(value)
         except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if finite and not math.isfinite(value):
+            value = math.inf if value > 0 else -math.inf
+        if bound and not math.isfinite(value):
             raise ParseError(f"sidecar field {name!r} is not finite: {sidecar[name]!r}")
+    if bound and not bound[0] < value <= bound[1]:
+        noun = "positive" if bound == (0, math.inf) else "in ({}, {}]".format(*bound)
+        raise ParseError(f"sidecar field {name!r} is not {noun}: {value!r}")
     return value
 
 
-def parse_aggregated_csv(text: str, sidecar: dict) -> AggregatedNetwork:
-    """Rebuild an aggregated network from its CSV and sidecar metadata.
-    ParseError names a sidecar field that is missing, of another type or not
-    finite, or a theta that is not positive."""
+def parse_result_csv(cls, text: str, sidecar) -> LayerGraph:
+    """A result layer of type ``cls`` from its layer CSV and JSON sidecar.  ``cls.SIDECAR``
+    lists the sidecar's fields, checked in order, as ``(name, kind, bound)``: a JSON boolean
+    for bool, an integer for int, any number but a boolean for float.  A bound ``(low, high)``
+    holds ``low < value <= high`` and a finite value; an unbounded float may be missing (NaN)
+    or not finite.  ParseError names a field that is missing, of another kind or out of bound."""
     layer = parse_layer_csv(text)
-    solver = (sidecar_value(sidecar, "theta"), sidecar_value(sidecar, "iterations", int),
-              sidecar_value(sidecar, "converged", bool))
-    objective = (sidecar_value(sidecar, "final_objective", finite=False)
-                 if "final_objective" in sidecar else np.nan)
-    est = AggregatedNetwork(layer.universe, layer.codes, layer.values, *solver, objective)
-    if est.theta <= 0:
-        raise ParseError(f"sidecar field 'theta' is not positive: {est.theta!r}")
-    return est
+    if not isinstance(sidecar, dict):
+        raise ParseError(f"sidecar must be a JSON object, found {type(sidecar).__name__}")
+    fields = {name: _sidecar_field(sidecar, name, kind, bound) for name, kind, bound in cls.SIDECAR}
+    return cls(layer.universe, layer.codes, layer.values, **fields)
+
+
+def parse_aggregated_csv(text: str, sidecar: dict) -> AggregatedNetwork:
+    """Rebuild an aggregated network from its CSV and sidecar (see ``parse_result_csv``)."""
+    return parse_result_csv(AggregatedNetwork, text, sidecar)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from .core import AggregatedNetwork, LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes
-from .errors import DegenerateValues, ParseError, UniverseMismatch
-from .ingest import layer_csv_chunks, parse_layer_csv, sidecar_value
+from .errors import DegenerateValues, UniverseMismatch
+from .ingest import layer_csv_chunks, parse_result_csv
 
 _POISSON_INVERSION_MAX = 30.0
 
@@ -27,6 +27,10 @@ _POISSON_INVERSION_MAX = 30.0
 class SyntheticTruth(LayerGraph):
     """Ground truth: a layer of every pair's rate, and the parameters that
     produced them."""
+
+    # the JSON sidecar's fields, kinds and ranges; see ingest.parse_result_csv
+    SIDECAR: ClassVar = (("theta_star", float, (0, math.inf)), ("coverage", float, (0, 1)),
+                         ("seed", int, None))
 
     theta_star: float
     coverage: float
@@ -177,20 +181,7 @@ def truth_to_csv(truth: SyntheticTruth) -> str:
     return "".join(layer_csv_chunks(truth, "lambda_star"))
 
 
-def truth_meta(truth: SyntheticTruth) -> dict:
-    return {"theta_star": truth.theta_star, "seed": truth.seed, "coverage": truth.coverage}
-
-
 def truth_from_csv(text: str, meta: dict) -> SyntheticTruth:
-    """Inverse of truth_to_csv + truth_meta; rates are read like layer weights.
-    ParseError names a sidecar field that is missing, of another type or not
-    finite, a theta_star that is not positive, or a coverage outside (0, 1]."""
-    rates = parse_layer_csv(text)
-    truth = SyntheticTruth(rates.universe, rates.codes, rates.values,
-                           sidecar_value(meta, "theta_star"), sidecar_value(meta, "coverage"),
-                           sidecar_value(meta, "seed", int))
-    if truth.theta_star <= 0:
-        raise ParseError(f"sidecar field 'theta_star' is not positive: {truth.theta_star!r}")
-    if not 0 < truth.coverage <= 1:
-        raise ParseError(f"sidecar field 'coverage' is not in (0, 1]: {truth.coverage!r}")
-    return truth
+    """Inverse of truth_to_csv and ingest.sidecar; rates are read like layer
+    weights, and ``SyntheticTruth.SIDECAR`` bounds the sidecar's fields."""
+    return parse_result_csv(SyntheticTruth, text, meta)

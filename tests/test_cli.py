@@ -724,6 +724,8 @@ SIDECAR_FAULTS = [
     ("iterations", float("inf"), "sidecar field 'iterations' is not an integer: inf"),
     ("iterations", 3.9, "sidecar field 'iterations' is not an integer: 3.9"),
     ("iterations", False, "sidecar field 'iterations' is not an integer: False"),
+    ("iterations", -3, "sidecar field 'iterations' is not positive: -3"),
+    ("iterations", 0, "sidecar field 'iterations' is not positive: 0"),
     ("converged", None, "sidecar has no field 'converged'"),
     ("converged", "false", "sidecar field 'converged' is not a boolean: 'false'"),
     ("converged", 1, "sidecar field 'converged' is not a boolean: 1"),

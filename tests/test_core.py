@@ -10,6 +10,7 @@ from mapnet import (
     MultilayerNetwork,
     NodeUniverse,
     observation_summaries,
+    parse_aggregated_csv,
     presence_summaries,
     union_nodes,
 )
@@ -364,6 +365,13 @@ class TestAggregationInput:
         assert plain(est) == LayerGraph(uni, [1, 5], [0.0, 0.5])
         with pytest.raises(ValueError):
             AggregatedNetwork(uni, [5, 1], [0.5, 0.0], 2.0, 7, True, -1.5)
+
+    def test_estimate_without_objective_equals_itself(self):
+        # a sidecar without final_objective reads back as NaN, and NaN matches NaN
+        text = "node_u,node_v,lambda\na,b,1.0\n"
+        meta = {"theta": 1.0, "iterations": 3, "converged": True}
+        a, b = parse_aggregated_csv(text, meta), parse_aggregated_csv(text, meta)
+        assert a == a and a == b
 
 
 class TestReindexed:

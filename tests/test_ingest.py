@@ -1,5 +1,6 @@
 import inspect
 import io
+import math
 import subprocess
 import sys
 import warnings
@@ -241,6 +242,10 @@ class TestRoundTrip:
         assert pair_dict(agg) == {(0, 1): 0.5, (1, 2): 0.0}
         assert agg.theta == 2.0
         assert agg.converged
+        # an integer objective beyond the float range reads as an infinity of its sign
+        for objective, read in ((-1.5, -1.5), (-10**400, -math.inf), (10**400, math.inf)):
+            meta = {"theta": 2.0, "iterations": 7, "converged": True, "final_objective": objective}
+            assert parse_aggregated_csv(text, meta).final_objective == read
 
 
 BAD_LINE = 50_001

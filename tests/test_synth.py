@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,8 +22,9 @@ from mapnet import (
 from mapnet.cli import main
 from mapnet.errors import DegenerateValues, NegativeWeight, ParseError, UniverseMismatch
 from mapnet.core import pair_codes, reindexed
+from mapnet.ingest import parse_aggregated_csv, sidecar
 from mapnet.synth import SyntheticTruth, _poisson_from_uniform, _rounded_normal
-from mapnet.synth import truth_from_csv, truth_meta, truth_to_csv
+from mapnet.synth import truth_from_csv, truth_to_csv
 from conftest import coded, layer_csv, pair_dict, plain
 
 
@@ -255,7 +256,7 @@ class TestRecoveryMetrics:
         _, truth = generate_synthetic(n=6, d=2, seed=11)
         partial = truth_from_csv(
             "node_u,node_v,lambda_star\nn0,n1,0.5\nn2,n3,1.0\nn4,n5,2.0\n",
-            truth_meta(truth),
+            sidecar(truth),
         )
         assert partial.universe == truth.universe
         est = AggregatedNetwork(truth.universe, *coded(truth.universe, {(0, 1): 0.4, (0, 2): 0.1}),
@@ -287,9 +288,10 @@ class TestRecoveryMetrics:
 
 class TestTruthSerialization:
     def test_round_trip(self):
-        _, truth = generate_synthetic(n=9, d=2, theta_star=0.7, coverage=0.9, seed=12)
+        net, truth = generate_synthetic(n=9, d=2, theta_star=0.7, coverage=0.9, seed=12)
         text = truth_to_csv(truth)
-        meta = json.loads(json.dumps(truth_meta(truth)))
+        meta = json.loads(json.dumps(sidecar(truth)))
+        assert meta == {"theta_star": 0.7, "coverage": 0.9, "seed": 12}
         again = truth_from_csv(text, meta)
         assert again.universe == truth.universe
         assert again.theta_star == truth.theta_star
@@ -299,6 +301,13 @@ class TestTruthSerialization:
         for pair, value in pair_dict(truth).items():
             assert rates[pair] == value
         assert again == truth
+        # the estimate's sidecar reads back the same way, but for the solver's trace
+        est = em_aggregate(observation_summaries(net))
+        meta = json.loads(json.dumps(sidecar(est)))
+        assert list(meta) == ["theta", "iterations", "converged", "final_objective"]
+        again = parse_aggregated_csv(layer_csv(est, "lambda"), meta)
+        assert again.universe == est.universe
+        assert again == replace(est, objective_trace=None)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_rate_has_position(self, token):

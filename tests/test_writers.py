@@ -20,8 +20,8 @@ from mapnet import LayerGraph, MultilayerNetwork, NodeUniverse, generate_synthet
 from mapnet import ingest, parse_layer_csv, parse_multiplex_edgelist, serialize_multiplex_edgelist
 from mapnet.cli import main
 from mapnet.core import pair_indices, reindexed
-from mapnet.ingest import table_chunks
-from mapnet.synth import SyntheticTruth, truth_meta, truth_to_csv
+from mapnet.ingest import sidecar, table_chunks
+from mapnet.synth import SyntheticTruth, truth_to_csv
 from conftest import layer_csv
 
 
@@ -352,7 +352,7 @@ def test_cli_reads_back_labels_that_need_quoting(tmp_path):
     ave = parse_layer_csv((tmp_path / "ave.csv").read_text(encoding="utf-8"))
     truth = SyntheticTruth(ave.universe, ave.codes, ave.values, theta_star=1.0, coverage=1.0, seed=0)
     (tmp_path / "truth.csv").write_text(truth_to_csv(truth), encoding="utf-8")
-    (tmp_path / "truth.json").write_text(json.dumps(truth_meta(truth)), encoding="utf-8")
+    (tmp_path / "truth.json").write_text(json.dumps(sidecar(truth)), encoding="utf-8")
     assert run("synth", "score", "--est", tmp_path / "agg.csv", "--est-meta", tmp_path / "agg.json",
                "--truth", tmp_path / "truth.csv", "--truth-meta", tmp_path / "truth.json",
                "-o", tmp_path / "score.json") == 0
