@@ -4,77 +4,46 @@ Builds weighted layers from expression datasets, collapses them into a
 single-layer network by maximizing a Poisson-likelihood/exponential-prior
 posterior (Newton steps on the prior rate), and evaluates the result
 against conflation and averaging baselines.
+
+Each public name is listed once below, under the module that defines it.
+``import mapnet`` loads none of its modules and no numpy; a name's module is
+imported on its first use (PEP 562), so the CLI can set the BLAS thread
+count before numpy starts.
 """
 
-from .aggregate import (
-    EmConfig,
-    aggregate_network,
-    em_aggregate,
-    log_posterior,
-    presence_summaries,
-    theta_fixed_point_oracle,
-)
-from .analysis import ComparisonBundle, SubsetResult, compare_networks, run_subset_experiment
-from .baselines import build_avenet, build_connet
-from .core import (
-    AggregatedNetwork,
-    AggregationInput,
-    LayerGraph,
-    MultilayerNetwork,
-    NodeUniverse,
-    observation_summaries,
-    union_nodes,
-)
-from .correlation import (
-    CorrelationConfig,
-    build_correlation_layer,
-    build_correlation_network,
-    conflate,
-    zscore_normalize,
-)
-from .ingest import (
-    ExpressionDataset,
-    edgelist_chunks,
-    layer_csv_chunks,
-    parse_aggregated_csv,
-    parse_expression_csv,
-    parse_layer_csv,
-    parse_multiplex_edgelist,
-    read_multiplex_edgelist,
-    serialize_multiplex_edgelist,
-    table_chunks,
-)
-from .metrics import (
-    EntropySpectrum,
-    NetworkReport,
-    exponential_fit_r2,
-    network_report,
-    node_strengths,
-    von_neumann_entropy,
-    weight_cdf,
-)
-from .synth import (
-    RecoveryMetrics,
-    SyntheticTruth,
-    generate_synthetic,
-    recovery_metrics,
-    synthetic_layers,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregatedNetwork", "AggregationInput", "ComparisonBundle", "CorrelationConfig",
-    "EmConfig", "EntropySpectrum", "ExpressionDataset", "LayerGraph", "MultilayerNetwork",
-    "NetworkReport", "NodeUniverse", "RecoveryMetrics", "SubsetResult", "SyntheticTruth",
-    "aggregate_network", "build_avenet", "build_connet", "build_correlation_layer",
-    "build_correlation_network", "compare_networks", "conflate", "edgelist_chunks",
-    "em_aggregate", "exponential_fit_r2", "generate_synthetic", "layer_csv_chunks",
-    "log_posterior", "network_report", "node_strengths", "observation_summaries",
-    "parse_aggregated_csv", "parse_expression_csv", "parse_layer_csv",
-    "parse_multiplex_edgelist", "presence_summaries",
-    "read_multiplex_edgelist", "recovery_metrics", "run_subset_experiment",
-    "serialize_multiplex_edgelist", "synthetic_layers", "table_chunks",
-    "theta_fixed_point_oracle", "union_nodes", "von_neumann_entropy", "weight_cdf",
-    "zscore_normalize",
-]
+_PUBLIC = {
+    "aggregate": ("EmConfig", "aggregate_network", "em_aggregate", "log_posterior",
+                  "presence_summaries", "theta_fixed_point_oracle"),
+    "analysis": ("ComparisonBundle", "SubsetResult", "compare_networks", "run_subset_experiment"),
+    "baselines": ("build_avenet", "build_connet"),
+    "core": ("AggregatedNetwork", "AggregationInput", "LayerGraph", "MultilayerNetwork",
+             "NodeUniverse", "observation_summaries", "union_nodes"),
+    "correlation": ("CorrelationConfig", "build_correlation_layer", "build_correlation_network",
+                    "conflate", "zscore_normalize"),
+    "ingest": ("ExpressionDataset", "edgelist_chunks", "layer_csv_chunks", "parse_aggregated_csv",
+               "parse_expression_csv", "parse_layer_csv", "parse_multiplex_edgelist",
+               "read_multiplex_edgelist", "serialize_multiplex_edgelist", "table_chunks"),
+    "metrics": ("EntropySpectrum", "NetworkReport", "exponential_fit_r2", "network_report",
+                "node_strengths", "von_neumann_entropy", "weight_cdf"),
+    "synth": ("RecoveryMetrics", "SyntheticTruth", "generate_synthetic", "recovery_metrics",
+              "synthetic_layers"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

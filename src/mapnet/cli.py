@@ -14,11 +14,17 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
+
+# One BLAS thread unless the caller set a count, so that the spectral metrics
+# write the same bytes on every machine; BLAS reads these when numpy loads.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
 
 import numpy as np
 

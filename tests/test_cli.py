@@ -626,6 +626,39 @@ class TestProcessEntry:
         assert "__main__" not in Path(mapnet.cli.__file__).read_text(encoding="utf-8")
 
 
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    """The CLI pins one BLAS thread unless its caller set a count, so the
+    spectral metrics write the same bytes on a machine of any core count."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_metrics_bytes_do_not_depend_on_the_thread_count(self, tmp_path, seed):
+        # the N=300 aggregates whose eigencentrality_mean differed in its last
+        # digits between a multithreaded BLAS and one thread; synth and
+        # aggregate use no BLAS, so they run in this process
+        net, agg = str(tmp_path / "net.txt"), str(tmp_path / "agg.csv")
+        assert main(["synth", "gen", "--nodes", "300", "--layers", "11", "--coverage", "0.8",
+                     "--seed", str(seed), "-o", net, "--truth", str(tmp_path / "truth.csv")]) == 0
+        assert main(["aggregate", net, "-o", agg]) == 0
+        # importing mapnet.cli here set the variables in this process's environment
+        unset = {k: v for k, v in _child_env().items() if k not in _BLAS_VARIABLES}
+        reports = []
+        for name, env in (("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / f"{name}.json"
+            subprocess.run([sys.executable, "-m", "mapnet", "metrics", agg, "-o", str(out)],
+                           env=env, check=True)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_a_count_the_caller_set_is_kept(self):
+        code = "import os, mapnet.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**_child_env(), "OPENBLAS_NUM_THREADS": "2"}, check=True)
+        assert proc.stdout == "2\n"
+
+
 class TestEdgeListFiles:
     """aggregate and baseline ave read the edge list file in chunks."""
 

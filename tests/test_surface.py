@@ -1,11 +1,18 @@
 """The library's modules reach one another through public names only, so the
 CLI uses the same streaming readers and writers as any other caller, and
-each public function has a caller outside the tests."""
+each public function has a caller outside the tests.  The package lists each
+public name once and loads its module on first use."""
 
 import ast
+import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import mapnet
 
@@ -48,3 +55,25 @@ def test_every_public_function_has_a_caller_outside_the_tests():
                 or any(name in names for module, names in used.items() if module != home)):
             uncalled.append(name)
     assert uncalled == []
+
+
+@pytest.mark.parametrize("probe", ["True", "set(mapnet.__all__) <= set(dir(mapnet))",
+                                   "not hasattr(mapnet, 'no_such_name')"],
+                         ids=["import", "dir", "unknown name"])
+def test_the_package_import_loads_no_module(probe):
+    # so the CLI can set the BLAS thread count before numpy loads
+    code = (f"import sys, mapnet\nassert {probe}\n"
+            "print([name for name in sys.modules if name == 'numpy' or name.startswith('mapnet.')])")
+    src = str(Path(mapnet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_each_public_name_is_defined_in_the_module_its_table_names():
+    for name in mapnet.__all__:
+        home = importlib.import_module(f"mapnet.{mapnet._HOME[name]}")
+        assert getattr(mapnet, name) is getattr(home, name)
+        assert getattr(mapnet, name).__module__ == home.__name__
