@@ -57,12 +57,8 @@ _PAIR_COUNT_MODES = {"unordered": "unordered", "paper": "paper_n_squared"}
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _read_json(path: str):
-    """A JSON sidecar; a byte order mark before it is skipped."""
-    return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    """The text at ``path``; a byte order mark before it is skipped."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _read_edgelist(path: str) -> MultilayerNetwork:
@@ -82,11 +78,17 @@ def _write_json(path: str, obj) -> None:
     _write(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
-def _distinct(*paths: str | None) -> None:
-    """Raise before any file is opened when two output paths name one file."""
-    resolved = [Path(p).resolve() for p in paths if p]
+def _distinct(inputs: list[str], *outputs: str | None) -> None:
+    """Raise before any file is opened when two output paths name one file, or one names an input.
+    Paths are compared as Path.resolve gives them; a symlink loop is left to open to report."""
+    named = [p for p in outputs if p]
+    resolved = [os.path.realpath(p) for p in named]
     if len(set(resolved)) < len(resolved):
-        raise MapnetError("two output paths name one file: " + ", ".join(filter(None, paths)))
+        raise MapnetError("two output paths name one file: " + ", ".join(named))
+    read = {os.path.realpath(p) for p in inputs}
+    clash = next((p for p, target in zip(named, resolved) if target in read), None)
+    if clash:
+        raise MapnetError(f"an output path names an input file: {clash}")
 
 
 def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
@@ -101,6 +103,7 @@ def _corr_config(args) -> CorrelationConfig:
 
 
 def _cmd_build_layers(args) -> None:
+    _distinct(args.datasets, args.output)
     datasets = _load_datasets(args.datasets)
     net = build_correlation_network(datasets, _corr_config(args))
     _write(args.output, edgelist_chunks(net.universe, net.layer_names, net.layers))
@@ -108,7 +111,7 @@ def _cmd_build_layers(args) -> None:
 
 def _cmd_aggregate(args) -> None:
     meta_path = args.sidecar or str(Path(args.output).with_suffix(".json"))
-    _distinct(args.output, meta_path)
+    _distinct([args.network], args.output, meta_path)
     net = _read_edgelist(args.network)
     count_mode = _COUNT_MODES[args.count_mode or "measurable"]
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
@@ -123,6 +126,7 @@ def _cmd_aggregate(args) -> None:
 
 
 def _cmd_baseline(args) -> None:
+    _distinct(args.inputs, args.output)
     if args.kind == "con":
         datasets = _load_datasets(args.inputs)
         layer = build_connet(datasets, CorrelationConfig(min_pairs=args.min_pairs))
@@ -136,7 +140,7 @@ def _cmd_baseline(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
-    _distinct(args.output, args.cdf)
+    _distinct([args.network], args.output, args.cdf)
     layer = parse_layer_csv(_read(args.network))
     report = network_report(layer, _LOG_BASES[args.log_base])
     _write_json(args.output, asdict(report))
@@ -145,7 +149,7 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    agg = parse_aggregated_csv(_read(args.map_csv), _read_json(args.map_meta))
+    agg = parse_aggregated_csv(_read(args.map_csv), json.loads(_read(args.map_meta)))
     con = parse_layer_csv(_read(args.con))
     ave = parse_layer_csv(_read(args.ave))
     universe = union_nodes(net.universe.labels for net in (agg, con, ave))
@@ -165,6 +169,7 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
+    _distinct(args.datasets, args.output)
     datasets = _load_datasets(args.datasets)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = run_subset_experiment(
@@ -180,7 +185,7 @@ def _cmd_experiment(args) -> None:
 
 def _cmd_synth_gen(args) -> None:
     meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
-    _distinct(args.output, args.truth, meta_path)
+    _distinct([], args.output, args.truth, meta_path)
     truth, names, layers = synthetic_layers(args.nodes, args.layers, args.theta, args.coverage,
                                             args.seed)
     _write(args.output, edgelist_chunks(truth.universe, names, layers))
@@ -189,8 +194,9 @@ def _cmd_synth_gen(args) -> None:
 
 
 def _cmd_synth_score(args) -> None:
-    truth = truth_from_csv(_read(args.truth), _read_json(args.truth_meta))
-    est = parse_aggregated_csv(_read(args.est), _read_json(args.est_meta))
+    _distinct([args.est, args.est_meta, args.truth, args.truth_meta], args.output)
+    truth = truth_from_csv(_read(args.truth), json.loads(_read(args.truth_meta)))
+    est = parse_aggregated_csv(_read(args.est), json.loads(_read(args.est_meta)))
     try:
         est = reindexed(est, truth.universe)
     except KeyError as exc:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import math
@@ -636,21 +637,33 @@ class TestBlasThreads:
     @pytest.mark.parametrize("seed", [2, 3])
     def test_metrics_bytes_do_not_depend_on_the_thread_count(self, tmp_path, seed):
         # the N=300 aggregates whose eigencentrality_mean differed in its last
-        # digits between a multithreaded BLAS and one thread; synth and
-        # aggregate use no BLAS, so they run in this process
-        net, agg = str(tmp_path / "net.txt"), str(tmp_path / "agg.csv")
+        # digits between a multithreaded BLAS and one thread; synth, aggregate,
+        # baseline ave and the expression CSVs use no BLAS, so they run in this process
+        net, agg, ave = (str(tmp_path / name) for name in ("net.txt", "agg.csv", "ave.csv"))
         assert main(["synth", "gen", "--nodes", "300", "--layers", "11", "--coverage", "0.8",
                      "--seed", str(seed), "-o", net, "--truth", str(tmp_path / "truth.csv")]) == 0
         assert main(["aggregate", net, "-o", agg]) == 0
+        assert main(["baseline", "ave", net, "-o", ave]) == 0  # stands in for --con, as in CI
+        rng, genes = np.random.default_rng(seed), [f"g{i:03d}" for i in range(300)]
+        datasets = [str(tmp_path / f"set{d}.csv") for d in range(3)]
+        for d, path in enumerate(datasets):
+            dataset = make_expression_dataset(rng, genes, 20, name=f"set{d}")
+            Path(path).write_text(expression_csv(dataset), encoding="utf-8")
+        commands = [["metrics", agg, "-o", "{out}/report.json"],
+                    ["compare", "--map-csv", agg, "--map-meta", str(tmp_path / "agg.json"),
+                     "--con", ave, "--ave", ave, "--out-dir", "{out}"],
+                    ["build-layers", *datasets, "--quantize", "0", "-o", "{out}/layers.txt"]]
         # importing mapnet.cli here set the variables in this process's environment
         unset = {k: v for k, v in _child_env().items() if k not in _BLAS_VARIABLES}
-        reports = []
+        outputs = []
         for name, env in (("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
-            out = tmp_path / f"{name}.json"
-            subprocess.run([sys.executable, "-m", "mapnet", "metrics", agg, "-o", str(out)],
-                           env=env, check=True)
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+            out = tmp_path / name
+            out.mkdir()
+            for argv in commands:
+                subprocess.run([sys.executable, "-m", "mapnet", *(a.format(out=out) for a in argv)],
+                               env=env, check=True)
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_a_count_the_caller_set_is_kept(self):
         code = "import os, mapnet.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
@@ -773,6 +786,7 @@ class TestSidecarErrors:
         layer = "node_u,node_v,weight\na,b,1.0\na,c,3.0\nb,c,2.0\n"
         for name in ("map.csv", "con.csv", "ave.csv", "truth.csv"):
             (tmp_path / name).write_text(layer, encoding="utf-8")
+        (tmp_path / "out").mkdir()
         return tmp_path
 
     def run(self, files, command, map_meta, truth_meta=TRUTH_META, bom=()):
@@ -783,11 +797,14 @@ class TestSidecarErrors:
         if command == "compare":
             argv = ["compare", "--map-csv", files / "map.csv", "--map-meta", files / "map.json",
                     "--con", files / "con.csv", "--ave", files / "ave.csv",
-                    "--out-dir", files / "cmp"]
+                    "--out-dir", files / "out"]
+        elif command == "metrics":
+            argv = ["metrics", files / "map.csv", "-o", files / "out" / "report.json",
+                    "--cdf", files / "out" / "cdf.csv"]
         else:
             argv = ["synth", "score", "--est", files / "map.csv", "--est-meta", files / "map.json",
                     "--truth", files / "truth.csv", "--truth-meta", files / "truth.json",
-                    "-o", files / "score.json"]
+                    "-o", files / "out" / "score.json"]
         return main([str(arg) for arg in argv])
 
     @pytest.mark.parametrize("command, bom", [
@@ -795,12 +812,21 @@ class TestSidecarErrors:
         ("synth score", ["map.json"]),
         ("synth score", ["truth.json"]),
         ("synth score", ["map.json", "truth.json"]),
-    ], ids=["compare-map", "score-map", "score-truth", "score-both"])
-    def test_byte_order_mark_is_skipped(self, files, capsys, command, bom):
-        def outputs():
-            paths = sorted((files / "cmp").iterdir()) if command == "compare" else [files / "score.json"]
-            return {path.name: path.read_bytes() for path in paths}
+        ("metrics", ["map.csv"]),
+        ("compare", ["map.csv", "con.csv", "ave.csv"]),
+        ("synth score", ["map.csv", "truth.csv"]),
+    ], ids=["compare-map", "score-map", "score-truth", "score-both", "metrics-csv",
+            "compare-csvs", "score-csvs"])
+    def test_byte_order_mark_is_skipped(self, files, capsys, monkeypatch, command, bom):
+        """A byte order mark before a sidecar or a layer CSV is skipped, and the
+        CSV after one takes the chunk reader, as the plain file does."""
+        def per_line(lines):
+            raise AssertionError("a regular layer CSV left to the per-line reader")
 
+        def outputs():
+            return {path.name: path.read_bytes() for path in sorted((files / "out").iterdir())}
+
+        monkeypatch.setattr("mapnet.ingest._layer_csv_rows", per_line)
         assert self.run(files, command, MAP_META) == 0
         plain = outputs()
         assert self.run(files, command, MAP_META, bom=bom) == 0
@@ -843,9 +869,33 @@ class TestSidecarErrors:
         assert json.loads(capsys.readouterr().err) == {"error": "ParseError", "message": message}
 
 
+@pytest.mark.parametrize("command", ["build-layers", "metrics"])
+def test_byte_order_mark_alone_on_the_first_line(dataset_files, multiplex_file, tmp_path, command):
+    """A byte order mark on an otherwise blank first line goes with that line, so
+    the header below it is read as the header."""
+    inputs = dataset_files
+    if command == "metrics":
+        inputs = [str(tmp_path / "agg.csv")]
+        assert main(["aggregate", multiplex_file, "-o", inputs[0]]) == 0
+    (tmp_path / "bom").mkdir()
+    marked = [str(tmp_path / "bom" / Path(path).name) for path in inputs]
+    for path, copy in zip(inputs, marked):
+        Path(copy).write_bytes(b"\xef\xbb\xbf\n" + Path(path).read_bytes())
+    outputs = []
+    for paths in (inputs, marked):
+        assert main([command, *paths, "-o", str(tmp_path / "out")]) == 0
+        outputs.append((tmp_path / "out").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+SCORE = ["synth", "score", "--est", "layer.csv", "--est-meta", "layer.json",
+         "--truth", "truth.csv", "--truth-meta", "truth.json"]
+
+
 class TestOutputPaths:
-    """Two outputs of one command that name one file are rejected before any
-    file is opened: exit 1, one JSON error line, and no file created or changed."""
+    """Two outputs of one command that name one file, or an output that names
+    one of its inputs, are rejected before any file is opened: exit 1, one
+    JSON error line, and no file created or changed."""
 
     @pytest.fixture()
     def work(self, tmp_path, monkeypatch, multiplex_file):
@@ -854,13 +904,12 @@ class TestOutputPaths:
         assert main(["aggregate", multiplex_file, "-o", "layer.csv"]) == 0
         return tmp_path
 
-    def check(self, work, capsys, argv, outputs):
+    def check(self, work, capsys, argv, outputs, message="two output paths name one file: "):
         capsys.readouterr()
         before = {path: path.read_bytes() for path in work.iterdir()}
         assert main(argv) == 1
         (line,) = capsys.readouterr().err.splitlines()
-        assert json.loads(line) == {"error": "MapnetError",
-                                    "message": "two output paths name one file: " + outputs}
+        assert json.loads(line) == {"error": "MapnetError", "message": message + outputs}
         assert {path: path.read_bytes() for path in work.iterdir()} == before
 
     @pytest.mark.parametrize("flags, outputs", [
@@ -886,6 +935,37 @@ class TestOutputPaths:
     def test_metrics(self, work, capsys):
         self.check(work, capsys, ["metrics", "layer.csv", "-o", "agg.csv", "--cdf", "agg.csv"],
                    "agg.csv, agg.csv")
+
+    @pytest.mark.parametrize("argv, output", [
+        (["build-layers", "set1.csv", "set2.csv", "-o", "set2.csv"], "set2.csv"),
+        (["experiment", "subsets", "set1.csv", "set2.csv", "--sizes", "1", "-o", "./set1.csv"],
+         "./set1.csv"),
+        (["aggregate", "net.txt", "-o", "net.txt"], "net.txt"),
+        (["aggregate", "net.txt", "-o", "x.csv", "--sidecar", "net.txt"], "net.txt"),
+        (["aggregate", "truth.json", "-o", "truth.csv"], "truth.json"),
+        (["baseline", "ave", "net.txt", "-o", "net.txt"], "net.txt"),
+        (["baseline", "con", "set1.csv", "set2.csv", "-o", "{work}/set2.csv"], "{work}/set2.csv"),
+        (["metrics", "layer.csv", "-o", "layer.csv"], "layer.csv"),
+        (["metrics", "layer.csv", "-o", "m.json", "--cdf", "sub/../layer.csv"], "sub/../layer.csv"),
+        *((SCORE + ["-o", name], name) for name in ("layer.csv", "layer.json", "truth.csv",
+                                                   "truth.json")),
+    ], ids=["build_layers", "experiment", "aggregate", "aggregate_sidecar",
+            "aggregate_default_sidecar", "baseline_ave", "baseline_con", "metrics", "metrics_cdf",
+            "score_est", "score_est_meta", "score_truth", "score_truth_meta"])
+    def test_output_names_an_input(self, work, dataset_files, capsys, argv, output):
+        argv = [arg.format(work=work) for arg in argv]
+        self.check(work, capsys, argv, output.format(work=work),
+                   "an output path names an input file: ")
+
+    @pytest.mark.parametrize("argv", [["metrics", "loop", "-o", "m.json"],
+                                      ["metrics", "layer.csv", "-o", "loop"]], ids=["input", "output"])
+    def test_symlink_loop_is_one_error_line(self, work, capsys, argv):
+        os.symlink("loop", "loop")
+        capsys.readouterr()
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        loop = OSError(errno.ELOOP, os.strerror(errno.ELOOP), "loop")
+        assert json.loads(line) == {"error": "OSError", "message": str(loop)}
 
     def test_distinct_outputs_still_run(self, work, multiplex_file):
         assert main(["aggregate", multiplex_file, "-o", "est.csv", "--sidecar", "est.csv.json"]) == 0
