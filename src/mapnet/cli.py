@@ -149,6 +149,10 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    out = Path(args.out_dir)
+    names = [f"scatter_map_vs_{name}.csv" for name in ("con", "ave")] + ["reports.json"]
+    names += [f"strength_cdf_{name}.csv" for name in ("map", "con", "ave")]
+    _distinct([args.map_csv, args.map_meta, args.con, args.ave], *(str(out / name) for name in names))
     agg = parse_aggregated_csv(_read(args.map_csv), json.loads(_read(args.map_meta)))
     con = parse_layer_csv(_read(args.con))
     ave = parse_layer_csv(_read(args.ave))
@@ -156,7 +160,6 @@ def _cmd_compare(args) -> None:
     networks = (reindexed(net, universe) for net in (agg, con, ave))
     bundle = compare_networks(*networks, _LOG_BASES[args.log_base])
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (i, j, *weights) in (("con", bundle.scatter_con), ("ave", bundle.scatter_ave)):
         header = f"node_u,node_v,map_weight,{name}_weight"

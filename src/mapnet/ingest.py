@@ -265,9 +265,9 @@ def _weights(keys: np.ndarray) -> np.ndarray | None:
 
 
 def _text_chunks(text: str) -> Iterator[bytes]:
-    """A text's UTF-8 bytes (lone surrogates kept) in chunks of whole lines:
-    each runs to the first newline at least ``_CHUNK_BYTES`` past its start."""
-    start = 0
+    """A text's UTF-8 bytes (lone surrogates kept) after a leading byte order mark, in chunks of
+    whole lines: each runs to the first newline at least ``_CHUNK_BYTES`` past its start."""
+    start = int(text.startswith("\ufeff"))
     while start < len(text):
         end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
         yield text[start:end].encode("utf-8", "surrogatepass")
@@ -275,9 +275,10 @@ def _text_chunks(text: str) -> Iterator[bytes]:
 
 
 def _file_chunks(file) -> Iterator[bytes]:
-    """The chunks ``_text_chunks`` makes of a binary file's text, read from its start; one
-    that is not UTF-8 raises what decoding the whole text does, in ``_rows``' first pass."""
+    """The chunks ``_text_chunks`` makes of a binary file's text, read after any byte order mark;
+    one that is not UTF-8 raises what decoding the whole text does, in ``_rows``' first pass."""
     file.seek(0)
+    file.seek(3 if file.read(3) == b"\xef\xbb\xbf" else 0)
     while chunk := file.read(_CHUNK_BYTES):
         chunk += file.readline()  # frees the read, which yielding the sum would hold
         try:
@@ -460,7 +461,7 @@ def _edgelist_rows(lines: Iterable[str]) -> Rows:
     nodes: dict[str, int] = {}
     groups, pairs, weights = array("i"), array("q"), array("d")
     for lineno, line in enumerate(lines, start=1):
-        fields = (line.removeprefix("\ufeff") if lineno == 1 else line).split()  # as utf-8-sig does
+        fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
         if len(fields) not in (3, 4):

@@ -9,7 +9,6 @@ validates the estimator end to end.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
@@ -45,32 +44,24 @@ class RecoveryMetrics:
 
 
 def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Poisson draws by CDF inversion: smallest k with u < F(k).
+    """Poisson draws by CDF inversion: smallest k with u < F(k), at most 500.
 
-    Each step works only on the draws still below their uniform; they have
-    all taken the same number of steps, so each one's count is that step.
-    Only valid for moderate rates; callers route large rates to the
-    normal approximation.
+    One loop over the whole grid: each step counts every draw still at or
+    below its uniform and adds the next term to every CDF.  A CDF only rises,
+    so a draw once past its uniform stays past.  Only valid for moderate
+    rates; callers route large rates to the normal approximation.
     """
-    shape = lam.shape
-    counts = np.zeros(lam.size, dtype=np.int64)
-    index = np.arange(lam.size)
-    lam, u = lam.ravel(), u.ravel()
+    counts = np.zeros(lam.shape, dtype=np.int64)
     prob = np.exp(-lam)
     cdf = prob.copy()
     for step in range(1, 501):
         active = cdf <= u
-        index = index[active]
-        if not index.size:
+        if not active.any():
             break
-        lam = lam[active]
-        u = u[active]
-        prob = prob[active]
-        cdf = cdf[active]
-        counts[index] = step
+        counts += active
         prob *= lam / step
         cdf += prob
-    return counts.reshape(shape)
+    return counts
 
 
 def _rounded_normal(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -112,12 +103,12 @@ def synthetic_layers(
     name_width = len(str(d))
     names = tuple(f"layer{alpha + 1:0{name_width}d}" for alpha in range(d))
 
-    # The stream after the rates holds d rows of m coverage uniforms, then d
-    # rows of Poisson uniforms, then d rows of normals.  random() takes one
-    # 64-bit output per double, so the Poisson and normal blocks start d·m
-    # and 2·d·m outputs on; rng reads the coverage rows, and each layer
-    # reads its own row of each block.
-    poisson, normal = (np.random.Generator(copy.deepcopy(rng.bit_generator).advance(block * d * m))
+    # The stream of PCG64(seed) holds m rate uniforms, then d rows of m
+    # coverage uniforms, then d rows of Poisson uniforms, then d rows of
+    # normals.  random() takes one 64-bit output per double, so the Poisson
+    # and normal blocks start m + d·m and m + 2·d·m outputs on; rng reads the
+    # coverage rows, and each layer reads its own row of each block.
+    poisson, normal = (np.random.Generator(np.random.PCG64(seed).advance(m + block * d * m))
                        for block in (1, 2))
     large = lam_star >= _POISSON_INVERSION_MAX
     any_large = large.any()

@@ -649,10 +649,24 @@ class TestBlasThreads:
         for d, path in enumerate(datasets):
             dataset = make_expression_dataset(rng, genes, 20, name=f"set{d}")
             Path(path).write_text(expression_csv(dataset), encoding="utf-8")
-        commands = [["metrics", agg, "-o", "{out}/report.json"],
-                    ["compare", "--map-csv", agg, "--map-meta", str(tmp_path / "agg.json"),
-                     "--con", ave, "--ave", ave, "--out-dir", "{out}"],
-                    ["build-layers", *datasets, "--quantize", "0", "-o", "{out}/layers.txt"]]
+        self.check(tmp_path, [["metrics", agg, "-o", "{out}/report.json"],
+                              ["compare", "--map-csv", agg, "--map-meta", str(tmp_path / "agg.json"),
+                               "--con", ave, "--ave", ave, "--out-dir", "{out}"],
+                              ["build-layers", *datasets, "--quantize", "0", "-o", "{out}/layers.txt"]])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("nodes", [100, pytest.param(600, marks=pytest.mark.slow)])
+    def test_metrics_of_synthetic_aggregates(self, tmp_path, nodes, seed):
+        net, agg = str(tmp_path / "net.txt"), str(tmp_path / "agg.csv")
+        assert main(["synth", "gen", "--nodes", str(nodes), "--layers", "11", "--coverage", "0.8",
+                     "--seed", str(seed), "-o", net, "--truth", str(tmp_path / "truth.csv")]) == 0
+        assert main(["aggregate", net, "-o", agg]) == 0
+        self.check(tmp_path, [["metrics", agg, "-o", "{out}/report.json", "--cdf", "{out}/cdf.csv"]])
+
+    @staticmethod
+    def check(tmp_path, commands):
+        """Each command, in a child, writes the same files with the BLAS variables unset and with
+        OPENBLAS_NUM_THREADS=1."""
         # importing mapnet.cli here set the variables in this process's environment
         unset = {k: v for k, v in _child_env().items() if k not in _BLAS_VARIABLES}
         outputs = []
@@ -956,6 +970,25 @@ class TestOutputPaths:
         argv = [arg.format(work=work) for arg in argv]
         self.check(work, capsys, argv, output.format(work=work),
                    "an output path names an input file: ")
+
+    @pytest.mark.parametrize("flag, name", [("--ave", "strength_cdf_ave.csv"),
+                                            ("--con", "scatter_map_vs_con.csv"),
+                                            ("--map-meta", "reports.json")])
+    def test_compare_output_names_an_input(self, work, capsys, flag, name):
+        """compare writes fixed names under --out-dir, and one of them may name an input."""
+        inputs = {"--map-csv": "layer.csv", "--map-meta": "layer.json", "--con": "layer.csv",
+                  "--ave": "layer.csv"}
+        before = Path(inputs[flag]).read_bytes()
+        Path("cmp").mkdir()
+        Path("cmp", name).write_bytes(before)
+        inputs[flag] = f"cmp/{name}"
+        capsys.readouterr()
+        assert main(["compare", *(arg for pair in inputs.items() for arg in pair),
+                     "--out-dir", "cmp"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "MapnetError",
+                                    "message": f"an output path names an input file: cmp/{name}"}
+        assert os.listdir("cmp") == [name] and Path("cmp", name).read_bytes() == before
 
     @pytest.mark.parametrize("argv", [["metrics", "loop", "-o", "m.json"],
                                       ["metrics", "layer.csv", "-o", "loop"]], ids=["input", "output"])

@@ -688,6 +688,50 @@ def test_byte_order_mark_is_dropped(head, tmp_path):
         assert ingest.read_multiplex_edgelist(file) == plain
 
 
+@pytest.mark.parametrize("nodes, chunk", [(300, None), (8, 12)])
+def test_marked_text_takes_the_chunk_reader(nodes, chunk, monkeypatch, tmp_path):
+    """Chunks are cut after a leading byte order mark, so a marked text or file
+    with a regular body is read whole, into the network of the unmarked one."""
+    net, truth = generate_synthetic(n=nodes, d=11, coverage=0.8, seed=1)
+    edges, rates = serialize_multiplex_edgelist(net), truth_to_csv(truth)
+    plain_edges, plain_rates = parse_multiplex_edgelist(edges), parse_layer_csv(rates)
+    path = tmp_path / "net.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + edges.encode())
+
+    def per_line(lines):
+        raise AssertionError("a marked regular text left to the per-line reader")
+
+    monkeypatch.setattr(ingest, "_edgelist_rows", per_line)
+    monkeypatch.setattr(ingest, "_layer_csv_rows", per_line)
+    if chunk is not None:
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+    assert parse_multiplex_edgelist("\ufeff" + edges) == plain_edges
+    assert parse_layer_csv("\ufeff" + rates) == plain_rates
+    with open(path, "rb") as file:
+        assert ingest.read_multiplex_edgelist(file) == plain_edges
+
+
+@pytest.mark.parametrize("parse, text, line, column", [
+    (parse_multiplex_edgelist, "L1 a a 1\n", 1, None),
+    (parse_multiplex_edgelist, "# head\nL1 a b 1\nL1 b c x\n", 3, 4),
+    (parse_layer_csv, "u,v,w\na,b,1\nb,c,-1\n", 3, 3),
+    (parse_layer_csv, "\nu,v,w\na,b,x\n", 3, 3),
+])
+def test_byte_order_mark_moves_no_error(parse, text, line, column):
+    """An error after a byte order mark has the line and column it has without one."""
+    for marked in (text, "\ufeff" + text):
+        with pytest.raises(ParseError) as err:
+            parse(marked)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_byte_order_mark_alone_on_a_blank_first_line():
+    """A mark on a blank first line goes with that line: the header below it is the header."""
+    text = "node_u,node_v,weight\na,b,1\nb,c,2\n"
+    assert parse_layer_csv("\ufeff\n" + text) == parse_layer_csv(text)
+    assert parse_multiplex_edgelist("\ufeff\nL1 a b 1\n") == parse_multiplex_edgelist("L1 a b 1\n")
+
+
 def test_quoted_line_break_across_chunks(monkeypatch):
     """A quoted CSV field whose line break ends a chunk reads as from the whole text,
     line break included."""

@@ -105,8 +105,8 @@ class TestPoissonSampler:
 
 
 def masked_inversion(lam, u):
-    """The inversion loop that masks the whole grid on every step (the
-    sampler's earlier form, kept as an oracle for its draws)."""
+    """The inversion loop that steps only the masked draws of the grid (an
+    earlier form of the sampler, kept as an oracle for the full-width loop)."""
     counts = np.zeros(lam.shape, dtype=np.int64)
     prob = np.exp(-lam)
     cdf = prob.copy()
@@ -121,7 +121,7 @@ def masked_inversion(lam, u):
     return counts
 
 
-class TestCompactedInversion:
+class TestFullWidthInversion:
     @pytest.mark.parametrize("seed", range(5))
     def test_draws_match_masked_loop(self, seed):
         rng = np.random.default_rng(seed)
