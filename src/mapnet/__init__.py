@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "aggregate": ("EmConfig", "aggregate_network", "em_aggregate", "log_posterior",
-                  "presence_summaries", "theta_fixed_point_oracle"),
+                  "presence_summaries"),
     "analysis": ("ComparisonBundle", "SubsetResult", "compare_networks", "run_subset_experiment"),
     "baselines": ("build_avenet", "build_connet"),
     "core": ("AggregatedNetwork", "AggregationInput", "LayerGraph", "MultilayerNetwork",

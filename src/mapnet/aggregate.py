@@ -95,7 +95,10 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
         raise DegenerateAllZero("every pair has zero observed weight")
     pair_count = inp.pair_count
     # correctly rounded, so its sign is exact; the memoryview yields floats with no copy
-    margin = math.fsum(chain(memoryview(s), [-pair_count]))
+    try:
+        margin = math.fsum(chain(memoryview(s), [-pair_count]))
+    except OverflowError:
+        raise DomainError("total observed weight overflows the float range") from None
     if margin <= 0:
         raise BracketingFailure(f"no finite prior rate: total observed weight {math.fsum(s)!r} "
                                 f"does not exceed the pair count {pair_count}")
@@ -130,43 +133,6 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
 
     return AggregatedNetwork(inp.universe, inp.codes, lam, theta, iterations, converged,
                              log_posterior(inp, lam, theta), tuple(trace))
-
-
-def theta_fixed_point_oracle(inp: AggregationInput) -> float:
-    """Solve the scalar fixed-point equation for theta by bisection.
-
-    The root of (sum(S) - P) - sum(S * k / (k + theta)), which increases in
-    theta, is evaluated pair by pair, independent of the solver's strata, to
-    cross-check it.  Raises BracketingFailure when the total weight does not
-    exceed the pair count (all-zero weights included): then no root exists.
-    The margin sum(S) - P is summed exactly in integers, not by the
-    solver's math.fsum.
-    """
-    k, s = inp.counts.astype(float), inp.sums
-    ratios = [value.as_integer_ratio() for value in s.tolist()]
-    scale = max((d for _, d in ratios), default=1)  # powers of 2, so each d divides it
-    excess = sum(n * (scale // d) for n, d in ratios) - inp.pair_count * scale
-    margin = excess / scale  # correctly rounded
-    if excess <= 0:
-        raise BracketingFailure("no finite prior rate: total observed weight "
-                                "does not exceed the pair count")
-
-    def g(theta: float) -> float:
-        return margin - float((s * k / (k + theta)).sum())
-
-    hi = 1.0
-    while g(hi) <= 0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def presence_summaries(

@@ -26,7 +26,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyNetwork
+from .errors import DomainError, EmptyNetwork
 
 Pair = tuple[int, int]
 
@@ -299,6 +299,9 @@ def observation_summaries(
     ------
     EmptyNetwork
         If no pair is counted in any layer.
+    DomainError
+        If a pair's weight sum overflows the float range; it names the
+        first such pair.
     """
     if count_mode not in ("measurable", "nonzero_only"):
         raise ValueError(f"unknown count_mode {count_mode!r}")
@@ -315,12 +318,18 @@ def observation_summaries(
     # a layer's codes are unique, so they fill distinct slots of the union
     k = np.zeros(pairs.size, dtype=np.int64)
     s = np.zeros(pairs.size)
-    for layer in net.layers:
-        codes, values = layer.codes, layer.values
-        if nonzero:
-            codes, values = codes[values > 0], values[values > 0]
-        slot = np.searchsorted(pairs, codes)
-        k[slot] += 1
-        s[slot] += values
+    with np.errstate(over="ignore"):  # an overflowed sum is named below, not warned of
+        for layer in net.layers:
+            codes, values = layer.codes, layer.values
+            if nonzero:
+                codes, values = codes[values > 0], values[values > 0]
+            slot = np.searchsorted(pairs, codes)
+            k[slot] += 1
+            s[slot] += values
+    overflowed = np.flatnonzero(np.isinf(s))
+    if overflowed.size:
+        i, j = divmod(int(pairs[overflowed[0]]), net.universe.size)
+        u, v = net.universe.labels[i], net.universe.labels[j]
+        raise DomainError(f"the weight sum of pair {u!r} {v!r} overflows the float range")
     return AggregationInput(net.universe, pairs, k, s, pair_count)
 

@@ -70,8 +70,11 @@ def von_neumann_entropy(g: LayerGraph, log_base: str = "natural") -> EntropySpec
     Eigenvalues below 1e-12 (numerical negatives included) are clipped to
     zero before the gamma*log(gamma) sum, with 0*log(0) = 0.  EmptyGraph
     when no edge has a positive weight, before ``log_base`` is checked.
+    The weights are first scaled by a power of two to a maximum below 1,
+    which is exact, so the sums of weights near the float range stay finite.
     """
     a = adjacency_matrix(g)
+    a = np.ldexp(a, -np.frexp(a.max(initial=0.0))[1])
     total = a.sum() / 2.0
     if total <= 0:
         raise EmptyGraph("graph has no positive edge weight")
@@ -125,17 +128,22 @@ def network_report(g: LayerGraph, log_base: str = "natural") -> NetworkReport:
     by the maximum weight; nodes of degree < 2 count as zero.  Eigenvector
     centrality is summarized by the mean entry of the unit-norm principal
     eigenvector.  The entropy is ``von_neumann_entropy``'s, computed first, so
-    its matrices are freed before the report builds its own.
+    its matrices are freed before the report builds its own.  DomainError
+    when a strength statistic overflows the float range.
     """
     entropy = von_neumann_entropy(g, log_base).entropy
     a = adjacency_matrix(g)
-    strengths = a.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        strengths = a.sum(axis=1)
+        avg, low, high = strengths.mean(), strengths.min(), strengths.max()
+    if not np.isfinite([avg, low, high]).all():
+        raise DomainError("node strengths overflow the float range")
     centrality = _principal_eigenvector(a)
     return NetworkReport(
         n_nodes=g.universe.size,
-        strength_avg=float(strengths.mean()),
-        strength_min=float(strengths.min()),
-        strength_max=float(strengths.max()),
+        strength_avg=float(avg),
+        strength_min=float(low),
+        strength_max=float(high),
         clustering_avg=_weighted_clustering_avg(a),
         eigencentrality_mean=float(centrality.mean()),
         entropy=entropy,

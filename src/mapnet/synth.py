@@ -67,7 +67,7 @@ def _poisson_from_uniform(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _rounded_normal(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Poisson draws for rates of 30 and above: the normal approximation
     lam + sqrt(lam)·z, rounded and clipped at zero."""
-    return np.maximum(np.rint(lam + np.sqrt(lam) * z), 0.0).astype(np.int64)
+    return np.maximum(np.rint(lam + np.sqrt(lam) * z), 0.0)
 
 
 def synthetic_layers(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mapnet import ExpressionDataset, LayerGraph, layer_csv_chunks
+from mapnet import AggregationInput, ExpressionDataset, LayerGraph, layer_csv_chunks
+from mapnet.errors import BracketingFailure
 
 
 def make_expression_dataset(
@@ -123,6 +124,43 @@ def expression_csv(ds: ExpressionDataset) -> str:
         cells = ["" if np.isnan(v) else repr(float(v)) for v in row]
         lines.append(f"{g}," + ",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def theta_fixed_point_oracle(inp: AggregationInput) -> float:
+    """Solve the scalar fixed-point equation for theta by bisection.
+
+    The root of (sum(S) - P) - sum(S * k / (k + theta)), which increases in
+    theta, is evaluated pair by pair, independent of the solver's strata, to
+    cross-check it.  Raises BracketingFailure when the total weight does not
+    exceed the pair count (all-zero weights included): then no root exists.
+    The margin sum(S) - P is summed exactly in integers, not by the
+    solver's math.fsum.
+    """
+    k, s = inp.counts.astype(float), inp.sums
+    ratios = [value.as_integer_ratio() for value in s.tolist()]
+    scale = max((d for _, d in ratios), default=1)  # powers of 2, so each d divides it
+    excess = sum(n * (scale // d) for n, d in ratios) - inp.pair_count * scale
+    margin = excess / scale  # correctly rounded
+    if excess <= 0:
+        raise BracketingFailure("no finite prior rate: total observed weight "
+                                "does not exceed the pair count")
+
+    def g(theta: float) -> float:
+        return margin - float((s * k / (k + theta)).sum())
+
+    hi = 1.0
+    while g(hi) <= 0:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture(scope="session")

@@ -29,12 +29,11 @@ from mapnet import (
     parse_multiplex_edgelist,
     presence_summaries,
     recovery_metrics,
-    theta_fixed_point_oracle,
     von_neumann_entropy,
     weight_cdf,
 )
 from mapnet.cli import main
-from conftest import coded, expression_csv, pair_dict
+from conftest import coded, expression_csv, pair_dict, theta_fixed_point_oracle
 
 
 def criterion(number, description):

@@ -17,13 +17,12 @@ from mapnet import (
     observation_summaries,
     parse_multiplex_edgelist,
     presence_summaries,
-    theta_fixed_point_oracle,
     weight_cdf,
 )
 import mapnet.aggregate as aggregate_module
 from mapnet.aggregate import aggregate_network
 from mapnet.errors import BracketingFailure, DegenerateAllZero, DomainError
-from conftest import coded, pair_dict
+from conftest import coded, pair_dict, theta_fixed_point_oracle
 
 
 def single_pair_input(s=8.0, k=2, pair_count=1):
@@ -104,6 +103,12 @@ class TestEmAggregate:
         uni = NodeUniverse(("a", "b", "c"))
         inp = AggregationInput(uni, [1, 5], [2, 1], [0.0, 0.0], 3)
         with pytest.raises(DegenerateAllZero):
+            em_aggregate(inp)
+
+    def test_total_weight_past_the_float_range_is_a_domain_error(self):
+        uni = NodeUniverse(("a", "b", "c"))
+        inp = AggregationInput(uni, [1, 2], [1, 1], [1e308, 1e308], 3)
+        with pytest.raises(DomainError, match="^total observed weight overflows the float range$"):
             em_aggregate(inp)
 
     def test_zero_sum_pairs_get_zero_lambda(self):

@@ -461,6 +461,14 @@ class TestSynthCommands:
             "error": "UniverseMismatch", "message": "estimate node 'z' missing from truth"}
         assert not (tmp_path / "score.json").exists()
 
+    def test_gen_with_a_tiny_theta_runs(self, tmp_path, capsys, monkeypatch):
+        # rates of about 1e19, past the int64 range, are drawn and aggregated
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "gen", "--nodes", "4", "--layers", "2", "--theta", "1e-19",
+                     "-o", "s.txt", "--truth", "s.csv"]) == 0
+        assert main(["aggregate", "s.txt", "-o", "a.csv"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "0", "-1"])
     def test_gen_takes_only_a_finite_positive_theta(self, tmp_path, capsys, monkeypatch, theta):
         monkeypatch.chdir(tmp_path)
@@ -510,6 +518,27 @@ class TestErrorHandling:
                        f"observed weight {total} does not exceed the pair count 3"}
         assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        (["aggregate"], "L1 a b 1e308\nL1 b c 1e308\n",
+         "total observed weight overflows the float range"),
+        (["aggregate"], "L1 a b 1e308\nL2 a b 1e308\nL1 b c 1\n",
+         "the weight sum of pair 'a' 'b' overflows the float range"),
+        (["baseline", "ave"], "L1 a b 1e308\nL2 a b 1e308\nL1 b c 1\n",
+         "the weight sum of pair 'a' 'b' overflows the float range"),
+        (["metrics"], "node_u,node_v,weight\na,b,6e307\na,c,6e307\nb,c,6e307\n",
+         "node strengths overflow the float range"),
+        (["metrics"], "node_u,node_v,weight\na,b,1e308\na,c,1e308\nb,c,1e308\n",
+         "node strengths overflow the float range"),
+    ], ids=["aggregate total", "aggregate pair", "baseline ave", "metrics 6e307", "metrics 1e308"])
+    def test_weights_past_the_float_range_are_one_domain_error(self, capsys, tmp_path, monkeypatch,
+                                                               command, text, message):
+        monkeypatch.chdir(tmp_path)
+        Path("in.txt").write_text(text, encoding="utf-8")
+        assert main([*command, "in.txt", "-o", "out.csv"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [{"error": "DomainError", "message": message}]
+        assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
 
     def test_infinite_tolerance_is_rejected(self, multiplex_file, capsys, tmp_path):
         code = main(["aggregate", multiplex_file, "-o", str(tmp_path / "x.csv"), "--tol", "inf"])

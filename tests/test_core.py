@@ -11,11 +11,12 @@ from mapnet import (
     NodeUniverse,
     observation_summaries,
     parse_aggregated_csv,
+    parse_multiplex_edgelist,
     presence_summaries,
     union_nodes,
 )
 from mapnet.core import reindexed
-from mapnet.errors import EmptyNetwork
+from mapnet.errors import DomainError, EmptyNetwork
 from conftest import coded, pair_dict, plain
 
 
@@ -219,6 +220,15 @@ class TestObservationSummaries:
         assert pair_dict(by_measure, by_measure.sums)[(0, 1)] == 0.0
         by_nonzero = observation_summaries(net, count_mode="nonzero_only")
         assert (0, 1) not in by_nonzero.k
+
+    @pytest.mark.parametrize("count_mode", ["measurable", "nonzero_only"])
+    def test_sum_past_the_float_range_names_its_pair(self, count_mode):
+        # b-c comes first in the file, a-c first in code order
+        net = parse_multiplex_edgelist("L1 b c 1e308\nL2 b c 1e308\nL1 a c 1e308\n"
+                                       "L2 a c 1e308\nL1 a b 1\n")
+        message = "^the weight sum of pair 'a' 'c' overflows the float range$"
+        with pytest.raises(DomainError, match=message):
+            observation_summaries(net, count_mode)
 
     def test_sums_add_in_layer_order(self):
         # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit

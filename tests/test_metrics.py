@@ -88,6 +88,22 @@ class TestVonNeumannEntropy:
         union = LayerGraph(double, *coded(double, weights))
         assert von_neumann_entropy(union).entropy > von_neumann_entropy(layer).entropy
 
+    def test_power_of_two_scaling_keeps_the_spectrum(self):
+        # the weights are scaled by a power of two before the Laplacian is built, so any
+        # power of two, up to the edge of the float range, gives the same bits
+        layer = random_layer(np.random.default_rng(37), 12)
+        spec = von_neumann_entropy(layer)
+        for power in (-600, -3, 5, 1018):
+            scaled = LayerGraph(layer.universe, layer.codes, np.ldexp(layer.values, power))
+            assert von_neumann_entropy(scaled) == spec
+
+    def test_weights_near_the_float_range(self):
+        # the triangle's total weight overflows unless the weights are scaled first
+        uni = NodeUniverse(("a", "b", "c"))
+        for weight in (6e307, 1e308):
+            spec = von_neumann_entropy(LayerGraph(uni, [1, 2, 5], [weight] * 3))
+            assert spec.entropy == pytest.approx(math.log(2), rel=1e-15, abs=0)
+
     def test_empty_graph_rejected(self):
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(EmptyGraph):
@@ -172,6 +188,13 @@ class TestNetworkReport:
         uni = NodeUniverse(("a", "b"))
         with pytest.raises(EmptyGraph):
             network_report(LayerGraph(uni, [], []))
+
+    @pytest.mark.parametrize("weight", [6e307, 1e308])
+    def test_strengths_past_the_float_range_rejected(self, weight):
+        # 1e308 overflows each strength; 6e307 only their sum, and with it the mean
+        uni = NodeUniverse(("a", "b", "c"))
+        with pytest.raises(DomainError, match="^node strengths overflow the float range$"):
+            network_report(LayerGraph(uni, [1, 2, 5], [weight] * 3))
 
     def test_adjacency_built_once_for_the_entropy_and_once_for_the_rest(self, monkeypatch):
         # the entropy's matrices are freed before the report builds its own

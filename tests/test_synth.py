@@ -97,6 +97,11 @@ class TestPoissonSampler:
         assert abs(draws.var() - 80.0) < 3.0
         assert draws.min() >= 0
 
+    def test_normal_branch_past_the_int64_range(self):
+        # rates above 2**63 stay floats instead of wrapping negative in an int64
+        draws = _rounded_normal(np.array([1e19, 1e25]), np.array([0.0, -1.0]))
+        assert draws.tolist() == [1e19, float(np.rint(1e25 - np.sqrt(1e25)))]
+
     def test_zero_rate(self):
         rng = np.random.default_rng(57)
         lam = np.zeros(100)
