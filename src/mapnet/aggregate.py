@@ -88,7 +88,8 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     satisfies theta * sum(lam) = P exactly and lam * (k + theta) = S to
     solver tolerance; ``objective_trace`` has ``iterations + 1`` entries.
     Raises BracketingFailure (DegenerateAllZero if every S is 0) when sum(S)
-    <= P: then no finite prior rate maximizes the posterior.
+    <= P: then no finite prior rate maximizes the posterior; DomainError
+    when sum(S) or the log-posterior overflows the float range.
     """
     k, s = inp.counts.astype(float), inp.sums
     if not np.any(s > 0):
@@ -111,7 +112,8 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     if cfg.seed is not None:
         theta *= 10.0 ** -np.random.default_rng(cfg.seed).uniform(0.0, 3.0)
 
-    base = float((s[s > 0] * np.log(s[s > 0])).sum()) - float(s.sum())  # C of the profile
+    with np.errstate(over="ignore"):  # the objective is checked for overflow below
+        base = float((s[s > 0] * np.log(s[s > 0])).sum()) - float(s.sum())  # C of the profile
 
     def profile(theta: float) -> float:
         return base - float((stratum_sums * np.log(levels + theta)).sum()) + pair_count * math.log(theta)
@@ -130,9 +132,13 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     # lam over all pairs; theta from it keeps theta * sum(lam) = P
     lam = s / (k + theta)
     theta = pair_count / float(lam.sum())
+    with np.errstate(over="ignore"):
+        objective = log_posterior(inp, lam, theta)
+    if not math.isfinite(objective):
+        raise DomainError("the log-posterior overflows the float range")
 
     return AggregatedNetwork(inp.universe, inp.codes, lam, theta, iterations, converged,
-                             log_posterior(inp, lam, theta), tuple(trace))
+                             objective, tuple(trace))
 
 
 def presence_summaries(

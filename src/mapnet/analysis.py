@@ -95,11 +95,9 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
             subsets = [tuple(c) for c in combinations(range(n), size)]
         else:
             subsets = []
-            seen = set()
             while len(subsets) < reps:
                 pick = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-                if pick not in seen:
-                    seen.add(pick)
+                if pick not in subsets:
                     subsets.append(pick)
         thetas, r2s = [], []
         for subset in subsets:

@@ -8,26 +8,22 @@ it.  Both keep raw scales: ConNet weights are clamped correlations in
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .core import LayerGraph, MultilayerNetwork, observation_summaries
 from .correlation import CorrelationConfig, build_correlation_layer, conflate, zscore_normalize
 from .ingest import ExpressionDataset
 
 
-def build_connet(datasets: list[ExpressionDataset], cfg: CorrelationConfig) -> LayerGraph:
+def build_connet(datasets: list[ExpressionDataset], min_pairs: int = 5) -> LayerGraph:
     """Correlation layer of the conflated, z-scored datasets.
 
     Each dataset's conditions are z-scored before conflation, and the
     correlation is taken over the combined condition set, so gene pairs
-    with too few shared conditions in any single dataset can still become
-    measurable here.  Quantization is skipped: the layer carries raw
-    clamped coefficients.
+    with at least ``min_pairs`` shared conditions there become measurable,
+    even when no single dataset has that many.  Quantization is skipped:
+    the layer carries raw clamped coefficients.
     """
-    normalized = [zscore_normalize(ds) for ds in datasets]
-    combined = conflate(normalized)
-    layer_cfg = replace(cfg, quantize_levels=None, zscore=False)
-    return build_correlation_layer(combined, layer_cfg)
+    combined = conflate([zscore_normalize(ds) for ds in datasets])
+    return build_correlation_layer(combined, CorrelationConfig(min_pairs, quantize_levels=None))
 
 
 def build_avenet(net: MultilayerNetwork, denominator: str = "measurable_layers") -> LayerGraph:

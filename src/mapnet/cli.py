@@ -32,7 +32,7 @@ from .aggregate import EmConfig, aggregate_network
 from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
 from .core import MultilayerNetwork, reindexed, union_nodes
-from .correlation import CorrelationConfig, build_correlation_network
+from .correlation import CorrelationConfig, build_correlation_network, zscore_normalize
 from .errors import MapnetError, UniverseMismatch
 from .ingest import (
     ExpressionDataset,
@@ -99,12 +99,14 @@ def _load_datasets(paths: list[str]) -> list[ExpressionDataset]:
 
 
 def _corr_config(args) -> CorrelationConfig:
-    return CorrelationConfig(args.min_pairs, args.quantize or None, getattr(args, "zscore", False))
+    return CorrelationConfig(args.min_pairs, args.quantize or None)
 
 
 def _cmd_build_layers(args) -> None:
     _distinct(args.datasets, args.output)
     datasets = _load_datasets(args.datasets)
+    if args.zscore:
+        datasets = [zscore_normalize(ds) for ds in datasets]
     net = build_correlation_network(datasets, _corr_config(args))
     _write(args.output, edgelist_chunks(net.universe, net.layer_names, net.layers))
 
@@ -129,7 +131,7 @@ def _cmd_baseline(args) -> None:
     _distinct(args.inputs, args.output)
     if args.kind == "con":
         datasets = _load_datasets(args.inputs)
-        layer = build_connet(datasets, CorrelationConfig(min_pairs=args.min_pairs))
+        layer = build_connet(datasets, args.min_pairs)
     else:
         if len(args.inputs) != 1:
             raise MapnetError("baseline ave takes exactly one multiplex edge list")

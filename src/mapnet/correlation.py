@@ -39,16 +39,14 @@ from .ingest import ExpressionDataset
 
 @dataclass(frozen=True)
 class CorrelationConfig:
-    """Knobs for building one correlation layer.
+    """Knobs for building one correlation layer of a dataset as given.
 
-    Negative coefficients are always clamped to zero.  quantize_levels=None
-    keeps raw clamped coefficients; zscore applies per-condition
-    normalization before correlating.
+    Negative coefficients are always clamped to zero; quantize_levels=None
+    keeps raw clamped coefficients.  Z-score with ``zscore_normalize`` first.
     """
 
     min_pairs: int = 5
     quantize_levels: int | None = 10
-    zscore: bool = False
 
     def __post_init__(self):
         if self.min_pairs < 2:
@@ -188,8 +186,7 @@ def build_correlation_layer(
     """
     if universe is None:
         universe = NodeUniverse(tuple(sorted(ds.genes)))
-    data = ds.values if not cfg.zscore else zscore_normalize(ds).values
-    a, b, w = _gram_pearson(data, cfg.min_pairs, cfg.quantize_levels)
+    a, b, w = _gram_pearson(ds.values, cfg.min_pairs, cfg.quantize_levels)
     w = np.maximum(w, 0.0)
     if cfg.quantize_levels is not None:
         w = _round_half_away(cfg.quantize_levels * w)

@@ -234,7 +234,7 @@ def test_c10_ordering(expression_collection):
     net = build_correlation_network(expression_collection, cfg)
     agg = em_aggregate(observation_summaries(net))
     map_report = network_report(agg)
-    con_report = network_report(build_connet(expression_collection, cfg))
+    con_report = network_report(build_connet(expression_collection, cfg.min_pairs))
     ave_report = network_report(build_avenet(net))
     assert map_report.entropy <= con_report.entropy
     assert map_report.entropy <= ave_report.entropy

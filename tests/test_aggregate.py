@@ -111,6 +111,13 @@ class TestEmAggregate:
         with pytest.raises(DomainError, match="^total observed weight overflows the float range$"):
             em_aggregate(inp)
 
+    def test_objective_past_the_float_range_is_a_domain_error(self):
+        # the sum is finite, but S*log(S) is not; no RuntimeWarning escapes (they fail the suite)
+        uni = NodeUniverse(("a", "b", "c"))
+        inp = AggregationInput(uni, [1, 5], [1, 1], [1e308, 1.0], 3)
+        with pytest.raises(DomainError, match="^the log-posterior overflows the float range$"):
+            em_aggregate(inp)
+
     def test_zero_sum_pairs_get_zero_lambda(self):
         uni = NodeUniverse(("a", "b", "c"))
         inp = AggregationInput(uni, [1, 5], [2, 2], [6.0, 0.0], 3)

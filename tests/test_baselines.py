@@ -26,7 +26,7 @@ class TestBuildConnet:
         ds = make_expression_dataset(rng, [f"g{i}" for i in range(8)], 10, name="only")
         ds = zscore_normalize(ds)
         plain = build_correlation_layer(ds, CorrelationConfig(quantize_levels=None))
-        connet = build_connet([ds], CorrelationConfig())
+        connet = build_connet([ds])
         assert connet.universe == plain.universe
         assert connet.measurable == plain.measurable
         for pair, weight in pair_dict(plain).items():
@@ -41,20 +41,20 @@ class TestBuildConnet:
         net = build_correlation_network([ds1, ds2], cfg)
         for layer in net.layers:
             assert layer.measurable == frozenset()
-        connet = build_connet([ds1, ds2], cfg)
+        connet = build_connet([ds1, ds2], cfg.min_pairs)
         assert label_pair(connet.universe, "a", "b") in connet.measurable
 
     def test_no_overlap_anywhere_gives_empty_layer(self):
         values = np.array([[1.0, np.nan], [np.nan, 2.0]])
         ds = ExpressionDataset(("a", "b"), ("c1", "c2"), values, name="sparse")
         with pytest.warns(DegenerateConditionWarning):
-            connet = build_connet([ds], CorrelationConfig(min_pairs=2))
+            connet = build_connet([ds], min_pairs=2)
         assert connet.measurable == frozenset()
 
     def test_connet_weights_are_raw_coefficients(self):
         rng = np.random.default_rng(23)
         ds = make_expression_dataset(rng, [f"g{i}" for i in range(6)], 12, name="raw")
-        connet = build_connet([ds], CorrelationConfig())
+        connet = build_connet([ds])
         values = list(pair_dict(connet).values())
         assert any(v != int(v) for v in values)
         assert all(0.0 <= v <= 1.0 for v in values)

@@ -522,6 +522,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command, text, message", [
         (["aggregate"], "L1 a b 1e308\nL1 b c 1e308\n",
          "total observed weight overflows the float range"),
+        (["aggregate"], "L1 a b 1e308\nL1 b c 1\n", "the log-posterior overflows the float range"),
         (["aggregate"], "L1 a b 1e308\nL2 a b 1e308\nL1 b c 1\n",
          "the weight sum of pair 'a' 'b' overflows the float range"),
         (["baseline", "ave"], "L1 a b 1e308\nL2 a b 1e308\nL1 b c 1\n",
@@ -530,7 +531,8 @@ class TestErrorHandling:
          "node strengths overflow the float range"),
         (["metrics"], "node_u,node_v,weight\na,b,1e308\na,c,1e308\nb,c,1e308\n",
          "node strengths overflow the float range"),
-    ], ids=["aggregate total", "aggregate pair", "baseline ave", "metrics 6e307", "metrics 1e308"])
+    ], ids=["aggregate total", "aggregate objective", "aggregate pair", "baseline ave",
+            "metrics 6e307", "metrics 1e308"])
     def test_weights_past_the_float_range_are_one_domain_error(self, capsys, tmp_path, monkeypatch,
                                                                command, text, message):
         monkeypatch.chdir(tmp_path)

@@ -201,18 +201,17 @@ class TestBuildCorrelationLayer:
 
     def test_config_fields(self):
         names = [f.name for f in fields(CorrelationConfig)]
-        assert names == ["min_pairs", "quantize_levels", "zscore"]
+        assert names == ["min_pairs", "quantize_levels"]
 
 
 def per_pair_layer(ds, cfg, universe=None):
     """Reference: the per-pair loop over the exact scalar formula."""
     if universe is None:
         universe = NodeUniverse(tuple(sorted(ds.genes)))
-    data = ds.values if not cfg.zscore else zscore_normalize(ds).values
     weights = {}
     for a in range(ds.n_genes):
         for b in range(a + 1, ds.n_genes):
-            r = _pearson_masked(data[a], data[b], cfg.min_pairs)
+            r = _pearson_masked(ds.values[a], ds.values[b], cfg.min_pairs)
             if r is None:
                 continue
             w = max(r, 0.0)
@@ -387,9 +386,8 @@ class TestGramMatchesPerPairOracle:
         rng = np.random.default_rng(8)
         values = rng.normal(3.0, 2.0, size=(25, 12))
         values[rng.random(values.shape) < 0.15] = np.nan
-        assert_matches_reference(
-            expression(values), CorrelationConfig(min_pairs=4, quantize_levels=levels, zscore=True)
-        )
+        ds = zscore_normalize(expression(values))
+        assert_matches_reference(ds, CorrelationConfig(min_pairs=4, quantize_levels=levels))
 
     def test_unsorted_genes_in_larger_universe(self):
         rng = np.random.default_rng(12)

@@ -44,6 +44,7 @@ EXPECTED = {
     "cdf.csv": "751592931e19ef501b72d90796d10c6c2dc8971d0a1d9609f52fc38fe81e12fb",
     "score.json": "0f5b70ddf9f3b1e66e91e8a285d7d311b18ab29913a72af9bbd7afac5a4c8e40",
     "layers.txt": "3039198bfabe13677abd309cb738b5bf8fd5401f348ec90dbfaeaa84f985782e",
+    "zlayers.txt": "9d95b4e65551c57cffc290e84fda0b1ef164448fce0e9ab4b4d1da665180f31b",
     "con.csv": "71a8bcee70b8f4429de5f96e372cb4035c2d99c9d7d5f142f5d49dfe188d4a69",
 }
 
@@ -79,6 +80,7 @@ def expression_outputs(tmp_path_factory, expression_collection):
         path.write_text(expression_csv(ds), encoding="utf-8")
         paths.append(str(path))
     assert main(["build-layers", *paths, "-o", str(d / "layers.txt")]) == 0
+    assert main(["build-layers", *paths, "--zscore", "-o", str(d / "zlayers.txt")]) == 0
     assert main(["baseline", "con", *paths, "-o", str(d / "con.csv")]) == 0
     return d
 
@@ -94,7 +96,7 @@ def test_synth_pipeline_bytes(synth_outputs, name):
     assert _digest(synth_outputs / name) == EXPECTED[name]
 
 
-@pytest.mark.parametrize("name", ["layers.txt", "con.csv"])
+@pytest.mark.parametrize("name", ["layers.txt", "zlayers.txt", "con.csv"])
 def test_expression_pipeline_bytes(expression_outputs, name):
     assert _digest(expression_outputs / name) == EXPECTED[name]
 

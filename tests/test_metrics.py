@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mapnet import (
-    CorrelationConfig,
     EmConfig,
     LayerGraph,
     NodeUniverse,
@@ -269,8 +268,7 @@ class TestCentrality:
         net, _ = generate_synthetic(300, 11, coverage=0.8, seed=1)
         agg = em_aggregate(observation_summaries(net), EmConfig())
         connet = build_connet(make_expression_collection(seed=3, n_genes=150, presence=0.85,
-                                                         missing=0.1, n_conditions=16),
-                              CorrelationConfig())
+                                                         missing=0.1, n_conditions=16))
         for g in (agg, connet):
             a = adjacency_matrix(g)
             np.testing.assert_allclose(_principal_eigenvector(a), networkx_centrality(a),
