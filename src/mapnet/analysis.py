@@ -5,6 +5,7 @@ the prior rate and fit quality respond to the number of layers."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -13,7 +14,7 @@ import numpy as np
 from .aggregate import EmConfig, aggregate_network
 from .core import AggregatedNetwork, LayerGraph, pair_indices, sorted_distinct
 from .correlation import CorrelationConfig, build_correlation_network
-from .errors import BracketingFailure, UniverseMismatch
+from .errors import BracketingFailure, NotConverged, UniverseMismatch
 from .ingest import ExpressionDataset
 from .metrics import NetworkReport, exponential_fit_r2, network_report, node_strengths, weight_cdf
 
@@ -82,6 +83,7 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
     positive aggregated weights against an exponential with the
     estimated rate; degenerate runs yield NaN.  A subset with no finite
     prior rate (total weight not above its pair count) gives inf and NaN.
+    Each solve that runs out of iterations raises one NotConverged warning.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -108,6 +110,9 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
                 thetas.append(math.inf)
                 r2s.append(math.nan)
                 continue
+            if not agg.converged:
+                names = [datasets[i].name for i in subset]
+                warnings.warn(NotConverged(size, names, agg.iterations, agg.theta), stacklevel=2)
             thetas.append(agg.theta)
             positive = agg.values[agg.values > 0]
             fits = positive.size > 0 and positive.min() < positive.max()

@@ -33,7 +33,7 @@ from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
 from .core import MultilayerNetwork, reindexed, union_nodes
 from .correlation import CorrelationConfig, build_correlation_network, zscore_normalize
-from .errors import MapnetError, UniverseMismatch
+from .errors import MapnetError, NotConverged, UniverseMismatch
 from .ingest import (
     ExpressionDataset,
     edgelist_chunks,
@@ -67,15 +67,23 @@ def _read_edgelist(path: str) -> MultilayerNetwork:
         return read_multiplex_edgelist(file)
 
 
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write text chunks to ``path`` one at a time, so the whole text is never
-    held; callers raise on bad content before the file is opened."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.writelines(chunks)
+def _write(staged: dict[str, str], path: str, chunks: Iterable[str]) -> None:
+    """Write text chunks one at a time, so no text is held whole: a new or regular file to a new
+    file beside its real path, which ``staged`` maps there for ``main`` to move, else in place."""
+    temp = path
+    if os.path.isfile(path) or not os.path.lexists(path):
+        target = os.path.realpath(path)
+        staged[temp := f"{target}.{os.getpid()}.tmp"] = target
+    try:
+        with open(temp, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+    except OSError as exc:  # named by the path given, not the temporary file
+        exc.filename = path
+        raise
 
 
-def _write_json(path: str, obj) -> None:
-    _write(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
+def _write_json(staged: dict[str, str], path: str, obj) -> None:
+    _write(staged, path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
 def _distinct(inputs: list[str], *outputs: str | None) -> None:
@@ -102,16 +110,16 @@ def _corr_config(args) -> CorrelationConfig:
     return CorrelationConfig(args.min_pairs, args.quantize or None)
 
 
-def _cmd_build_layers(args) -> None:
+def _cmd_build_layers(args, staged) -> None:
     _distinct(args.datasets, args.output)
     datasets = _load_datasets(args.datasets)
     if args.zscore:
         datasets = [zscore_normalize(ds) for ds in datasets]
     net = build_correlation_network(datasets, _corr_config(args))
-    _write(args.output, edgelist_chunks(net.universe, net.layer_names, net.layers))
+    _write(staged, args.output, edgelist_chunks(net.universe, net.layer_names, net.layers))
 
 
-def _cmd_aggregate(args) -> None:
+def _cmd_aggregate(args, staged) -> None:
     meta_path = args.sidecar or str(Path(args.output).with_suffix(".json"))
     _distinct([args.network], args.output, meta_path)
     net = _read_edgelist(args.network)
@@ -119,15 +127,15 @@ def _cmd_aggregate(args) -> None:
     pair_count_mode = _PAIR_COUNT_MODES[args.pair_count]
     em = EmConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     agg = aggregate_network(net, em, count_mode, pair_count_mode)
-    _write(args.output, layer_csv_chunks(agg, "lambda"))
-    _write_json(meta_path, {**sidecar(agg), "pair_count_mode": pair_count_mode,
-                            "count_mode": count_mode})
+    _write(staged, args.output, layer_csv_chunks(agg, "lambda"))
+    _write_json(staged, meta_path, {**sidecar(agg), "pair_count_mode": pair_count_mode,
+                                    "count_mode": count_mode})
     if not agg.converged:
         warning = {"warning": "NotConverged", "iterations": agg.iterations, "theta": agg.theta}
         print(json.dumps(warning), file=sys.stderr)
 
 
-def _cmd_baseline(args) -> None:
+def _cmd_baseline(args, staged) -> None:
     _distinct(args.inputs, args.output)
     if args.kind == "con":
         datasets = _load_datasets(args.inputs)
@@ -138,19 +146,19 @@ def _cmd_baseline(args) -> None:
         net = _read_edgelist(args.inputs[0])
         denominator = "measurable_layers" if args.denominator == "measurable" else "all_layers"
         layer = build_avenet(net, denominator)
-    _write(args.output, layer_csv_chunks(layer))
+    _write(staged, args.output, layer_csv_chunks(layer))
 
 
-def _cmd_metrics(args) -> None:
+def _cmd_metrics(args, staged) -> None:
     _distinct([args.network], args.output, args.cdf)
     layer = parse_layer_csv(_read(args.network))
     report = network_report(layer, _LOG_BASES[args.log_base])
-    _write_json(args.output, asdict(report))
+    _write_json(staged, args.output, asdict(report))
     if args.cdf:
-        _write(args.cdf, table_chunks("value,fraction", [*weight_cdf(layer.values).T]))
+        _write(staged, args.cdf, table_chunks("value,fraction", [*weight_cdf(layer.values).T]))
 
 
-def _cmd_compare(args) -> None:
+def _cmd_compare(args, staged) -> None:
     out = Path(args.out_dir)
     names = [f"scatter_map_vs_{name}.csv" for name in ("con", "ave")] + ["reports.json"]
     names += [f"strength_cdf_{name}.csv" for name in ("map", "con", "ave")]
@@ -166,14 +174,14 @@ def _cmd_compare(args) -> None:
     for name, (i, j, *weights) in (("con", bundle.scatter_con), ("ave", bundle.scatter_ave)):
         header = f"node_u,node_v,map_weight,{name}_weight"
         columns = [(universe.labels, i), (universe.labels, j), *weights]
-        _write(str(out / f"scatter_map_vs_{name}.csv"), table_chunks(header, columns))
+        _write(staged, str(out / f"scatter_map_vs_{name}.csv"), table_chunks(header, columns))
     for name, cdf in bundle.strength_cdfs.items():
-        _write(str(out / f"strength_cdf_{name}.csv"), table_chunks("strength,fraction", [*cdf.T]))
+        _write(staged, str(out / f"strength_cdf_{name}.csv"), table_chunks("strength,fraction", [*cdf.T]))
     reports = {name: asdict(report) for name, report in bundle.reports.items()}
-    _write_json(str(out / "reports.json"), reports)
+    _write_json(staged, str(out / "reports.json"), reports)
 
 
-def _cmd_experiment(args) -> None:
+def _cmd_experiment(args, staged) -> None:
     _distinct(args.datasets, args.output)
     datasets = _load_datasets(args.datasets)
     sizes = [int(s) for s in args.sizes.split(",") if s]
@@ -185,20 +193,20 @@ def _cmd_experiment(args) -> None:
         np.array([r.mean_theta for r in rows]),
         np.array([r.mean_r2 for r in rows]),
     ]
-    _write(args.output, table_chunks("size,mean_theta,mean_r2", columns))
+    _write(staged, args.output, table_chunks("size,mean_theta,mean_r2", columns))
 
 
-def _cmd_synth_gen(args) -> None:
+def _cmd_synth_gen(args, staged) -> None:
     meta_path = args.truth_meta or str(Path(args.truth).with_suffix(".json"))
     _distinct([], args.output, args.truth, meta_path)
     truth, names, layers = synthetic_layers(args.nodes, args.layers, args.theta, args.coverage,
                                             args.seed)
-    _write(args.output, edgelist_chunks(truth.universe, names, layers))
-    _write(args.truth, layer_csv_chunks(truth, "lambda_star"))
-    _write_json(meta_path, sidecar(truth))
+    _write(staged, args.output, edgelist_chunks(truth.universe, names, layers))
+    _write(staged, args.truth, layer_csv_chunks(truth, "lambda_star"))
+    _write_json(staged, meta_path, sidecar(truth))
 
 
-def _cmd_synth_score(args) -> None:
+def _cmd_synth_score(args, staged) -> None:
     _distinct([args.est, args.est_meta, args.truth, args.truth_meta], args.output)
     truth = truth_from_csv(_read(args.truth), json.loads(_read(args.truth_meta)))
     est = parse_aggregated_csv(_read(args.est), json.loads(_read(args.est_meta)))
@@ -206,7 +214,7 @@ def _cmd_synth_score(args) -> None:
         est = reindexed(est, truth.universe)
     except KeyError as exc:
         raise UniverseMismatch(f"estimate node {exc.args[0]!r} missing from truth") from None
-    _write_json(args.output, asdict(recovery_metrics(est, truth)))
+    _write_json(staged, args.output, asdict(recovery_metrics(est, truth)))
 
 
 # -- argument parsing -------------------------------------------------------
@@ -312,18 +320,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  Errors and warnings go to stderr as JSON lines,
-    so stderr does not depend on where the package is installed."""
+    """Run one subcommand, its outputs moved onto their paths once all are written.  Errors and
+    warnings go to stderr as JSON lines, so stderr does not depend on where mapnet is installed."""
     args = _build_parser().parse_args(argv)
+    staged: dict[str, str] = {}  # each output's temporary file: the path it is moved onto
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, category, *where: print(json.dumps(
             {"warning": category.__name__, **vars(message), "message": str(message)}), file=sys.stderr)
+        warnings.simplefilter("always", NotConverged)  # one line a solve, if two read the same
         try:
-            args.func(args)
+            args.func(args, staged)
+            for temp, target in staged.items():
+                os.replace(temp, target)
         except (MapnetError, OSError, ValueError) as exc:
             line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
             print(line, file=sys.stderr)
             return 1
+        finally:  # on an error, no output path changes
+            for temp in filter(os.path.lexists, staged):
+                os.remove(temp)
     return 0
 
 

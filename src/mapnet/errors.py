@@ -79,3 +79,15 @@ class DegenerateConditionWarning(MapnetWarning):
             + ", ".join(self.labels)
         )
 
+
+class NotConverged(MapnetWarning):
+    """A subset's solve ran out of iterations before it converged; carries the
+    subset size, its dataset names, the iterations run and the last theta."""
+
+    def __init__(self, size, datasets, iterations, theta):
+        self.size = size
+        self.datasets = tuple(datasets)
+        self.iterations = iterations
+        self.theta = theta
+        super().__init__(f"subset of size {size} ({', '.join(self.datasets)}) did not converge"
+                         f" in {iterations} iterations; theta {theta!r}")

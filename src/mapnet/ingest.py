@@ -455,29 +455,36 @@ def _network(rows: Rows) -> MultilayerNetwork:
     return MultilayerNetwork(universe, layers, tuple(names))
 
 
-def _edgelist_rows(lines: Iterable[str]) -> Rows:
-    """Rows of an edge list's lines; raises on the first bad line."""
-    layer_ids: dict[str, int] = {}
+def _line_rows(records, empty: str) -> Rows:
+    """Rows of ``(line, group, u, v, weight token or None, weight column)`` records, a missing
+    weight read as 1; raises on the first self-loop or bad weight, and ``empty`` when none."""
+    names: dict[str, int] = {}
     nodes: dict[str, int] = {}
     groups, pairs, weights = array("i"), array("q"), array("d")
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) not in (3, 4):
-            message = f"expected 'layer u v [weight]', found {len(fields)} fields"
-            raise ParseError(message, line=lineno)
-        u, v = fields[1], fields[2]
+    for line, group, u, v, token, column in records:
         if u == v:
-            raise ParseError(f"self-loop on {u!r}", line=lineno)
-        weights.append(_parse_weight(fields[3], lineno, column=4) if len(fields) == 4 else 1.0)
-        groups.append(layer_ids.setdefault(fields[0], len(layer_ids)))
+            raise ParseError(f"self-loop on {u!r}", line=line)
+        weights.append(1.0 if token is None else _parse_weight(token, line, column))
+        groups.append(names.setdefault(group, len(names)))
         pairs.append(nodes.setdefault(u, len(nodes)) << 32 | nodes.setdefault(v, len(nodes)))
     if not weights:
-        raise ParseError("no edges found")
+        raise ParseError(empty)
     columns = [groups, pairs, weights]
     del groups, pairs, weights  # each array is freed once its copy is made
-    return list(layer_ids), list(nodes), *(np.array(columns.pop(0)) for _ in range(3))
+    return list(names), list(nodes), *(np.array(columns.pop(0)) for _ in range(3))
+
+
+def _edgelist_rows(lines: Iterable[str]) -> Rows:
+    """Rows of an edge list's lines; raises on the first bad line."""
+    def records():
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split()
+            if fields and not fields[0].startswith("#"):
+                if len(fields) not in (3, 4):
+                    message = f"expected 'layer u v [weight]', found {len(fields)} fields"
+                    raise ParseError(message, line=lineno)
+                yield lineno, fields[0], fields[1], fields[2], fields[3] if len(fields) == 4 else None, 4
+    return _line_rows(records(), "no edges found")
 
 
 def parse_multiplex_edgelist(text: str) -> MultilayerNetwork:
@@ -606,24 +613,14 @@ def layer_csv_chunks(layer: LayerGraph, value_name: str = "weight") -> Iterator[
 
 def _layer_csv_rows(lines: Iterable[str]) -> Rows:
     """Rows of a layer CSV's lines, read row by row; raises on the first bad row."""
-    rows = _csv_rows(lines)
-    next(rows, None)  # header
-    nodes: dict[str, int] = {}
-    pairs, weights = array("q"), array("d")
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, found {len(row)}", line=lineno)
-        u, v = row[0].strip(), row[1].strip()
-        if u == v:
-            raise ParseError(f"self-loop on {u!r}", line=lineno)
-        weights.append(_parse_weight(row[2], lineno, column=3))
-        pairs.append(nodes.setdefault(u, len(nodes)) << 32 | nodes.setdefault(v, len(nodes)))
-    if not weights:
-        raise ParseError("expected a header and at least one edge row")
-    groups = np.zeros(len(weights), dtype=np.int32)
-    columns = [pairs, weights]
-    del pairs, weights  # each array is freed once its copy is made
-    return [""], list(nodes), groups, *(np.array(columns.pop(0)) for _ in range(2))
+    def records():
+        rows = _csv_rows(lines)
+        next(rows, None)  # header
+        for lineno, row in rows:
+            if len(row) != 3:
+                raise ParseError(f"expected 3 fields, found {len(row)}", line=lineno)
+            yield lineno, "", row[0].strip(), row[1].strip(), row[2], 3
+    return _line_rows(records(), "expected a header and at least one edge row")
 
 
 def parse_layer_csv(text: str) -> LayerGraph:

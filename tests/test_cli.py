@@ -36,7 +36,7 @@ from mapnet import (
 )
 from mapnet.cli import main
 from mapnet.synth import truth_from_csv
-from mapnet.errors import BracketingFailure, DegenerateAllZero, UniverseMismatch
+from mapnet.errors import BracketingFailure, DegenerateAllZero, NotConverged, UniverseMismatch
 from conftest import coded, expression_csv, layer_csv, make_expression_dataset, pair_dict
 
 
@@ -340,6 +340,28 @@ class TestExperimentCommand:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
+    def test_unconverged_solves_warn_one_line_each(self, dataset_files, tmp_path, capsys):
+        argv = ["experiment", "subsets", *dataset_files, "--sizes", "1,3", "--reps", "2",
+                "--seed", "4", "-o"]
+        assert main([*argv, str(tmp_path / "full.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*argv, str(tmp_path / "short.csv"), "--max-iter", "1"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(w["warning"], w["size"], w["iterations"]) for w in lines] == [
+            ("NotConverged", 1, 1), ("NotConverged", 1, 1), ("NotConverged", 3, 1)]
+        assert lines[2]["datasets"] == ["set1", "set2", "set3"]
+        short = (tmp_path / "short.csv").read_text(encoding="utf-8").splitlines()
+        assert float(short[2].split(",")[1]) == lines[2]["theta"]
+        # two copies of one dataset: two solves that read the same, and two lines
+        copies = [tmp_path / name / "set1.csv" for name in ("a", "b")]
+        for copy in copies:
+            copy.parent.mkdir()
+            copy.write_bytes(Path(dataset_files[0]).read_bytes())
+        assert main(["experiment", "subsets", *map(str, copies), "--sizes", "1", "--reps", "2",
+                     "--max-iter", "1", "-o", str(tmp_path / "copies.csv")]) == 0
+        first, second = capsys.readouterr().err.splitlines()
+        assert first == second and json.loads(first)["datasets"] == ["set1"]
+
     def test_full_size_is_single_deterministic_combination(self, dataset_files):
         datasets = [
             parse_expression_csv(Path(p).read_text(encoding="utf-8"), name=f"d{i}")
@@ -369,6 +391,23 @@ class TestExperimentCommand:
         a = run_subset_experiment(datasets, [1, 2], reps=2, seed=5, cfg=cfg, em=em)
         b = run_subset_experiment(datasets, [1, 2], reps=2, seed=5, cfg=cfg, em=em)
         assert a == b
+
+    def test_unconverged_solve_warns_in_library(self, dataset_files):
+        datasets = [parse_expression_csv(Path(p).read_text(encoding="utf-8"), name=f"d{i}")
+                    for i, p in enumerate(dataset_files)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a converged run warns nothing
+            converged = run_subset_experiment(datasets, [3], reps=1, seed=0)
+        with pytest.warns(NotConverged) as records:
+            (row,) = run_subset_experiment(datasets, [3], reps=1, seed=0, em=EmConfig(max_iter=1))
+        (record,) = records
+        assert record.filename == __file__
+        agg = aggregate_network(build_correlation_network(datasets, CorrelationConfig()),
+                                EmConfig(max_iter=1))
+        assert not agg.converged and row.mean_theta == agg.theta != converged[0].mean_theta
+        warning = record.message
+        assert (warning.size, warning.datasets) == (3, ("d0", "d1", "d2"))
+        assert (warning.iterations, warning.theta) == (agg.iterations, agg.theta)
 
 
     def test_subset_without_optimum_reads_inf_and_nan(self, expression_collection):
@@ -1031,6 +1070,48 @@ class TestOutputPaths:
         loop = OSError(errno.ELOOP, os.strerror(errno.ELOOP), "loop")
         assert json.loads(line) == {"error": "OSError", "message": str(loop)}
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["aggregate", "net.txt", "-o", "agg.csv", "--sidecar", "nodir/agg.json"], "nodir/agg.json"),
+        (["synth", "gen", "--nodes", "5", "--layers", "2", "-o", "g.txt", "--truth", "agg.csv",
+          "--truth-meta", "nodir/t.json"], "nodir/t.json"),
+        (["metrics", "layer.csv", "-o", "m.json", "--cdf", "nodir/cdf.csv"], "nodir/cdf.csv"),
+        (["compare", "--map-csv", "layer.csv", "--map-meta", "layer.json", "--con", "layer.csv",
+          "--ave", "layer.csv", "--out-dir", "cmp"], "cmp/reports.json"),
+    ], ids=["aggregate", "synth_gen", "metrics_cdf", "compare"])
+    def test_failed_last_output_changes_no_output(self, work, capsys, argv, missing):
+        """When the last output's directory is missing, the command exits 1 and every output
+        path is as it was, absent or with its bytes, with no temporary file left."""
+        Path("cmp").mkdir()
+        Path("cmp", "strength_cdf_map.csv").write_text("earlier\n", encoding="utf-8")
+        os.symlink("nodir/reports.json", "cmp/reports.json")  # compare writes this one last
+
+        def tree():
+            return {str(p.relative_to(work)): os.readlink(p) if p.is_symlink() else p.read_bytes()
+                    for p in work.rglob("*") if p.is_symlink() or p.is_file()}
+
+        before = tree()
+        capsys.readouterr()
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        lost = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), missing)
+        assert json.loads(line) == {"error": "FileNotFoundError", "message": str(lost)}
+        assert tree() == before
+
+    def test_outputs_land_where_open_puts_them(self, work, multiplex_file):
+        """An output that is a symlink is written through to its target, a new output gets the
+        mode open gives it, and a device is written in place."""
+        Path("real").mkdir()
+        Path("real", "agg.csv").write_text("earlier\n", encoding="utf-8")
+        os.symlink("real/agg.csv", "link.csv")
+        assert main(["aggregate", multiplex_file, "-o", "link.csv", "--sidecar", "new.json"]) == 0
+        assert os.readlink("link.csv") == "real/agg.csv"
+        assert Path("real", "agg.csv").read_bytes() == Path("layer.csv").read_bytes()
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert os.stat("new.json").st_mode & 0o777 == 0o666 & ~umask
+        assert main(["metrics", "layer.csv", "-o", os.devnull]) == 0
+        assert sorted(os.listdir("real")) == ["agg.csv"]
+
     def test_distinct_outputs_still_run(self, work, multiplex_file):
         assert main(["aggregate", multiplex_file, "-o", "est.csv", "--sidecar", "est.csv.json"]) == 0
         assert main(["metrics", "layer.csv", "-o", "m.json", "--cdf", "m.csv"]) == 0
@@ -1072,7 +1153,7 @@ class TestConstantEstimate:
 
 
 def test_every_warning_is_one_json_line(monkeypatch, capsys, tmp_path):
-    def warn(args):
+    def warn(args, staged):
         warnings.warn("from a dependency", RuntimeWarning)
 
     monkeypatch.setattr(mapnet.cli, "_cmd_metrics", warn)

@@ -370,6 +370,23 @@ def _text_rows(text, sep):
     return ingest._chunk_rows(ingest._text_chunks(text), sep, text.count("\n"))
 
 
+@pytest.mark.parametrize("parse, sep, text, message", [
+    (parse_multiplex_edgelist, " ", "L1\ta\ta\tx\n", "self-loop on 'a' (line 1)"),
+    (parse_multiplex_edgelist, " ", "L1\ta\tb\tx\tq\n",
+     "expected 'layer u v [weight]', found 5 fields (line 1)"),
+    (parse_layer_csv, ",", 'node_u,node_v,weight\n"a",a,x\n', "self-loop on 'a' (line 2)"),
+    (parse_layer_csv, ",", 'node_u,node_v,weight\n"a",b\n', "expected 3 fields, found 2 (line 2)"),
+    (parse_multiplex_edgelist, " ", "# comment\n\n# another\n\n", "no edges found"),
+    (parse_layer_csv, ",", "node_u,node_v,weight\n", "expected a header and at least one edge row"),
+], ids=["edge_self_loop", "edge_fields", "csv_self_loop", "csv_fields", "edge_none", "csv_none"])
+def test_per_line_faults_in_order(parse, sep, text, message):
+    """A line's faults are reported field count first, then self-loop, then weight."""
+    assert _text_rows(text, sep) is None
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 EDGE = "# layer u v w\n"
 # (text, whether the chunk reader takes it)
 EDGELIST_CASES = [

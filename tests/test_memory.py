@@ -32,7 +32,7 @@ from mapnet import (
     observation_summaries,
     parse_multiplex_edgelist,
 )
-from mapnet.cli import _read_edgelist, _write
+from mapnet.cli import _read_edgelist
 from mapnet.ingest import _chunk_rows, _text_chunks, edgelist_chunks, layer_csv_chunks
 
 MB = 2**20
@@ -50,6 +50,13 @@ def traced_peak(fn, *args):
 
 def edge_chunks(net):
     return edgelist_chunks(net.universe, net.layer_names, net.layers)
+
+
+def _write(path, chunks):
+    """``cli._write`` to a temporary file, then the move onto ``path`` that ``cli.main`` makes."""
+    staged = {}
+    mapnet.cli._write(staged, str(path), chunks)
+    os.replace(*staged.popitem())
 
 
 @pytest.fixture(scope="module")
