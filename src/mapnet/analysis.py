@@ -7,13 +7,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
 from .aggregate import EmConfig, aggregate_network
-from .core import AggregatedNetwork, LayerGraph, pair_indices, sorted_distinct
-from .correlation import CorrelationConfig, build_correlation_network
+from .core import AggregatedNetwork, LayerGraph, pair_indices, sorted_distinct, stacked
+from .correlation import CorrelationConfig, build_correlation_layer, layer_names
 from .errors import BracketingFailure, NotConverged, UniverseMismatch
 from .ingest import ExpressionDataset
 from .metrics import NetworkReport, exponential_fit_r2, network_report, node_strengths, weight_cdf
@@ -84,11 +85,13 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
     estimated rate; degenerate runs yield NaN.  A subset with no finite
     prior rate (total weight not above its pair count) gives inf and NaN.
     Each solve that runs out of iterations raises one NotConverged warning.
+    A dataset's layer is built once, when a drawn subset first holds it.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     n = len(datasets)
     rng = np.random.default_rng(seed)
+    layer = cache(lambda i: build_correlation_layer(datasets[i], cfg))
     results = []
     for size in subset_sizes:
         if not 1 <= size <= n:
@@ -103,7 +106,7 @@ def run_subset_experiment(datasets: list[ExpressionDataset], subset_sizes: list[
                     subsets.append(pick)
         thetas, r2s = [], []
         for subset in subsets:
-            net = build_correlation_network([datasets[i] for i in subset], cfg)
+            net = stacked([layer(i) for i in subset], layer_names([datasets[i] for i in subset]))
             try:
                 agg = aggregate_network(net, em)
             except BracketingFailure:  # no finite prior rate

@@ -31,7 +31,7 @@ import numpy as np
 from .aggregate import EmConfig, aggregate_network
 from .analysis import compare_networks, run_subset_experiment
 from .baselines import build_avenet, build_connet
-from .core import MultilayerNetwork, reindexed, union_nodes
+from .core import MultilayerNetwork, reindexed, stacked
 from .correlation import CorrelationConfig, build_correlation_network, zscore_normalize
 from .errors import MapnetError, NotConverged, UniverseMismatch
 from .ingest import (
@@ -166,14 +166,13 @@ def _cmd_compare(args, staged) -> None:
     agg = parse_aggregated_csv(_read(args.map_csv), json.loads(_read(args.map_meta)))
     con = parse_layer_csv(_read(args.con))
     ave = parse_layer_csv(_read(args.ave))
-    universe = union_nodes(net.universe.labels for net in (agg, con, ave))
-    networks = (reindexed(net, universe) for net in (agg, con, ave))
-    bundle = compare_networks(*networks, _LOG_BASES[args.log_base])
+    net = stacked((agg, con, ave), ("map", "con", "ave"))
+    bundle = compare_networks(*net.layers, _LOG_BASES[args.log_base])
 
     out.mkdir(parents=True, exist_ok=True)
     for name, (i, j, *weights) in (("con", bundle.scatter_con), ("ave", bundle.scatter_ave)):
         header = f"node_u,node_v,map_weight,{name}_weight"
-        columns = [(universe.labels, i), (universe.labels, j), *weights]
+        columns = [(net.universe.labels, i), (net.universe.labels, j), *weights]
         _write(staged, str(out / f"scatter_map_vs_{name}.csv"), table_chunks(header, columns))
     for name, cdf in bundle.strength_cdfs.items():
         _write(staged, str(out / f"strength_cdf_{name}.csv"), table_chunks("strength,fraction", [*cdf.T]))

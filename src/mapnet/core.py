@@ -251,16 +251,19 @@ class AggregatedNetwork(LayerGraph):
 
 
 def union_nodes(layer_node_lists: Iterable[Sequence[str]]) -> NodeUniverse:
-    """Sorted union of per-layer label sequences.
-
-    Ordering is lexicographic so that indices are deterministic across runs.
-    """
+    """Sorted union of per-layer label sequences, so that indices are the same on every run."""
     seen: set[str] = set()
     for labels in layer_node_lists:
         if len(set(labels)) != len(labels):
             raise ValueError("layer node list contains duplicate labels")
         seen.update(labels)
     return NodeUniverse(tuple(sorted(seen)))
+
+
+def stacked(layers: Sequence[LayerGraph], names: Sequence[str]) -> MultilayerNetwork:
+    """The named layers over the sorted union of their labels, each placed by ``reindexed``."""
+    universe = union_nodes(layer.universe.labels for layer in layers)
+    return MultilayerNetwork(universe, tuple(reindexed(layer, universe) for layer in layers), names)
 
 
 def prior_pair_count(n: int, pair_count_mode: str) -> int:

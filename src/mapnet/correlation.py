@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, reindexed, union_nodes
+from .core import LayerGraph, MultilayerNetwork, NodeUniverse, pair_codes, reindexed, stacked, union_nodes
 from .errors import DegenerateConditionWarning
 from .ingest import ExpressionDataset
 
@@ -90,7 +90,8 @@ def zscore_normalize(ds: ExpressionDataset) -> ExpressionDataset:
     """Z-score each condition over its present values (population sigma).
 
     Conditions with fewer than 2 present values or zero spread are left
-    unchanged and reported through a DegenerateConditionWarning.
+    unchanged and reported through a DegenerateConditionWarning that names
+    the dataset.
     """
     values = np.array(ds.values)
     degenerate = []
@@ -107,7 +108,7 @@ def zscore_normalize(ds: ExpressionDataset) -> ExpressionDataset:
             continue
         values[present, c] = (col[present] - mean) / sigma
     if degenerate:
-        warnings.warn(DegenerateConditionWarning(degenerate), stacklevel=2)
+        warnings.warn(DegenerateConditionWarning(ds.name, degenerate), stacklevel=2)
     return ExpressionDataset(ds.genes, ds.conditions, values, name=ds.name)
 
 
@@ -171,40 +172,33 @@ def _gram_pearson(data: np.ndarray, min_pairs: int, levels: int | None):
     return a[measured], b[measured], r[measured]
 
 
-def build_correlation_layer(
-    ds: ExpressionDataset,
-    cfg: CorrelationConfig,
-    universe: NodeUniverse | None = None,
-) -> LayerGraph:
-    """Correlation layer over the dataset's gene pairs.
+def build_correlation_layer(ds: ExpressionDataset, cfg: CorrelationConfig) -> LayerGraph:
+    """Correlation layer over the pairs of the dataset's genes, in sorted order.
 
     A pair is measurable when its pairwise-complete correlation exists;
     its weight is the clamped (and optionally quantized) coefficient, so
-    anti-correlated pairs are measured zeros rather than absent.  It is built
-    over the genes in dataset order, then placed by ``reindexed`` into
-    ``universe``, by default the sorted genes.
+    anti-correlated pairs are measured zeros rather than absent.
     """
-    if universe is None:
-        universe = NodeUniverse(tuple(sorted(ds.genes)))
     a, b, w = _gram_pearson(ds.values, cfg.min_pairs, cfg.quantize_levels)
     w = np.maximum(w, 0.0)
     if cfg.quantize_levels is not None:
         w = _round_half_away(cfg.quantize_levels * w)
     codes = pair_codes(a, b, ds.n_genes)  # row-major a < b, so sorted
     codes.flags.writeable = w.flags.writeable = False  # handed over, not copied
-    return reindexed(LayerGraph(NodeUniverse(ds.genes), codes, w), universe)
+    return reindexed(LayerGraph(NodeUniverse(ds.genes), codes, w), union_nodes([ds.genes]))
 
 
-def build_correlation_network(
-    datasets: list[ExpressionDataset], cfg: CorrelationConfig
-) -> MultilayerNetwork:
-    """One correlation layer per dataset over the shared gene universe."""
+def layer_names(datasets: list[ExpressionDataset]) -> tuple[str, ...]:
+    """Each dataset's name, or ``ds<k>`` for the k-th dataset when it has none."""
+    return tuple(ds.name or f"ds{k + 1}" for k, ds in enumerate(datasets))
+
+
+def build_correlation_network(datasets: list[ExpressionDataset],
+                              cfg: CorrelationConfig) -> MultilayerNetwork:
+    """One correlation layer per dataset, stacked over the shared gene universe."""
     if not datasets:
         raise ValueError("need at least one dataset")
-    universe = union_nodes(ds.genes for ds in datasets)
-    layers = tuple(build_correlation_layer(ds, cfg, universe=universe) for ds in datasets)
-    names = tuple(ds.name or f"ds{i + 1}" for i, ds in enumerate(datasets))
-    return MultilayerNetwork(universe, layers, names)
+    return stacked([build_correlation_layer(ds, cfg) for ds in datasets], layer_names(datasets))
 
 
 def conflate(datasets: list[ExpressionDataset]) -> ExpressionDataset:
@@ -218,8 +212,7 @@ def conflate(datasets: list[ExpressionDataset]) -> ExpressionDataset:
     universe = union_nodes(ds.genes for ds in datasets)
     conditions: list[str] = []
     blocks: list[np.ndarray] = []
-    for idx, ds in enumerate(datasets):
-        prefix = ds.name or f"ds{idx + 1}"
+    for prefix, ds in zip(layer_names(datasets), datasets):
         conditions.extend(f"{prefix}:{c}" for c in ds.conditions)
         block = np.full((universe.size, ds.n_conditions), np.nan)
         block[[universe.index(g) for g in ds.genes], :] = ds.values

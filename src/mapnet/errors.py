@@ -70,14 +70,14 @@ class DuplicateEdgeWarning(MapnetWarning):
 
 
 class DegenerateConditionWarning(MapnetWarning):
-    """Conditions that could not be z-scored were left unchanged."""
+    """Conditions of a dataset that could not be z-scored were left unchanged;
+    carries the dataset's name and the conditions' labels."""
 
-    def __init__(self, labels):
+    def __init__(self, dataset, labels):
+        self.dataset = dataset
         self.labels = tuple(labels)
-        super().__init__(
-            "conditions left unchanged (fewer than 2 values or zero spread): "
-            + ", ".join(self.labels)
-        )
+        super().__init__(f"conditions of dataset {dataset!r} left unchanged"
+                         " (fewer than 2 values or zero spread): " + ", ".join(self.labels))
 
 
 class NotConverged(MapnetWarning):

@@ -551,7 +551,8 @@ def _row_chunks(columns: list, sep: str) -> Iterator[str]:
 def edgelist_chunks(universe: NodeUniverse, layer_names: Sequence[str],
                     layers: Iterable[LayerGraph]) -> Iterator[str]:
     """The chunks of serialize_multiplex_edgelist, each layer formatted on
-    its own; every name and written label is checked before the first.
+    its own; every name and written label is checked before the first, and a
+    layer with no pair, which the edge list cannot hold, when its turn comes.
 
     ``layers`` may be an iterator, whose layers are then taken, written and
     dropped one at a time; only when a label of the universe is empty or
@@ -576,6 +577,9 @@ def edgelist_chunks(universe: NodeUniverse, layer_names: Sequence[str],
     def chunks():
         yield "# layer node_u node_v weight\n"
         for g, layer in enumerate(layers):
+            if not layer.codes.size:
+                raise ValueError(f"layer {layer_names[g]!r} has no pair;"
+                                 " an edge list cannot hold an empty layer")
             i, j = pair_indices(layer.codes, n)
             columns = [(layer_names, np.broadcast_to(g, i.shape)), (labels, i), (labels, j)]
             yield from _row_chunks([*columns, layer.values], " ")
@@ -591,7 +595,7 @@ def serialize_multiplex_edgelist(net: MultilayerNetwork) -> str:
     that observation counts survive a round trip.  ValueError for names the
     reader would misread: a layer name that is empty, starts with ``#`` or
     holds whitespace, and a written node label that is empty or holds
-    whitespace.
+    whitespace; and for a layer with no pair, which the reader would not see.
     """
     return "".join(edgelist_chunks(net.universe, net.layer_names, net.layers))
 

@@ -83,7 +83,7 @@ def von_neumann_entropy(g: LayerGraph, log_base: str = "natural") -> EntropySpec
     gammas = np.linalg.eigvalsh(lap / (2.0 * total))
     gammas = np.where(gammas < _EIG_CLIP, 0.0, gammas)
     positive = gammas > 0
-    entropy = float(-(gammas[positive] * log(gammas[positive])).sum())
+    entropy = float(-(gammas[positive] * log(gammas[positive])).sum() + 0.0)  # -0.0 + 0.0 is 0.0
     return EntropySpectrum(tuple(float(x) for x in gammas), entropy)
 
 

@@ -1,5 +1,6 @@
 import errno
 import gc
+import itertools
 import json
 import math
 import os
@@ -23,8 +24,10 @@ from mapnet import (
     NodeUniverse,
     aggregate_network,
     build_avenet,
+    build_correlation_layer,
     build_correlation_network,
     compare_networks,
+    exponential_fit_r2,
     parse_aggregated_csv,
     parse_expression_csv,
     parse_layer_csv,
@@ -235,6 +238,14 @@ class TestMetricsCommand:
         assert lines[0] == "value,fraction"
         assert float(lines[-1].split(",")[1]) == 1.0
 
+    def test_one_edge_entropy_is_written_as_zero(self, tmp_path):
+        # the entropy of a pure state is a negated sum of zeros, once written as -0.0
+        net = tmp_path / "one.txt"
+        net.write_text("L1 a b 5\n", encoding="utf-8")
+        assert main(["aggregate", str(net), "-o", str(tmp_path / "agg.csv")]) == 0
+        assert main(["metrics", str(tmp_path / "agg.csv"), "-o", str(tmp_path / "m.json")]) == 0
+        assert '"entropy": 0.0,' in (tmp_path / "m.json").read_text(encoding="utf-8")
+
     def test_log_base_flag(self, multiplex_file, tmp_path):
         agg_csv = tmp_path / "agg.csv"
         assert main(["aggregate", multiplex_file, "-o", str(agg_csv)]) == 0
@@ -316,7 +327,87 @@ class TestCompareCommand:
             compare_networks(agg, layer1, layer2)
 
 
+def _drawn_subsets(n, sizes, reps, seed):
+    """The subsets of each size that the experiment draws, in the order of its draws."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for size in sizes:
+        if math.comb(n, size) <= reps:
+            drawn.append(list(itertools.combinations(range(n), size)))
+            continue
+        subsets = []
+        while len(subsets) < reps:
+            pick = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            if pick not in subsets:
+                subsets.append(pick)
+        drawn.append(subsets)
+    return drawn
+
+
+def _experiment_oracle(datasets, sizes, reps, seed, cfg):
+    """The experiment's rows, each float as its hex, with each drawn subset's network
+    built whole by build_correlation_network."""
+    rows = []
+    for size, subsets in zip(sizes, _drawn_subsets(len(datasets), sizes, reps, seed)):
+        thetas, r2s = [], []
+        for subset in subsets:
+            try:
+                agg = aggregate_network(build_correlation_network([datasets[i] for i in subset], cfg))
+            except BracketingFailure:
+                thetas.append(math.inf)
+                r2s.append(math.nan)
+                continue
+            thetas.append(agg.theta)
+            positive = agg.values[agg.values > 0]
+            fits = positive.size > 0 and positive.min() < positive.max()
+            r2s.append(exponential_fit_r2(positive, agg.theta) if fits else math.nan)
+        rows.append((size, float(np.mean(thetas)).hex(), float(np.mean(r2s)).hex()))
+    return rows
+
+
+def _reshuffled(datasets, seed):
+    """The datasets with their genes in a random order, and every other one unnamed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, ds in enumerate(datasets):
+        order = rng.permutation(ds.n_genes)
+        out.append(ExpressionDataset(tuple(ds.genes[i] for i in order), ds.conditions,
+                                     ds.values[order], ds.name if k % 2 else ""))
+    return out
+
+
 class TestExperimentCommand:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_building_each_subset_whole(self, expression_collection, seed):
+        # genes that only partly overlap, so that the unions of subsets differ
+        assert len({ds.genes for ds in expression_collection}) == len(expression_collection)
+        datasets = _reshuffled(expression_collection, seed)
+        # datasets 4, 5 and 7 hold no finite prior rate together
+        collections = [(datasets, [1, 2, 3, 7, 8]), ([datasets[i] for i in (4, 5, 7)], [1, 2, 3])]
+        for cfg in (CorrelationConfig(), CorrelationConfig(min_pairs=4, quantize_levels=None)):
+            for chosen, sizes in collections:
+                rows = run_subset_experiment(chosen, sizes, 3, seed, cfg)
+                got = [(r.size, r.mean_theta.hex(), r.mean_r2.hex()) for r in rows]
+                assert got == _experiment_oracle(chosen, sizes, 3, seed, cfg)
+        assert math.isinf(rows[-1].mean_theta)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_drawn_dataset_is_built_once(self, expression_collection, monkeypatch, seed):
+        built = []
+
+        def build(ds, cfg):
+            built.append(ds.name)
+            return build_correlation_layer(ds, cfg)
+
+        monkeypatch.setattr("mapnet.analysis.build_correlation_layer", build)
+        sizes = [1, 2, 3]
+        run_subset_experiment(expression_collection, sizes, 2, seed)
+        drawn = [i for subsets in _drawn_subsets(8, sizes, 2, seed) for s in subsets for i in s]
+        first = list(dict.fromkeys(drawn))
+        # some dataset is drawn twice, and some never
+        assert len(first) < len(drawn) and len(first) < 8
+        assert built == [expression_collection[i].name for i in first]
+
     def test_subsets_table(self, dataset_files, tmp_path):
         out = tmp_path / "table.csv"
         argv = [
@@ -598,6 +689,31 @@ class TestErrorHandling:
         assert err == {"error": "ValueError",
                        "message": "layer name '#A' is empty or starts with '#'"}
         assert not out.exists()
+
+    def test_synth_gen_with_an_empty_layer_writes_nothing(self, tmp_path, capsys):
+        # at coverage 0.2, layer3 of the six pairs of four nodes observes none
+        argv = ["synth", "gen", "--nodes", "4", "--layers", "4", "--coverage", "0.2", "--seed", "1",
+                "-o", str(tmp_path / "net.txt"), "--truth", str(tmp_path / "truth.csv")]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ValueError", "message": "layer 'layer3' has no pair; "
+                                    "an edge list cannot hold an empty layer"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_build_layers_with_an_empty_layer_writes_nothing(self, tmp_path, capsys):
+        # three conditions are fewer than --min-pairs 5, so no pair of 'short' is measured
+        rng = np.random.default_rng(9)
+        genes = [f"g{i}" for i in range(6)]
+        for name, conditions in (("long", 10), ("short", 3)):
+            ds = make_expression_dataset(rng, genes, conditions, name)
+            (tmp_path / f"{name}.csv").write_text(expression_csv(ds), encoding="utf-8")
+        out = tmp_path / "layers.txt"
+        assert main(["build-layers", str(tmp_path / "long.csv"), str(tmp_path / "short.csv"),
+                     "-o", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ValueError", "message": "layer 'short' has no pair; "
+                                    "an edge list cannot hold an empty layer"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.csv", "short.csv"]
 
     def test_repeated_layer_name_is_rejected(self, dataset_files, tmp_path, capsys):
         # build-layers names layers by file stem; two x.csv files would merge into one layer

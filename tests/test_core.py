@@ -15,7 +15,7 @@ from mapnet import (
     presence_summaries,
     union_nodes,
 )
-from mapnet.core import reindexed
+from mapnet.core import reindexed, stacked
 from mapnet.errors import DomainError, EmptyNetwork
 from conftest import coded, pair_dict, plain
 
@@ -304,10 +304,8 @@ class TestObservationSummaries:
         net = two_layer_net()
         mapping = {"a": "zz", "b": "aa", "c": "mm"}
         renamed = NodeUniverse(tuple(mapping[label] for label in net.universe.labels))
-        universe = NodeUniverse(tuple(sorted(renamed.labels)))
-        permuted = MultilayerNetwork(universe, tuple(
-            reindexed(replace(layer, universe=renamed), universe) for layer in net.layers),
-            net.layer_names)
+        permuted = stacked([replace(layer, universe=renamed) for layer in net.layers],
+                           net.layer_names)
         base = observation_summaries(net)
         other = observation_summaries(permuted)
 
@@ -382,6 +380,42 @@ class TestAggregationInput:
         meta = {"theta": 1.0, "iterations": 3, "converged": True}
         a, b = parse_aggregated_csv(text, meta), parse_aggregated_csv(text, meta)
         assert a == a and a == b
+
+
+def by_labels(layer) -> dict:
+    """``{(u, v): weight}`` of a layer's pairs, keyed by their labels in sorted order."""
+    labels = layer.universe.labels
+    return {tuple(sorted((labels[i], labels[j]))): w for (i, j), w in pair_dict(layer).items()}
+
+
+class TestStacked:
+    def test_sorted_union_with_every_weight_kept(self):
+        one = NodeUniverse(("m", "c", "x"))
+        two = NodeUniverse(("x", "a", "m", "q"))
+        first = LayerGraph(one, *coded(one, {(0, 1): 2.0, (1, 2): 0.0}))
+        second = LayerGraph(two, *coded(two, {(0, 1): 1.5, (1, 2): 0.1 + 0.2, (0, 2): 3.0}))
+        net = stacked([first, second], ("L2", "L1"))
+        assert net.universe.labels == ("a", "c", "m", "q", "x")
+        assert net.layer_names == ("L2", "L1")
+        for before, after in zip((first, second), net.layers):
+            assert after.universe is net.universe
+            assert by_labels(after) == by_labels(before)
+        assert by_labels(net.layers[1])[("a", "m")] == 0.1 + 0.2  # to the bit
+        # already on the union, a layer keeps its pairs in order
+        assert stacked([net.layers[0]], ("L",)).layers[0] == net.layers[0]
+
+    def test_an_estimate_stays_one(self):
+        small = NodeUniverse(("d", "b"))
+        est = AggregatedNetwork(small, *coded(small, {(0, 1): 0.25}), 3.0, 4, False, -2.0)
+        layer = LayerGraph(NodeUniverse(("a", "b")), [1], [1.0])
+        moved, _ = stacked([est, layer], ("map", "other")).layers
+        assert type(moved) is AggregatedNetwork and by_labels(moved) == {("b", "d"): 0.25}
+        assert (moved.theta, moved.iterations, moved.converged) == (3.0, 4, False)
+
+    def test_a_repeated_name_raises(self):
+        layer = LayerGraph(NodeUniverse(("a", "b")), [1], [1.0])
+        with pytest.raises(ValueError, match="layer name 'L1' is repeated"):
+            stacked([layer, layer], ("L1", "L1"))
 
 
 class TestReindexed:

@@ -16,6 +16,7 @@ from mapnet import (
     conflate,
     zscore_normalize,
 )
+from mapnet.core import reindexed
 from mapnet.correlation import _pearson_masked
 from mapnet.errors import DegenerateConditionWarning
 from conftest import coded, label_pair, make_expression_dataset, pair_dict
@@ -223,7 +224,11 @@ def per_pair_layer(ds, cfg, universe=None):
 
 
 def assert_matches_reference(ds, cfg, universe=None):
-    got = build_correlation_layer(ds, cfg, universe=universe)
+    """The built layer, placed into ``universe`` when one is given, against the reference
+    built there directly."""
+    got = build_correlation_layer(ds, cfg)
+    if universe is not None:
+        got = reindexed(got, universe)
     ref = per_pair_layer(ds, cfg, universe=universe)
     assert got.universe == ref.universe
     assert got.measurable == ref.measurable

@@ -46,6 +46,9 @@ class TestVonNeumannEntropy:
             spec = von_neumann_entropy(LayerGraph(uni, [1], [w]))
             assert sorted(spec.gammas) == [0.0, 1.0]
             assert spec.entropy == 0.0
+            # -(1·log 1) is -0.0, which a report would write as "-0.0"
+            assert math.copysign(1.0, spec.entropy) == 1.0
+            assert math.copysign(1.0, network_report(LayerGraph(uni, [1], [w])).entropy) == 1.0
 
     def test_equal_triangle_closed_form(self):
         # raw Laplacian spectrum of K3 with equal weights w is {0, 3w, 3w}

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -92,6 +93,11 @@ def _unread(label):
     """Whether the layer-CSV reader would strip ``label`` or split its line in it."""
     unquoted = label.replace("\r", "").replace("\n", "")  # quoted, and kept in the field
     return label != label.strip() or bool(unquoted) and unquoted.splitlines() != [unquoted]
+
+
+def _empty_layer(net):
+    """The name of the network's first layer with no pair, or None."""
+    return next((name for name, layer in zip(net.layer_names, net.layers) if not layer.codes.size), None)
 
 
 def _writes_unread_label(layer):
@@ -192,6 +198,10 @@ class TestSameBytes:
     @settings(max_examples=150, deadline=None)
     @given(net=networks(), chunk=CHUNKS)
     def test_edgelist(self, net, chunk):
+        if (empty := _empty_layer(net)) is not None:
+            with pytest.raises(ValueError, match=f"layer {re.escape(repr(empty))} has no pair"):
+                serialize_multiplex_edgelist(net)
+            return
         assert _chunked(chunk, serialize_multiplex_edgelist, net) == _edgelist_oracle(net)
 
     @settings(max_examples=150, deadline=None)
@@ -233,8 +243,10 @@ class TestSameBytes:
     def test_empty_layer_and_table(self):
         layer = LayerGraph(NodeUniverse(("a", "b")), [], [])
         assert layer_csv(layer) == "node_u,node_v,weight\n"
+        # the reader would not see the layer, so the edge list refuses it
         empty = MultilayerNetwork(layer.universe, (layer,), ("L1",))
-        assert serialize_multiplex_edgelist(empty) == "# layer node_u node_v weight\n"
+        with pytest.raises(ValueError, match="layer 'L1' has no pair"):
+            serialize_multiplex_edgelist(empty)
         columns = [np.array([], dtype=np.int64), np.array([]), np.array([])]
         assert _table_text("size,mean_theta,mean_r2", columns) == "size,mean_theta,mean_r2\n"
 
@@ -389,11 +401,14 @@ def test_zscore_warning_is_a_json_line(tmp_path, capsys):
     for name in ("one", "two"):
         paths.append(tmp_path / f"{name}.csv")
         paths[-1].write_text("\n".join(rows) + "\n", encoding="utf-8")
-    argv = ["build-layers", *map(str, paths), "-o", str(tmp_path / "l.txt"), "--zscore"]
-    assert main(argv) == 0
-    # both datasets warn alike, and Python shows a repeated warning once
-    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [{
+    # both datasets warn alike, each under its own name
+    expected = [{
         "warning": "DegenerateConditionWarning",
+        "dataset": name,
         "labels": ["c2"],
-        "message": "conditions left unchanged (fewer than 2 values or zero spread): c2",
-    }]
+        "message": f"conditions of dataset {name!r} left unchanged (fewer than 2 values or zero spread): c2",
+    } for name in ("one", "two")]
+    for argv in (["build-layers", *map(str, paths), "-o", str(tmp_path / "l.txt"), "--zscore"],
+                 ["baseline", "con", *map(str, paths), "-o", str(tmp_path / "con.csv")]):
+        assert main(argv) == 0
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == expected
