@@ -16,8 +16,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _PUBLIC = {
-    "aggregate": ("EmConfig", "aggregate_network", "em_aggregate", "log_posterior",
-                  "presence_summaries"),
+    "aggregate": ("EmConfig", "aggregate_network", "em_aggregate", "presence_summaries"),
     "analysis": ("ComparisonBundle", "SubsetResult", "compare_networks", "run_subset_experiment"),
     "baselines": ("build_avenet", "build_connet"),
     "core": ("AggregatedNetwork", "AggregationInput", "LayerGraph", "MultilayerNetwork",

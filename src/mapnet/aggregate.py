@@ -13,7 +13,10 @@ concave with g(0) = -P and g(inf) = sum(S) - P, so a root exists exactly
 when sum(S) > P, and Newton steps from below rise to it monotonically, each
 costing O(distinct k); lam is formed over all pairs once, after the steps.
 Each solve traces the profile log-posterior, C - sum_d T_d*log(d + theta) +
-P*log(theta) with C = sum(S*log(S) - S), at O(distinct k) per step.
+P*log(theta) with C = sum(S*log(S) - S), at O(distinct k) per step.  At
+lam = S / (k + theta_L), theta_L the last step's theta, and the returned
+theta = P / sum(lam), the same sums give the final log-posterior,
+C - sum_d T_d*log(d + theta_L) + P*log(theta) + P*(theta_L/theta - 1).
 """
 
 from __future__ import annotations
@@ -56,31 +59,6 @@ class EmConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def log_posterior(inp: AggregationInput, lam, theta: float) -> float:
-    """Log-posterior (up to constants) of an estimate ``lam``, one value per
-    pair of ``inp.codes`` (as ``AggregatedNetwork.values`` is).
-
-    The sum runs over all ``pair_count`` pairs with the convention
-    0*log(0) = 0; pairs never observed contribute log(theta) only.
-    """
-    if theta <= 0:
-        raise DomainError("theta must be positive")
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != inp.codes.shape:
-        raise ValueError(f"need one lambda per pair code, got {lam.shape} for {inp.codes.shape}")
-    if np.any(lam < 0):
-        raise DomainError("lambda must be non-negative")
-    s = inp.sums
-    if np.any((s > 0) & (lam <= 0)):
-        raise DomainError("lambda must be positive wherever the weight sum is positive")
-    positive = lam > 0
-    slog = np.zeros_like(lam)
-    slog[positive] = s[positive] * np.log(lam[positive])
-    return float(
-        -(inp.counts * lam).sum() + slog.sum() - theta * lam.sum() + inp.pair_count * math.log(theta)
-    )
-
-
 def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> AggregatedNetwork:
     """Maximize the log-posterior by Newton steps on theta over the k-strata.
 
@@ -112,33 +90,40 @@ def em_aggregate(inp: AggregationInput, cfg: EmConfig = EmConfig()) -> Aggregate
     if cfg.seed is not None:
         theta *= 10.0 ** -np.random.default_rng(cfg.seed).uniform(0.0, 3.0)
 
-    with np.errstate(over="ignore"):  # the objective is checked for overflow below
-        base = float((s[s > 0] * np.log(s[s > 0])).sum()) - float(s.sum())  # C of the profile
+    # the objective is summed with S scaled by 2**-e, which is exact, so that S*log(S) may
+    # pass the float range where the objective does not
+    e = math.frexp(float(s.max()))[1]
+    scaled, positive = np.ldexp(s, -e), s > 0
+    base = float((scaled[positive] * np.log(s[positive])).sum()) - float(scaled.sum())  # C * 2**-e
+    strata = np.ldexp(stratum_sums, -e)
 
-    def profile(theta: float) -> float:
-        return base - float((stratum_sums * np.log(levels + theta)).sum()) + pair_count * math.log(theta)
+    def objective(theta_l: float, theta: float) -> float:
+        # the log-posterior at lam = S / (k + theta_l) and rate theta = theta_l or P / sum(lam)
+        value = (base - float((strata * np.log(levels + theta_l)).sum())
+                 + math.ldexp(pair_count * (math.log(theta) + (theta_l / theta - 1.0)), -e))
+        with np.errstate(over="ignore"):  # the final objective is checked below
+            return float(np.ldexp(value, e))
 
-    trace = [profile(theta)]
+    trace = [objective(theta, theta)]
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
         pull = stratum_sums * levels / (levels + theta)  # g(theta) = margin - sum(pull)
         step = float((pull.sum() - margin) / (pull / (levels + theta)).sum())  # -g / g'
         theta += step
-        trace.append(profile(theta))
+        trace.append(objective(theta, theta))
         if step <= cfg.tol * theta:
             converged = True
             break
 
-    # lam over all pairs; theta from it keeps theta * sum(lam) = P
+    # lam over all pairs; the returned rate from it keeps theta * sum(lam) = P
     lam = s / (k + theta)
-    theta = pair_count / float(lam.sum())
-    with np.errstate(over="ignore"):
-        objective = log_posterior(inp, lam, theta)
-    if not math.isfinite(objective):
+    returned = pair_count / float(lam.sum())
+    final = objective(theta, returned)
+    if not math.isfinite(final):
         raise DomainError("the log-posterior overflows the float range")
 
-    return AggregatedNetwork(inp.universe, inp.codes, lam, theta, iterations, converged,
-                             objective, tuple(trace))
+    return AggregatedNetwork(inp.universe, inp.codes, lam, returned, iterations, converged,
+                             final, tuple(trace))
 
 
 def presence_summaries(

@@ -63,7 +63,10 @@ _MISSING_TOKENS = {"", "na", "nan"}
 
 @dataclass(frozen=True, eq=False)
 class ExpressionDataset:
-    """Genes x conditions matrix of expression values; NaN marks missing."""
+    """Genes x conditions matrix of expression values; NaN marks missing.
+
+    Raises DuplicateLabel on a repeated gene or condition label.
+    """
 
     genes: tuple[str, ...]
     conditions: tuple[str, ...]
@@ -76,6 +79,11 @@ class ExpressionDataset:
             raise ValueError("matrix shape does not match label counts")
         if len(self.genes) < 1 or len(self.conditions) < 1:
             raise ValueError("need at least one gene and one condition")
+        for kind, labels in (("gene", self.genes), ("condition", self.conditions)):
+            if len(set(labels)) != len(labels):
+                seen = set()
+                dup = next(label for label in labels if label in seen or seen.add(label))
+                raise DuplicateLabel(f"duplicate {kind} label {dup!r}")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -162,10 +170,6 @@ def parse_expression_csv(text: str, name: str = "") -> ExpressionDataset:
         genes.append(gene)
         for c, cell in enumerate(row[1:], start=2):
             data[r, c - 2] = _parse_cell(cell, line=line, column=c)
-    if len(set(genes)) != len(genes):
-        seen = set()
-        dup = next(g for g in genes if g in seen or seen.add(g))
-        raise DuplicateLabel(f"duplicate gene label {dup!r}")
     return ExpressionDataset(tuple(genes), tuple(conditions), data, name=name)
 
 

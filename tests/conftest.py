@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from mapnet import AggregationInput, ExpressionDataset, LayerGraph, layer_csv_chunks
-from mapnet.errors import BracketingFailure
+from mapnet.errors import BracketingFailure, DomainError
 
 
 def make_expression_dataset(
@@ -161,6 +163,31 @@ def theta_fixed_point_oracle(inp: AggregationInput) -> float:
         if hi - lo <= 1e-15 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def log_posterior(inp: AggregationInput, lam, theta: float) -> float:
+    """Log-posterior (up to constants) of an estimate ``lam``, one value per
+    pair of ``inp.codes`` (as ``AggregatedNetwork.values`` is).
+
+    The sum runs over all ``pair_count`` pairs with the convention
+    0*log(0) = 0; pairs never observed contribute log(theta) only.
+    """
+    if theta <= 0:
+        raise DomainError("theta must be positive")
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != inp.codes.shape:
+        raise ValueError(f"need one lambda per pair code, got {lam.shape} for {inp.codes.shape}")
+    if np.any(lam < 0):
+        raise DomainError("lambda must be non-negative")
+    s = inp.sums
+    if np.any((s > 0) & (lam <= 0)):
+        raise DomainError("lambda must be positive wherever the weight sum is positive")
+    positive = lam > 0
+    slog = np.zeros_like(lam)
+    slog[positive] = s[positive] * np.log(lam[positive])
+    return float(
+        -(inp.counts * lam).sum() + slog.sum() - theta * lam.sum() + inp.pair_count * math.log(theta)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -13,16 +13,14 @@ from mapnet import (
     NodeUniverse,
     em_aggregate,
     generate_synthetic,
-    log_posterior,
     observation_summaries,
     parse_multiplex_edgelist,
     presence_summaries,
     weight_cdf,
 )
-import mapnet.aggregate as aggregate_module
 from mapnet.aggregate import aggregate_network
 from mapnet.errors import BracketingFailure, DegenerateAllZero, DomainError
-from conftest import coded, pair_dict, theta_fixed_point_oracle
+from conftest import coded, log_posterior, pair_dict, theta_fixed_point_oracle
 
 
 def single_pair_input(s=8.0, k=2, pair_count=1):
@@ -118,6 +116,14 @@ class TestEmAggregate:
         with pytest.raises(DomainError, match="^the log-posterior overflows the float range$"):
             em_aggregate(inp)
 
+    def test_objective_just_inside_the_float_range_is_returned(self):
+        # a pair seen in two layers at 1.2785e305 each: S*log(S) overflows, the objective does not
+        inp = AggregationInput(NodeUniverse(("a", "b")), [1], [2], [2 * 1.2785e305], 1)
+        agg = em_aggregate(inp)
+        assert math.isfinite(agg.final_objective)
+        assert agg.final_objective == pytest.approx(
+            log_posterior(inp, agg.values, agg.theta), rel=1e-12)
+
     def test_zero_sum_pairs_get_zero_lambda(self):
         uni = NodeUniverse(("a", "b", "c"))
         inp = AggregationInput(uni, [1, 5], [2, 2], [6.0, 0.0], 3)
@@ -205,13 +211,6 @@ class TestEmAggregate:
         for seed in (1, 2, 3):
             seeded = em_aggregate(inp, EmConfig(seed=seed)).objective_trace
             assert seeded[0] < default[0]
-
-    def test_final_objective_matches_log_posterior(self):
-        inp = random_input(seed=7)
-        agg = em_aggregate(inp)
-        assert agg.final_objective == pytest.approx(
-            log_posterior(inp, agg.values, agg.theta), rel=1e-12
-        )
 
 
 def near_edge_input(n=40, d=5, seed=11):
@@ -374,15 +373,39 @@ class TestObjectiveTrace:
         assert abs(agg.objective_trace[-1] - agg.final_objective) <= c04_slack(
             inp, agg.values, agg.theta)
 
-    def test_steps_do_not_evaluate_the_per_pair_objective(self, monkeypatch):
-        # the trace is summed over the k-strata; only final_objective sums over pairs
-        calls = []
-        objective = aggregate_module.log_posterior
-        monkeypatch.setattr(aggregate_module, "log_posterior",
-                            lambda *args: calls.append(1) or objective(*args))
-        agg = em_aggregate(near_edge_input())
-        assert agg.iterations > 1
-        assert len(calls) == 1
+    @TRACE_INPUTS
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 10000])
+    def test_final_objective_matches_log_posterior(self, make_input, max_iter):
+        inp = make_input()
+        agg = em_aggregate(inp, EmConfig(max_iter=max_iter))
+        assert agg.converged or agg.iterations == max_iter
+        assert agg.final_objective == pytest.approx(
+            log_posterior(inp, agg.values, agg.theta), rel=1e-12)
+
+    @pytest.mark.parametrize("count_mode", ["measurable", "nonzero_only", "presence"])
+    @pytest.mark.parametrize("pair_count_mode", ["unordered", "paper_n_squared"])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 10000])
+    def test_final_objective_matches_log_posterior_in_every_mode(self, count_mode, pair_count_mode,
+                                                                max_iter):
+        net, _ = generate_synthetic(n=30, d=7, theta_star=0.5, coverage=0.8, seed=7)
+        if count_mode == "presence":
+            inp = presence_summaries(net, pair_count_mode)
+        else:
+            inp = observation_summaries(net, count_mode, pair_count_mode)
+        agg = aggregate_network(net, EmConfig(max_iter=max_iter), count_mode, pair_count_mode)
+        assert agg.converged == (max_iter == 10000)
+        assert agg.final_objective == pytest.approx(
+            log_posterior(inp, agg.values, agg.theta), rel=1e-12)
+
+    @TRACE_INPUTS
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_returned_rate_does_not_lower_the_objective(self, make_input, max_iter):
+        # theta = P / sum(lam) maximizes the log-posterior at the last step's lam, so the
+        # final objective is at least the profile at the last step, the trace's last entry
+        inp = make_input()
+        agg = em_aggregate(inp, EmConfig(max_iter=max_iter))
+        assert agg.final_objective >= agg.objective_trace[-1] - c04_slack(
+            inp, agg.values, agg.theta)
 
 
 class TestThetaOracle:

@@ -653,6 +653,8 @@ class TestErrorHandling:
         (["aggregate"], "L1 a b 1e308\nL1 b c 1e308\n",
          "total observed weight overflows the float range"),
         (["aggregate"], "L1 a b 1e308\nL1 b c 1\n", "the log-posterior overflows the float range"),
+        (["aggregate"], "L1 a b 1.3e305\nL2 a b 1.3e305\n",
+         "the log-posterior overflows the float range"),
         (["aggregate"], "L1 a b 1e308\nL2 a b 1e308\nL1 b c 1\n",
          "the weight sum of pair 'a' 'b' overflows the float range"),
         (["baseline", "ave"], "L1 a b 1e308\nL2 a b 1e308\nL1 b c 1\n",
@@ -661,7 +663,8 @@ class TestErrorHandling:
          "node strengths overflow the float range"),
         (["metrics"], "node_u,node_v,weight\na,b,1e308\na,c,1e308\nb,c,1e308\n",
          "node strengths overflow the float range"),
-    ], ids=["aggregate total", "aggregate objective", "aggregate pair", "baseline ave",
+    ], ids=["aggregate total", "aggregate objective", "aggregate objective 1.3e305",
+            "aggregate pair", "baseline ave",
             "metrics 6e307", "metrics 1e308"])
     def test_weights_past_the_float_range_are_one_domain_error(self, capsys, tmp_path, monkeypatch,
                                                                command, text, message):
@@ -671,6 +674,27 @@ class TestErrorHandling:
         err = capsys.readouterr().err.splitlines()
         assert [json.loads(line) for line in err] == [{"error": "DomainError", "message": message}]
         assert [path.name for path in tmp_path.iterdir()] == ["in.txt"]
+
+    def test_objective_just_inside_the_float_range_is_written(self, capsys, tmp_path):
+        # S*log(S) of the pair's sum, 2.557e305, overflows; the objective, 1.79e308, does not
+        net = tmp_path / "net.txt"
+        net.write_text("L1 a b 1.2785e305\nL2 a b 1.2785e305\n", encoding="utf-8")
+        assert main(["aggregate", str(net), "-o", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))
+        assert meta["final_objective"] == 1.793822798227432e308
+
+    @pytest.mark.parametrize("text, message", [
+        ("gene,c1,c2\ng1,1,2\ng1,3,4\n", "duplicate gene label 'g1'"),
+        ("gene,c1,c1\ng1,1,x\n", "duplicate condition label in header"),
+    ])
+    def test_repeated_expression_label_is_one_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "e.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["build-layers", str(path), "-o", str(tmp_path / "layers.txt")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "DuplicateLabel", "message": message}
+        assert not (tmp_path / "layers.txt").exists()
 
     def test_infinite_tolerance_is_rejected(self, multiplex_file, capsys, tmp_path):
         code = main(["aggregate", multiplex_file, "-o", str(tmp_path / "x.csv"), "--tol", "inf"])

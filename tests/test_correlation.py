@@ -18,7 +18,7 @@ from mapnet import (
 )
 from mapnet.core import reindexed
 from mapnet.correlation import _pearson_masked
-from mapnet.errors import DegenerateConditionWarning
+from mapnet.errors import DegenerateConditionWarning, DuplicateLabel
 from conftest import coded, label_pair, make_expression_dataset, pair_dict
 
 NAN = float("nan")
@@ -464,6 +464,16 @@ class TestConflate:
             conflate([])
         with pytest.raises(ValueError, match="need at least one dataset"):
             build_correlation_network([], CorrelationConfig())
+
+    def test_repeated_gene_refused_before_any_gram_product(self, monkeypatch):
+        import mapnet.correlation as correlation
+
+        calls = []
+        monkeypatch.setattr(correlation, "_gram_pearson", lambda *a: calls.append(a))
+        with pytest.raises(DuplicateLabel, match="^duplicate gene label 'a'$"):
+            build_correlation_network([self.make(["a", "b"], 6, "x"), self.make(["a", "a"], 6, "y")],
+                                      CorrelationConfig())
+        assert calls == []
 
     def test_colliding_condition_labels_rejected(self):
         # dataset "x" with condition "y:c0" and dataset "x:y" with "c0" both give "x:y:c0"

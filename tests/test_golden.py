@@ -15,6 +15,12 @@ change.  ``metrics.json`` and ``cmp/reports.json`` were re-recorded when
 one ``eigh`` call replaced the power iteration behind the eigenvector
 centrality: each ``eigencentrality_mean`` moved by 1.8e-12 to 3.1e-11 and
 now agrees with networkx's ``eigenvector_centrality_numpy`` within 1.2e-16.
+Six ``aggregate`` sidecars (``agg.json``, ``map.json`` and the
+``count_nonzero``, ``pair_paper``, ``unweighted_seed_2`` and ``max_iter_1``
+variants) were re-recorded when ``final_objective`` came to be summed over
+the k-strata instead of over every pair: each moved in its last digits, by
+1.1e-16 to 1.2e-15 relative, and agrees with the per-pair log-posterior
+(``conftest.log_posterior``) within 1e-12 relative.
 The ``metrics.json`` report, the ``compare`` reports, the
 ``synth score`` Pearson and the raw ConNet coefficients of ``baseline
 con`` pass through BLAS/LAPACK, so on another BLAS build or CPU kernel
@@ -36,7 +42,7 @@ EXPECTED = {
     "truth.csv": "6ef2719412b762ab12e988c318d38ead6b5be552891195a808a5e178d458c419",
     "truth.json": "7f9da25bdf44184f189f5bfa8ae28016adb6e9cc6560a5338b8c6055f1e08414",
     "agg.csv": "fa9d4b264fc66578ef0f79fca960804b968622197ba2c032316504f48f251d1a",
-    "agg.json": "bf2ab5b3468129250dfeac52be25b28b531b4d6c8110c3ff0eb5de59e2f02c1f",
+    "agg.json": "12ffe50becdc4ce46f4a328e1bddde1f37b32ca0c4acc929fb6046fb40f7f7ed",
     "unweighted.csv": "e569bb0f75f476beb4105003bc9228ebd13185cbafd6428b3ad570d86fe91f0c",
     "unweighted.json": "f8d4dfa01712d2362d9f65b04d3646aebdc2f3d286fda25dbc52c0839490c885",
     "ave.csv": "e2a2fed362cc5976c1bb4f9724a0fe830d40da2f8e4fce6bdb70e7c788792d3e",
@@ -120,7 +126,7 @@ def analysis_outputs(expression_outputs):
 
 ANALYSIS_EXPECTED = {
     "map.csv": "a92099638fdb30a4755dce8096282a06228dd7b415802e267da9ccfd7baa301f",
-    "map.json": "460a1850a34cee1f6ad62ed252c91511635afd93e8323465eaf6941484eadfbf",
+    "map.json": "2869272dd224b4ff14566ae17cb1398bba3259a83d45e62bb647c6f2e38ad6fa",
     "layers_ave.csv": "2a325afd0289cf26786ed5cefb9c834d4988f90e6ff3871ccec6fdf2563369c4",
     "table.csv": "ab77b1f6c76d3f9526262f5a7a4a975b5e21cdcc5714ad84fde9f78d70b5d07e",
     "cmp/reports.json": "7bc0ec300d352085f5f5c0364b97e619a133f216f8392e94c3973abb88e640fd",
@@ -148,13 +154,13 @@ AGGREGATE_VARIANTS = {
     "count_nonzero": (
         ["--count-mode", "nonzero"],
         "1920d0d34c56575f4f606666de80f5854120fdd570645b18daf6863dd90fd725",
-        "fa6a828f0ec77d634016b92d193b32f5d7595396d6e0fcf0b35caf4537cb8377",
+        "9bf919485e6404214ce9b6e707068b192fb342ea90fe0e420309c2a446990f61",
         "",
     ),
     "pair_paper": (
         ["--pair-count", "paper"],
         "11dfa703bfdde5c5a314f4df88581caa05036241707b95421e1225c38a188713",
-        "40fd6af57da05a1c0a2c07d3dc5be21d308a63f1103394cf28cb463f77566059",
+        "5f43b4af2a41de4e1f957c2cddf9e6214d2fe12890cc30582e446fc9c8cb6811",
         "",
     ),
     "unweighted": (
@@ -166,13 +172,13 @@ AGGREGATE_VARIANTS = {
     "unweighted_seed_2": (
         ["--unweighted", "--seed", "2"],
         "a9a381a911b2cb4320ef645fa3dbfa21732ced3e7676a9e73f6235a93ea6a4e8",
-        "19166978e9cfe05701bbc87800d54559233ecd8ea7c4ac2e61a24883d724207c",
+        "8fef7f5dbb9308766000b375b9f38ab2ed0368e955000b7dda0b6740af809ba1",
         "",
     ),
     "max_iter_1": (
         ["--max-iter", "1"],
         "135980f1b03a6f554710d285a9987ac8c2d0582c30b7d06057fbaff70e4d3775",
-        "6488a27f6b79e1c81ba2118aca12cc401ade05b76370d7e72f843b8bb52bafa0",
+        "32f311da01fbddede9c8e45343c46078dd26e59c7304edf4b9b6089ebf4ff0d2",
         '{"warning": "NotConverged", "iterations": 1, "theta": 1.4400941479722573}\n',
     ),
 }
@@ -206,7 +212,7 @@ def test_aggregate_flag_variant_bytes(variant_outputs, name):
 # so they pin the chunk reader's long keys to that reader's bytes.
 ENSEMBL_EXPECTED = {
     "agg.csv": "40669f4ba4e3cf682e50246117d2670473a78760d43fcf6411637cfb024e02fc",
-    "agg.json": "bf2ab5b3468129250dfeac52be25b28b531b4d6c8110c3ff0eb5de59e2f02c1f",
+    "agg.json": "12ffe50becdc4ce46f4a328e1bddde1f37b32ca0c4acc929fb6046fb40f7f7ed",
     "ave.csv": "e98ce0fd1d6446849e2926632a8eff65a75e907709ad3967275a54897eae4d58",
     "metrics.json": "42311aa79aa2e3852f334eaf8f7b54daa43cc2195b8e557af63ae460d3ee7d65",
     "cdf.csv": "751592931e19ef501b72d90796d10c6c2dc8971d0a1d9609f52fc38fe81e12fb",

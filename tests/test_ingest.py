@@ -73,12 +73,21 @@ class TestParseExpressionCsv:
         assert err.value.column == 2
 
     def test_duplicate_gene_rejected(self):
-        with pytest.raises(DuplicateLabel):
+        with pytest.raises(DuplicateLabel, match="^duplicate gene label 'g1'$"):
             parse_expression_csv("gene,c1\ng1,1\ng1,2")
 
     def test_duplicate_condition_rejected(self):
-        with pytest.raises(DuplicateLabel):
-            parse_expression_csv("gene,c1,c1\ng1,1,2")
+        # the header is checked before any row, so a bad row after it is not reported
+        with pytest.raises(DuplicateLabel, match="^duplicate condition label in header$"):
+            parse_expression_csv("gene,c1,c1\ng1,1,abc")
+
+    @pytest.mark.parametrize("genes, conditions, message", [
+        (("g1", "g2", "g1", "g2"), ("c1",), "duplicate gene label 'g1'"),
+        (("g1",), ("c1", "c2", "c2"), "duplicate condition label 'c2'"),
+    ])
+    def test_dataset_refuses_repeated_labels(self, genes, conditions, message):
+        with pytest.raises(DuplicateLabel, match=f"^{message}$"):
+            ExpressionDataset(genes, conditions, np.zeros((len(genes), len(conditions))))
 
     def test_ragged_row_rejected(self):
         with pytest.raises(ParseError) as err:
